@@ -7,11 +7,30 @@ ReLU-activated), then global average pooling over time and joints and an affine
 projection. Pooling makes one parameter set accept any T' >= the temporal kernel,
 so short windows and their long context windows share an architecture.
 
-Forward and backward passes are written out explicitly so every gradient path
-can be verified against central finite differences.
+Each block is two matrix products on channels-last activations. A [B, C, T, V]
+batch is transposed once into rows [(B*T), V*C]: one row per frame, its joints
+side by side, channels innermost.
+
+- Spatial conv: the 1x1 conv ``w_s`` and the adjacency mix (ST-GCN, Yan et al.
+  2018) fold into one [V*C_in, V*C_out] weight, ``kron(adj, w_s.T)``, so the
+  conv is a single GEMM over all frames.
+- Temporal conv: the spatial ReLU writes into the interior of a zero-padded
+  [B, T+k-1, V, C] buffer (``pad_l = (k-1)//2`` zero frames on the left, the
+  rest on the right). im2col copies its k shifted views into one
+  [(B*T*V), k*C] matrix, and one GEMM with ``w_t`` as a [k*C, C_out] matrix
+  gives every output frame.
+- Pooling: a ones-vector product over each window's T*V rows.
+
+The backward pass runs the same products transposed; col2im adds the k tap
+gradients back into a padded buffer. Forward and backward passes are written
+out explicitly so every gradient path can be verified against finite
+differences.
 
 Parameters live in plain dicts of numpy arrays keyed like ``block0.spatial.w``;
-the short-term and long-term encoders hold structurally identical dicts.
+the short-term and long-term encoders hold structurally identical dicts. They
+keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k])
+and are rearranged into GEMM operands on each call, so checkpoints, the
+momentum update and SGD do not depend on the activation layout.
 """
 
 from __future__ import annotations
@@ -114,15 +133,6 @@ def init_encoders_from_rng(cfg, n_classes, rng, dtype=np.float32):
     return params_s, params_l, decoder
 
 
-def param_names(cfg):
-    names = []
-    for i in range(cfg.blocks):
-        names += [f"block{i}.spatial.w", f"block{i}.spatial.b",
-                  f"block{i}.temporal.w", f"block{i}.temporal.b"]
-    names += ["proj.w", "proj.b"]
-    return names
-
-
 def _check_input(x, cfg):
     if x.ndim != 4:
         raise StructuralError(f"expected [B, C, T, V] input, got shape {x.shape}")
@@ -139,6 +149,28 @@ def _check_input(x, cfg):
         raise NonFiniteError("non-finite value in encoder input")
 
 
+def _spatial_weight(w_s, adj):
+    """``kron(adj, w_s.T)``: the 1x1 conv and the adjacency mix as one matrix.
+
+    Entry ``[u*C_in + i, v*C_out + o]`` is ``adj[u, v] * w_s[o, i]``, so a row
+    of joints-by-channels activations times this matrix is the spatial conv.
+    """
+    v = adj.shape[0]
+    c_out, c_in = w_s.shape
+    return (adj[:, None, :, None] * w_s.T[None, :, None, :]).reshape(v * c_in, v * c_out)
+
+
+def _temporal_weight(w_t):
+    """w_t [C_out, C_in, k] as the [k*C_in, C_out] matrix of the im2col GEMM."""
+    return w_t.transpose(2, 1, 0).reshape(-1, w_t.shape[0])
+
+
+def _column_sums(a):
+    """Sum over rows as a ones-vector GEMV: blocked BLAS accumulation keeps
+    float32 error far below numpy's row-by-row ``sum(axis=0)``."""
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
+
+
 def encode_forward(params, x, adj, cfg, want_cache=False):
     """Batched forward pass. x: [B, C, T, V] -> unit-norm features [B, feature_dim].
 
@@ -147,30 +179,33 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     """
     _check_input(x, cfg)
     adj = adj.astype(x.dtype, copy=False)
-    h = x
-    block_caches = []
+    b, _, t, v = x.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
-    pad_r = k - 1 - pad_l
+    h = x.transpose(0, 2, 3, 1).reshape(b * t, -1)       # [(B*T), V*C_in]
+    block_caches = []
     for i in range(cfg.blocks):
         w_s = params[f"block{i}.spatial.w"]
-        b_s = params[f"block{i}.spatial.b"]
         w_t = params[f"block{i}.temporal.w"]
-        b_t = params[f"block{i}.temporal.b"]
-        xa = np.einsum("bitu,uv->bitv", h, adj)
-        pre_s = np.einsum("oi,bitv->botv", w_s, xa) + b_s[None, :, None, None]
-        act_s = np.maximum(pre_s, 0.0)
-        xp = np.pad(act_s, ((0, 0), (0, 0), (pad_l, pad_r), (0, 0)))
-        t_len = act_s.shape[2]
-        pre_t = np.einsum("oi,bitv->botv", w_t[:, :, 0], xp[:, :, 0:t_len, :])
-        for kk in range(1, k):
-            pre_t += np.einsum("oi,bitv->botv", w_t[:, :, kk], xp[:, :, kk:kk + t_len, :])
-        pre_t += b_t[None, :, None, None]
-        act_t = np.maximum(pre_t, 0.0)
+        c = w_s.shape[0]
+        k_s = _spatial_weight(w_s, adj)
+        pre_s = h @ k_s                                     # [(B*T), V*C]
+        pre_s += np.tile(params[f"block{i}.spatial.b"], v)
+        xp = np.zeros((b, t + k - 1, v, c), dtype=pre_s.dtype)
+        np.maximum(pre_s.reshape(b, t, v, c), 0.0, out=xp[:, pad_l:pad_l + t])
+        # im2col: row (b, t, v) holds the k taps xp[b, t:t+k, v, :]
+        cols = np.empty((b, t, v, k, c), dtype=xp.dtype)
+        for kk in range(k):
+            cols[:, :, :, kk] = xp[:, kk:kk + t]
+        cols = cols.reshape(b * t * v, k * c)
+        act_t = cols @ _temporal_weight(w_t)                # [(B*T*V), C]
+        act_t += params[f"block{i}.temporal.b"]
+        np.maximum(act_t, 0.0, out=act_t)
         if want_cache:
-            block_caches.append((xa, pre_s, xp, pre_t))
-        h = act_t
-    pooled = h.mean(axis=(2, 3))
+            block_caches.append((h, k_s, xp, cols, act_t))
+        h = act_t.reshape(b * t, -1)
+    per_window = h.reshape(b, t * v, -1)
+    pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
     z = pooled @ params["proj.w"].T + params["proj.b"]
     norm = np.sqrt((z * z).sum(axis=1, keepdims=True))
     r = np.maximum(norm, NORM_EPS)
@@ -178,8 +213,8 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     if not want_cache:
         return f, None
     cache = {
-        "params": params, "adj": adj, "cfg": cfg,
-        "blocks": block_caches, "last": h, "pooled": pooled, "f": f, "r": r,
+        "params": params, "adj": adj, "cfg": cfg, "shape": x.shape,
+        "blocks": block_caches, "pooled": pooled, "f": f, "r": r,
     }
     return f, cache
 
@@ -187,12 +222,14 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
 def encode_backward(cache, grad_f):
     """Backward pass for :func:`encode_forward`.
 
-    Returns ``(grads, grad_x)`` where ``grads`` mirrors the parameter dict.
+    Returns ``(grads, grad_x)`` where ``grads`` mirrors the parameter dict and
+    ``grad_x`` is [B, C, T, V] like the input.
     """
     params = cache["params"]
     adj = cache["adj"]
     cfg = cache["cfg"]
     f, r = cache["f"], cache["r"]
+    b, c_in, t, v = cache["shape"]
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
 
@@ -202,30 +239,33 @@ def encode_backward(cache, grad_f):
     grads["proj.w"] = g.T @ cache["pooled"]
     grads["proj.b"] = g.sum(axis=0)
     g_pooled = g @ params["proj.w"]
-
-    h_last = cache["last"]
-    _, _, t_len, v = h_last.shape
-    g_h = np.broadcast_to((g_pooled / (t_len * v))[:, :, None, None], h_last.shape)
+    # pooling spreads g_pooled / (T*V) evenly over the T*V rows of a window
+    g_h = (g_pooled / (t * v))[:, None, :]                 # [B, 1 or T*V, C]
 
     for i in reversed(range(cfg.blocks)):
-        xa, pre_s, xp, pre_t = cache["blocks"][i]
-        w_s = params[f"block{i}.spatial.w"]
+        h, k_s, xp, cols, act_t = cache["blocks"][i]
         w_t = params[f"block{i}.temporal.w"]
-        g_t = g_h * (pre_t > 0)
-        grads[f"block{i}.temporal.b"] = g_t.sum(axis=(0, 2, 3))
-        g_wt = np.empty_like(w_t)
+        c = w_t.shape[0]
+        # a ReLU output is positive exactly where its pre-activation is
+        g_t = (g_h * (act_t.reshape(b, t * v, c) > 0)).reshape(-1, c)
+        grads[f"block{i}.temporal.b"] = _column_sums(g_t)
+        g_wk = (g_t.T @ cols).reshape(c, k, -1)             # [C_out, tap, C_in]
+        grads[f"block{i}.temporal.w"] = np.ascontiguousarray(g_wk.transpose(0, 2, 1))
+        # col2im: tap kk of output row t read padded row t + kk
+        g_cols = (g_t @ _temporal_weight(w_t).T).reshape(b, t, v, k, c)
         g_xp = np.zeros_like(xp)
-        t_len = pre_t.shape[2]
         for kk in range(k):
-            g_wt[:, :, kk] = np.einsum("botv,bitv->oi", g_t, xp[:, :, kk:kk + t_len, :])
-            g_xp[:, :, kk:kk + t_len, :] += np.einsum("oi,botv->bitv", w_t[:, :, kk], g_t)
-        grads[f"block{i}.temporal.w"] = g_wt
-        g_s = g_xp[:, :, pad_l:pad_l + t_len, :] * (pre_s > 0)
-        grads[f"block{i}.spatial.b"] = g_s.sum(axis=(0, 2, 3))
-        grads[f"block{i}.spatial.w"] = np.einsum("botv,bitv->oi", g_s, xa)
-        g_xa = np.einsum("oi,botv->bitv", w_s, g_s)
-        g_h = np.einsum("bitv,uv->bitu", g_xa, adj)
-    return grads, g_h
+            g_xp[:, kk:kk + t] += g_cols[:, :, :, kk]
+        act_s = xp[:, pad_l:pad_l + t]
+        g_s = (g_xp[:, pad_l:pad_l + t] * (act_s > 0)).reshape(b * t, v * c)
+        grads[f"block{i}.spatial.b"] = _column_sums(g_s.reshape(-1, c))
+        # d kron(adj, w_s.T) -> d w_s: contract the joint pairs against adj
+        g_ks = (h.T @ g_s).reshape(v, -1, v, c)
+        g_ws = np.tensordot(adj, g_ks, axes=([0, 1], [0, 2]))  # [C_in, C_out]
+        grads[f"block{i}.spatial.w"] = np.ascontiguousarray(g_ws.T)
+        g_h = (g_s @ k_s.T).reshape(b, t * v, -1)
+    grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
+    return grads, np.ascontiguousarray(grad_x)
 
 
 def encode(params, x, adj, cfg):

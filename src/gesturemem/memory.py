@@ -34,24 +34,43 @@ class MemoryQueue:
 
     def enqueue(self, feature, label):
         """Write one slot at the head, evicting the oldest entry once full."""
-        feature = np.asarray(feature)
-        if feature.shape != (self.feature_dim,):
-            raise StructuralError(
-                f"feature shape {feature.shape} != ({self.feature_dim},)")
-        norm = float(np.linalg.norm(feature))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ContractError(f"enqueued feature norm {norm:.6f} deviates from 1")
-        label = int(label)
-        if label < 0:
-            raise ContractError(f"negative class label {label}")
-        self.features[self.head] = feature
-        self.labels[self.head] = label
-        self.head = (self.head + 1) % self.capacity
-        self.fill = min(self.fill + 1, self.capacity)
+        self.enqueue_batch(np.asarray(feature)[None], [label])
 
     def enqueue_batch(self, features, labels):
-        for f, y in zip(features, labels):
-            self.enqueue(f, y)
+        """Write rows in order, leaving the slots, ``head`` and ``fill`` that
+        one :meth:`enqueue` per row would leave.
+
+        All or nothing: the whole batch is checked before any slot is written
+        (:class:`StructuralError` for shapes, :class:`ContractError` for a
+        norm off 1 by more than ``NORM_TOL`` or a negative label), so a bad
+        row leaves the queue unchanged. A batch longer than ``capacity``
+        keeps only its last ``capacity`` rows.
+        """
+        features = np.asarray(features)
+        labels = np.asarray(labels).astype(np.int64, copy=False)
+        if features.ndim != 2 or features.shape[1] != self.feature_dim:
+            raise StructuralError(
+                f"expected features [n, {self.feature_dim}], got shape {features.shape}")
+        n = features.shape[0]
+        if labels.shape != (n,):
+            raise StructuralError(f"{labels.shape} labels for {n} features")
+        norms = np.linalg.norm(features, axis=1)
+        bad = np.abs(norms - 1.0) > NORM_TOL
+        if bad.any():
+            raise ContractError(
+                f"enqueued feature norm {norms[bad][0]:.6f} deviates from 1")
+        if (labels < 0).any():
+            raise ContractError(f"negative class label {labels[labels < 0][0]}")
+        # rows that a longer batch would overwrite never need writing
+        keep = min(n, self.capacity)
+        start = (self.head + n - keep) % self.capacity
+        first = min(keep, self.capacity - start)
+        self.features[start:start + first] = features[n - keep:n - keep + first]
+        self.labels[start:start + first] = labels[n - keep:n - keep + first]
+        self.features[:keep - first] = features[n - keep + first:]
+        self.labels[:keep - first] = labels[n - keep + first:]
+        self.head = (self.head + n) % self.capacity
+        self.fill = min(self.fill + n, self.capacity)
 
     @property
     def filled_features(self):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gesturemem
 from gesturemem.cli import main
 from gesturemem.config import (apply_overrides, dataclass_from_mapping,
                                read_kv_file)
@@ -121,10 +123,15 @@ def test_serve_stdin_subprocess_round_trip(tmp_path):
     for i in range(8):
         lines.append(json.dumps({"t": i * 33.0,
                                  "joints": rng.normal(size=(3, 3)).tolist()}))
+    # the child imports the same package as this process, however it was found
+    src = os.path.dirname(os.path.dirname(gesturemem.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "gesturemem.cli", "serve", "--model", ckpt,
          "--stdin", "--stride-ms", "0"],
-        input="\n".join(lines) + "\n", text=True, capture_output=True, timeout=120)
+        input="\n".join(lines) + "\n", text=True, capture_output=True, timeout=120,
+        env=env)
     assert proc.returncode == 0, proc.stderr
     outs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(outs) == 3

@@ -10,14 +10,15 @@ from gesturemem.encoder import (EncoderConfig, classify, encode,
                                 skeleton_graph)
 from gesturemem.errors import NonFiniteError, StructuralError
 
-from helpers import fd_grad, fd_param_grads, param_count, rel_error
+from helpers import (fd_grad, fd_param_grads, param_count, ref_encode_backward,
+                     ref_encode_forward, rel_error, relu_preactivations)
 
 TINY = EncoderConfig(width=4, feature_dim=4, blocks=2, temporal_kernel=3)
 GRAPH = skeleton_graph()
 
 
-def tiny_setup(seed=0, n_classes=3):
-    params, params_l, decoder = init_encoders(TINY, n_classes, seed, dtype=np.float64)
+def tiny_setup(seed=0, n_classes=3, cfg=TINY):
+    params, params_l, decoder = init_encoders(cfg, n_classes, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=(2, 3, 6, 3))
     return params, params_l, decoder, x
@@ -62,35 +63,94 @@ def test_encode_input_validation():
         encode(params, np.zeros((4, 6, 3)), GRAPH.normalized, TINY)  # wrong C
 
 
-def test_encoder_param_gradients_match_finite_differences():
-    params, _, _, x = tiny_setup()
+def check_param_gradients(cfg):
+    params, _, _, x = tiny_setup(cfg=cfg)
     assert param_count(params) <= 500
     rng = np.random.default_rng(7)
-    probe = rng.normal(size=(x.shape[0], TINY.feature_dim))
+    probe = rng.normal(size=(x.shape[0], cfg.feature_dim))
 
     def loss(p):
-        f, _ = encode_forward(p, x, GRAPH.normalized, TINY)
+        f, _ = encode_forward(p, x, GRAPH.normalized, cfg)
         return float((probe * f).sum())
 
-    f, cache = encode_forward(params, x, GRAPH.normalized, TINY, want_cache=True)
+    at_kink = relu_preactivations(params, x, GRAPH.normalized, cfg) == 0
+
+    def kinks(p):
+        return relu_preactivations(p, x, GRAPH.normalized, cfg)[at_kink]
+
+    f, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
     grads, _ = encode_backward(cache, probe)
-    fd = fd_param_grads(lambda p: loss(p), params)
+    fd = fd_param_grads(lambda p: loss(p), params, kinks=kinks)
     for name in params:
         assert rel_error(grads[name], fd[name]) < 1e-4, name
 
 
-def test_encoder_input_gradient_matches_finite_differences():
-    params, _, _, x = tiny_setup(seed=3)
-    probe = np.random.default_rng(11).normal(size=(x.shape[0], TINY.feature_dim))
+def check_input_gradient(cfg):
+    params, _, _, x = tiny_setup(seed=3, cfg=cfg)
+    probe = np.random.default_rng(11).normal(size=(x.shape[0], cfg.feature_dim))
 
     def loss(xv):
-        f, _ = encode_forward(params, xv, GRAPH.normalized, TINY)
+        f, _ = encode_forward(params, xv, GRAPH.normalized, cfg)
         return float((probe * f).sum())
 
-    _, cache = encode_forward(params, x, GRAPH.normalized, TINY, want_cache=True)
+    at_kink = relu_preactivations(params, x, GRAPH.normalized, cfg) == 0
+
+    def kinks(xv):
+        return relu_preactivations(params, xv, GRAPH.normalized, cfg)[at_kink]
+
+    _, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
     _, g_x = encode_backward(cache, probe)
-    fd = fd_grad(loss, x)
+    fd = fd_grad(loss, x, kinks=kinks)
     assert rel_error(g_x, fd) < 1e-4
+
+
+def test_encoder_param_gradients_match_finite_differences():
+    check_param_gradients(TINY)
+
+
+def test_encoder_input_gradient_matches_finite_differences():
+    check_input_gradient(TINY)
+
+
+# an even kernel pads asymmetrically (no frame on the left, one on the right),
+# and a third block chains two hidden-to-hidden blocks. With k=2 the last frame
+# sees one real tap, so exact-zero pre-activations occur there and the oracle
+# has to handle kinks.
+@pytest.mark.parametrize("cfg", [
+    EncoderConfig(width=4, feature_dim=4, blocks=2, temporal_kernel=2),
+    EncoderConfig(width=4, feature_dim=4, blocks=3, temporal_kernel=3),
+], ids=["k2", "blocks3"])
+def test_encoder_gradients_match_finite_differences_beyond_tiny(cfg):
+    check_param_gradients(cfg)
+    check_input_gradient(cfg)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
+    cfg = EncoderConfig(width=8, feature_dim=16, blocks=blocks, temporal_kernel=k)
+    params, _, _ = init_encoders(cfg, 3, seed=blocks * 10 + k, dtype=dtype)
+    rng = np.random.default_rng(k)
+    for t in sorted({k, 6, 60}):
+        for b in (1, 16):
+            x = rng.normal(size=(b, 3, t, 3)).astype(dtype)
+            grad_f = rng.normal(size=(b, cfg.feature_dim)).astype(dtype)
+            f, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
+            grads, g_x = encode_backward(cache, grad_f)
+            f_ref, cache_ref = ref_encode_forward(params, x, GRAPH.normalized, cfg)
+            grads_ref, g_x_ref = ref_encode_backward(cache_ref, grad_f)
+            case = f"T={t} B={b}"
+            assert f.dtype == dtype and g_x.dtype == dtype, case
+            assert g_x.shape == x.shape, case
+            assert rel_error(f, f_ref) < tol, case
+            assert rel_error(g_x, g_x_ref) < tol, case
+            assert set(grads) == set(params), case
+            for name, p in params.items():
+                assert grads[name].shape == p.shape, (case, name)
+                assert grads[name].dtype == p.dtype, (case, name)
+                assert rel_error(grads[name], grads_ref[name]) < tol, (case, name)
 
 
 def test_thigh_permutation_invariance():

@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import deque
 
@@ -60,6 +61,62 @@ def test_enqueue_contract_checks():
         q.enqueue(unit([1, 1, 1]), -1)
     with pytest.raises(StructuralError):
         q.enqueue(unit([1, 1]), 0)
+
+
+def prefilled(capacity, prefill, seed):
+    q = MemoryQueue(capacity, 3, dtype=np.float64)
+    for f in random_unit_rows(np.random.default_rng(seed), prefill, 3):
+        q.enqueue(f, 1)
+    return q
+
+
+def assert_same_queue(a, b):
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
+    assert (a.head, a.fill) == (b.head, b.fill)
+
+
+@given(st.sampled_from([1, 2, 7, 64]), st.integers(0, 150), st.integers(0, 70),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_enqueue_batch_matches_per_row_enqueue(capacity, n, prefill, seed):
+    batched = prefilled(capacity, prefill, seed)
+    per_row = prefilled(capacity, prefill, seed)
+    rng = np.random.default_rng(seed + 1)
+    feats = random_unit_rows(rng, n, 3)
+    labels = rng.integers(0, 5, size=n)
+    batched.enqueue_batch(feats, labels)
+    for f, y in zip(feats, labels):
+        per_row.enqueue(f, y)
+    assert_same_queue(batched, per_row)
+
+
+@given(st.sampled_from([1, 2, 7, 64]), st.integers(1, 150), st.integers(0, 70),
+       st.sampled_from(["norm", "label"]), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_enqueue_batch_bad_row_leaves_queue_unchanged(capacity, n, prefill, kind, seed):
+    q = prefilled(capacity, prefill, seed)
+    rng = np.random.default_rng(seed + 1)
+    feats = random_unit_rows(rng, n, 3)
+    labels = rng.integers(0, 5, size=n)
+    bad = int(rng.integers(0, n))
+    if kind == "norm":
+        feats[bad] *= 1.01
+    else:
+        labels[bad] = -1
+    before = copy.deepcopy(q)
+    with pytest.raises(ContractError):
+        q.enqueue_batch(feats, labels)
+    assert_same_queue(q, before)
+
+
+def test_enqueue_batch_shape_checks():
+    q = MemoryQueue(4, 3, dtype=np.float64)
+    with pytest.raises(StructuralError):
+        q.enqueue_batch(np.ones((2, 2)) / np.sqrt(2), [0, 0])
+    with pytest.raises(StructuralError):
+        q.enqueue_batch(random_unit_rows(np.random.default_rng(0), 2, 3), [0])
+    assert (q.head, q.fill) == (0, 0)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2, 7, 64]))
