@@ -28,13 +28,17 @@ differences.
 
 Parameters live in plain dicts of numpy arrays keyed like ``block0.spatial.w``;
 the short-term and long-term encoders hold structurally identical dicts. They
-keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k])
-and are rearranged into GEMM operands on each call, so checkpoints, the
-momentum update and SGD do not depend on the activation layout.
+keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k]),
+so checkpoints, the momentum update and SGD do not depend on the activation
+layout. :meth:`GemmOperands.build` rearranges them into the kernel's operands.
+Training changes its parameters every step and lets :func:`encode_forward`
+build the operands on each call; a served model, whose parameters never
+change, builds them once and passes them in place of the dict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +91,21 @@ def _uniform(rng, fan_in, shape, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def param_shapes(cfg):
+    """Name -> shape of every encoder parameter, in initialization order."""
+    shapes = {}
+    in_ch = cfg.in_channels
+    for i in range(cfg.blocks):
+        shapes[f"block{i}.spatial.w"] = (cfg.width, in_ch)
+        shapes[f"block{i}.spatial.b"] = (cfg.width,)
+        shapes[f"block{i}.temporal.w"] = (cfg.width, cfg.width, cfg.temporal_kernel)
+        shapes[f"block{i}.temporal.b"] = (cfg.width,)
+        in_ch = cfg.width
+    shapes["proj.w"] = (cfg.feature_dim, cfg.width)
+    shapes["proj.b"] = (cfg.feature_dim,)
+    return shapes
+
+
 def init_encoder_params(cfg, rng, dtype=np.float32):
     """Fan-in-scaled uniform weights; zero biases.
 
@@ -94,19 +113,9 @@ def init_encoder_params(cfg, rng, dtype=np.float32):
     biases would swamp them through the normalization, collapsing features
     toward a constant direction at initialization.
     """
-    params = {}
-    in_ch = cfg.in_channels
-    for i in range(cfg.blocks):
-        params[f"block{i}.spatial.w"] = _uniform(rng, in_ch, (cfg.width, in_ch), dtype)
-        params[f"block{i}.spatial.b"] = np.zeros(cfg.width, dtype)
-        fan = cfg.width * cfg.temporal_kernel
-        params[f"block{i}.temporal.w"] = _uniform(
-            rng, fan, (cfg.width, cfg.width, cfg.temporal_kernel), dtype)
-        params[f"block{i}.temporal.b"] = np.zeros(cfg.width, dtype)
-        in_ch = cfg.width
-    params["proj.w"] = _uniform(rng, cfg.width, (cfg.feature_dim, cfg.width), dtype)
-    params["proj.b"] = np.zeros(cfg.feature_dim, dtype)
-    return params
+    return {name: (np.zeros(shape, dtype) if len(shape) == 1  # a bias
+                   else _uniform(rng, math.prod(shape[1:]), shape, dtype))
+            for name, shape in param_shapes(cfg).items()}
 
 
 def init_decoder_params(feature_dim, n_classes, rng, dtype=np.float32):
@@ -171,26 +180,71 @@ def _column_sums(a):
     return np.ones(a.shape[0], dtype=a.dtype) @ a
 
 
+@dataclass(frozen=True)
+class GemmOperands:
+    """An encoder's parameters as the operands of :func:`encode_forward`'s GEMMs.
+
+    Built for one adjacency array and one activation dtype. ``blocks`` holds,
+    per block, the spatial weight ``kron(adj, w_s.T)``, the spatial bias tiled
+    over the joints, the im2col temporal weight and the temporal bias; the
+    projection is read from ``params``, the dict they were built from.
+    """
+
+    params: dict
+    adj: np.ndarray
+    dtype: np.dtype
+    blocks: tuple
+
+    @classmethod
+    def build(cls, params, adj, dtype, n_blocks):
+        dtype = np.dtype(dtype)
+        adj_d = adj.astype(dtype, copy=False)
+        v = adj.shape[0]
+        blocks = tuple(
+            (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
+             np.tile(params[f"block{i}.spatial.b"], v),
+             _temporal_weight(params[f"block{i}.temporal.w"]),
+             params[f"block{i}.temporal.b"])
+            for i in range(n_blocks))
+        return cls(params=params, adj=adj, dtype=dtype, blocks=blocks)
+
+    @classmethod
+    def for_call(cls, params, adj, dtype, n_blocks):
+        """The operands one encode with ``adj`` and ``dtype`` runs on.
+
+        ``params`` is returned as is when it is a :class:`GemmOperands` built
+        from this very adjacency array for this dtype and block count; any
+        other operands are rebuilt from their ``params``, so they are never
+        used with an adjacency or dtype they were not built for. A parameter
+        dict is always built.
+        """
+        if isinstance(params, cls):
+            if (params.adj is adj and params.dtype == dtype
+                    and len(params.blocks) == n_blocks):
+                return params
+            params = params.params
+        return cls.build(params, adj, dtype, n_blocks)
+
+
 def encode_forward(params, x, adj, cfg, want_cache=False):
     """Batched forward pass. x: [B, C, T, V] -> unit-norm features [B, feature_dim].
 
-    With ``want_cache`` the returned cache holds every intermediate needed by
-    :func:`encode_backward`.
+    ``params`` is a parameter dict or the :class:`GemmOperands` built from
+    one. With ``want_cache`` the returned cache holds every intermediate
+    needed by :func:`encode_backward`.
     """
     _check_input(x, cfg)
-    adj = adj.astype(x.dtype, copy=False)
+    ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks)
+    params = ops.params
     b, _, t, v = x.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
     h = x.transpose(0, 2, 3, 1).reshape(b * t, -1)       # [(B*T), V*C_in]
     block_caches = []
-    for i in range(cfg.blocks):
-        w_s = params[f"block{i}.spatial.w"]
-        w_t = params[f"block{i}.temporal.w"]
-        c = w_s.shape[0]
-        k_s = _spatial_weight(w_s, adj)
+    for k_s, b_s, w_t, b_t in ops.blocks:
+        c = k_s.shape[1] // v
         pre_s = h @ k_s                                     # [(B*T), V*C]
-        pre_s += np.tile(params[f"block{i}.spatial.b"], v)
+        pre_s += b_s
         xp = np.zeros((b, t + k - 1, v, c), dtype=pre_s.dtype)
         np.maximum(pre_s.reshape(b, t, v, c), 0.0, out=xp[:, pad_l:pad_l + t])
         # im2col: row (b, t, v) holds the k taps xp[b, t:t+k, v, :]
@@ -198,8 +252,8 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
         for kk in range(k):
             cols[:, :, :, kk] = xp[:, kk:kk + t]
         cols = cols.reshape(b * t * v, k * c)
-        act_t = cols @ _temporal_weight(w_t)                # [(B*T*V), C]
-        act_t += params[f"block{i}.temporal.b"]
+        act_t = cols @ w_t                                  # [(B*T*V), C]
+        act_t += b_t
         np.maximum(act_t, 0.0, out=act_t)
         if want_cache:
             block_caches.append((h, k_s, xp, cols, act_t))
@@ -213,8 +267,8 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     if not want_cache:
         return f, None
     cache = {
-        "params": params, "adj": adj, "cfg": cfg, "shape": x.shape,
-        "blocks": block_caches, "pooled": pooled, "f": f, "r": r,
+        "params": params, "adj": adj.astype(x.dtype, copy=False), "cfg": cfg,
+        "shape": x.shape, "blocks": block_caches, "pooled": pooled, "f": f, "r": r,
     }
     return f, cache
 
@@ -269,7 +323,11 @@ def encode_backward(cache, grad_f):
 
 
 def encode(params, x, adj, cfg):
-    """Encode a single [C, T', V] window into a unit-norm feature vector."""
+    """Encode a single [C, T', V] window into a unit-norm feature vector.
+
+    ``params`` is a parameter dict or :class:`GemmOperands`, as for
+    :func:`encode_forward`.
+    """
     if x.ndim != 3:
         raise StructuralError(f"expected [C, T, V] input, got shape {x.shape}")
     f, _ = encode_forward(params, x[None], adj, cfg, want_cache=False)

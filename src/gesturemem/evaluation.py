@@ -13,7 +13,7 @@ import numpy as np
 
 from . import memory as mem
 from .errors import ConfigError
-from .inference import FrozenModel, predict
+from .inference import FrozenModel, predict, window_feature
 from .training import prepare_data, train
 
 log = logging.getLogger(__name__)
@@ -174,14 +174,6 @@ def format_loss_table(result):
     return "\n".join(lines)
 
 
-def _window_feature(model, window):
-    from . import encoder as enc
-    from .inference import model_input
-
-    return enc.encode(model.params, model_input(model, window),
-                      model.adjacency, model.encoder_cfg)
-
-
 def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     """Export an addressing submatrix (rows = memory slots, columns = samples).
 
@@ -212,7 +204,7 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
 
     matrix = np.empty((n_slots, n_samples))
     for j, sample in enumerate(chosen):
-        weights = mem.address(model.queue, _window_feature(model, sample.data))
+        weights = mem.address(model.queue, window_feature(model, sample.data))
         matrix[:, j] = weights[slot_idx]
 
     same = slot_labels[:, None] == sample_labels[None, :]

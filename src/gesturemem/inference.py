@@ -15,14 +15,14 @@ import math
 import socketserver
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import encoder as enc
 from . import memory as mem
 from .dataset import NUM_CHANNELS, NUM_JOINTS, mean_center
-from .errors import NonFiniteError, StructuralError
+from .errors import NonFiniteError, StructuralError, ToolkitError
 from .training import load_checkpoint
 
 log = logging.getLogger(__name__)
@@ -32,9 +32,17 @@ log = logging.getLogger(__name__)
 TIME_EPS_MS = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenModel:
-    """Immutable bundle of everything prediction needs; shareable across sessions."""
+    """Everything prediction needs; immutable, so one model serves every session.
+
+    A model is a snapshot of the encoder it was made from: construction copies
+    the encoder parameters and the adjacency into read-only arrays and builds
+    the encoder's GEMM operands from them once (``dataclasses.replace`` copies
+    and builds again). Changing a training state's encoder afterwards, in place
+    or by reassignment, does not reach the model. The decoder and the memory
+    queue are not copied: the model reads them from the state it was made from.
+    """
 
     encoder_cfg: enc.EncoderConfig
     adjacency: np.ndarray
@@ -47,6 +55,19 @@ class FrozenModel:
     center: bool
     input_scale: float
     dtype: type
+    operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacency = _read_only_copy(self.adjacency)
+        params = {name: _read_only_copy(p) for name, p in self.params.items()}
+        operands = enc.GemmOperands.build(params, adjacency, self.dtype,
+                                          self.encoder_cfg.blocks)
+        for block in operands.blocks:
+            for a in block:
+                a.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "operands", operands)
 
     @classmethod
     def from_state(cls, state):
@@ -67,6 +88,12 @@ class FrozenModel:
         return len(self.label_names)
 
 
+def _read_only_copy(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def model_input(model, window):
     """Apply the model's preprocessing (centering, scaling, dtype) to a window."""
     x = np.asarray(window, dtype=np.float64)
@@ -77,12 +104,9 @@ def model_input(model, window):
     return x.astype(model.dtype)
 
 
-def predict(model, window):
-    """Classify one [C, T, V] window; returns (class index, probability vector).
-
-    Ties break toward the lowest class index. With an empty memory queue the
-    recalled feature is zero, so prediction reduces to the plain decoder path.
-    """
+def window_feature(model, window):
+    """Unit-norm encoder feature of one [C, T, V] window, after the model's
+    input checks and preprocessing."""
     window = np.asarray(window)
     if window.shape != (NUM_CHANNELS, model.short_len, NUM_JOINTS):
         raise StructuralError(
@@ -90,8 +114,17 @@ def predict(model, window):
             f"{NUM_JOINTS}), got {window.shape}")
     if not np.isfinite(window).all():
         raise NonFiniteError("non-finite value in prediction input")
-    feature = enc.encode(model.params, model_input(model, window),
-                         model.adjacency, model.encoder_cfg)
+    return enc.encode(model.operands, model_input(model, window),
+                      model.adjacency, model.encoder_cfg)
+
+
+def predict(model, window):
+    """Classify one [C, T, V] window; returns (class index, probability vector).
+
+    Ties break toward the lowest class index. With an empty memory queue the
+    recalled feature is zero, so prediction reduces to the plain decoder path.
+    """
+    feature = window_feature(model, window)
     if model.use_recall:
         fused = mem.fuse(feature, mem.recall_for_query(model.queue, feature))
     else:
@@ -124,7 +157,10 @@ class StreamSession:
         self.last_prediction = None
 
     def handle_line(self, line):
-        """Process one NDJSON line; returns an output object or None."""
+        """Process one NDJSON line; returns an output object or None.
+
+        Never raises: any malformed line gets an ``{"error": ...}`` object.
+        """
         line = line.strip()
         if not line:
             return None
@@ -132,21 +168,36 @@ class StreamSession:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             return {"error": f"malformed frame: {e.msg}"}
+        except (ValueError, RecursionError):
+            # an integer past the digit limit, or nesting past the recursion limit
+            return {"error": "malformed frame: unparseable JSON"}
         if not isinstance(obj, dict) or "joints" not in obj:
             return {"error": "malformed frame: expected an object with 'joints'"}
         t = obj.get("t")
         if t is None:
             t = self.frames_received * 1000.0 / self.frame_hz
-        elif not isinstance(t, (int, float)) or not math.isfinite(t):
-            return {"error": "malformed frame: 't' must be a finite number"}
-        return self.handle_frame(float(t), obj["joints"])
+        else:
+            try:
+                t = float(t) if type(t) in (int, float) else math.nan  # not bool
+            except OverflowError:  # an integer past the float range
+                t = math.nan
+            if not math.isfinite(t):
+                return {"error": "malformed frame: 't' must be a finite number"}
+        return self.handle_frame(t, obj["joints"])
 
     def handle_frame(self, t_ms, joints):
         """Append one frame; returns a prediction object when one is due."""
-        joints = np.asarray(joints, dtype=np.float64)
+        try:
+            joints = np.asarray(joints)
+        except ValueError:  # ragged or too deeply nested
+            return {"error": f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, "
+                             "got a ragged array", "t": t_ms}
+        if joints.dtype.kind not in "iuf":
+            return {"error": "non-numeric joint coordinate", "t": t_ms}
         if joints.shape != (NUM_JOINTS, NUM_CHANNELS):
             return {"error": f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, "
                              f"got shape {list(joints.shape)}", "t": t_ms}
+        joints = joints.astype(np.float64, copy=False)
         if not np.isfinite(joints).all():
             return {"error": "non-finite joint coordinate", "t": t_ms}
         self.buffer.append(joints)
@@ -157,11 +208,16 @@ class StreamSession:
                 and t_ms - self.last_emit_t < self.stride_ms - TIME_EPS_MS):
             return None
         window = np.stack(self.buffer).transpose(2, 0, 1)  # [T,V,C] -> [C,T,V]
-        started = time.perf_counter()
-        cls, probs = predict(self.model, window)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        log.info("prediction at t=%.1f ms: class %d (%s), inference %.2f ms",
-                 t_ms, cls, self.model.label_names[cls], elapsed_ms)
+        debug = log.isEnabledFor(logging.DEBUG)
+        started = time.perf_counter() if debug else 0.0
+        try:
+            cls, probs = predict(self.model, window)
+        except ToolkitError as e:  # e.g. coordinates past the model dtype's range
+            return {"error": f"cannot predict: {e}", "t": t_ms}
+        if debug:
+            log.debug("prediction at t=%.1f ms: class %d (%s), inference %.2f ms",
+                      t_ms, cls, self.model.label_names[cls],
+                      (time.perf_counter() - started) * 1000.0)
         self.last_emit_t = t_ms
         self.last_prediction = {"t": t_ms, "class": cls,
                                 "name": self.model.label_names[cls],

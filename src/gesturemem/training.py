@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,32 +456,104 @@ def save_checkpoint(state, path):
     return path
 
 
+HEADER_KEYS = ("config", "epoch", "step", "rng_state", "memory", "labels",
+               "has_velocities", "tensors", "payload_sha256")
+
+
+def _is_count(v):
+    return type(v) is int and v >= 0
+
+
+def _read_tensors(manifest, payload):
+    """Tensor name -> float32 array for every manifest entry."""
+    if not isinstance(manifest, list):
+        raise CheckpointError("checkpoint tensor manifest is not a list")
+    arrays = {}
+    for i, entry in enumerate(manifest):
+        try:
+            name, shape = entry["name"], entry["shape"]
+            lo, nbytes = entry["offset"], entry["nbytes"]
+        except (TypeError, KeyError):
+            raise CheckpointError(f"manifest entry {i} lacks name, shape, offset "
+                                  "or nbytes") from None
+        if not (isinstance(name, str) and name not in arrays and _is_count(lo)
+                and _is_count(nbytes) and isinstance(shape, list)
+                and all(_is_count(d) for d in shape)):
+            raise CheckpointError(f"malformed manifest entry {i}")
+        if lo + nbytes > len(payload):
+            raise CheckpointError(f"tensor {name} overruns the payload")
+        if nbytes != 4 * math.prod(shape):
+            raise CheckpointError(f"tensor {name}: {nbytes} bytes do not hold "
+                                  f"shape {shape}")
+        arrays[name] = np.frombuffer(payload[lo:lo + nbytes], dtype="<f4").reshape(shape)
+    return arrays
+
+
+def _expected_shapes(config, n_classes):
+    """Name -> shape of every tensor a checkpoint of ``config`` holds."""
+    params = enc.param_shapes(config.encoder_config())
+    shapes = {"decoder/w": (n_classes, config.feature_dim), "decoder/b": (n_classes,)}
+    shapes.update({f"encoder_s/{k}": v for k, v in params.items()})
+    if config.sgd_momentum > 0:
+        shapes.update({f"velocity/{k}": v for k, v in shapes.items()})
+    shapes.update({f"encoder_l/{k}": v for k, v in params.items()})
+    shapes["memory/features"] = (config.queue_capacity, config.feature_dim)
+    shapes["memory/labels"] = (config.queue_capacity,)
+    return shapes
+
+
 def load_checkpoint(path):
-    """Rebuild a TrainState from :func:`save_checkpoint` output."""
+    """Rebuild a TrainState from :func:`save_checkpoint` output.
+
+    A header, manifest or payload that is not what :func:`save_checkpoint`
+    writes for the stored configuration raises :class:`CheckpointError`.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise CheckpointError(f"unreadable checkpoint header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {header.get('version')!r} is not supported "
             f"(expected {CHECKPOINT_VERSION}); no migration path")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError("payload checksum mismatch: checkpoint is corrupt")
 
-    config = TrainConfig.from_dict(header["config"])
+    labels, memory = header["labels"], header["memory"]
+    if not (isinstance(labels, list) and all(isinstance(n, str) for n in labels)):
+        raise CheckpointError("checkpoint labels are not a list of names")
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        expected = _expected_shapes(config, len(labels))
+    except (TypeError, ValueError, ConfigError) as e:
+        raise CheckpointError(f"invalid checkpoint config: {e}") from None
+    if header["has_velocities"] is not (config.sgd_momentum > 0):
+        raise CheckpointError("has_velocities disagrees with the config's sgd_momentum")
+    if not (isinstance(memory, dict) and _is_count(memory.get("fill"))
+            and _is_count(memory.get("head"))
+            and memory["fill"] <= config.queue_capacity
+            and memory["head"] < config.queue_capacity):
+        raise CheckpointError(f"invalid memory cursors {memory!r}")
+    if not (_is_count(header["epoch"]) and _is_count(header["step"])):
+        raise CheckpointError("epoch and step must be non-negative integers")
+    arrays = _read_tensors(header["tensors"], payload)
+    shapes = {name: a.shape for name, a in arrays.items()}
+    if shapes != expected:
+        wrong = sorted(set(shapes) ^ set(expected)
+                       | {n for n in set(shapes) & set(expected) if shapes[n] != expected[n]})
+        raise CheckpointError(f"tensors missing, unexpected or misshapen for the "
+                              f"config: {', '.join(wrong)}")
+
     dtype = config.np_dtype
-    arrays = {}
-    for entry in header["tensors"]:
-        lo, nbytes = entry["offset"], entry["nbytes"]
-        if lo + nbytes > len(payload):
-            raise CheckpointError(f"tensor {entry['name']} overruns the payload")
-        flat = np.frombuffer(payload[lo:lo + nbytes], dtype="<f4")
-        arrays[entry["name"]] = flat.reshape(entry["shape"])
 
     def group(prefix, cast):
         return {name[len(prefix):]: arrays[name].astype(cast)
@@ -489,20 +562,23 @@ def load_checkpoint(path):
     params_s = group("encoder_s/", dtype)
     params_l = group("encoder_l/", dtype)
     decoder = group("decoder/", dtype)
-    label_map = LabelMap(names=list(header["labels"]))
+    label_map = LabelMap(names=list(labels))
 
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
     queue.features[:] = arrays["memory/features"].astype(dtype)
     queue.labels[:] = np.rint(arrays["memory/labels"]).astype(np.int64)
-    queue.fill = int(header["memory"]["fill"])
-    queue.head = int(header["memory"]["head"])
+    queue.fill = memory["fill"]
+    queue.head = memory["head"]
 
     velocities = group("velocity/", dtype) if header["has_velocities"] else None
 
     bitgen = np.random.PCG64()
-    bitgen.state = header["rng_state"]
+    try:
+        bitgen.state = header["rng_state"]
+    except (TypeError, ValueError, KeyError) as e:
+        raise CheckpointError(f"invalid RNG state: {e}") from None
     rng = np.random.Generator(bitgen)
     return TrainState(config=config, label_map=label_map, graph=enc.skeleton_graph(),
                       params_s=params_s, params_l=params_l, decoder=decoder,
                       queue=queue, velocities=velocities, rng=rng,
-                      epoch=int(header["epoch"]), step=int(header["step"]))
+                      epoch=header["epoch"], step=header["step"])

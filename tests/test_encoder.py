@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturemem.encoder import (EncoderConfig, classify, encode,
+from gesturemem.encoder import (EncoderConfig, GemmOperands, classify, encode,
                                 encode_backward, encode_forward,
                                 init_decoder_params, init_encoders,
                                 momentum_update, normalize_adjacency,
@@ -49,6 +49,21 @@ def test_encode_length_agnostic():
         f = encode(params, rng.normal(size=(3, t, 3)), GRAPH.normalized, TINY)
         assert f.shape == (TINY.feature_dim,)
         assert abs(np.linalg.norm(f) - 1.0) < 1e-6
+
+
+def test_operands_are_never_used_with_another_adjacency_or_dtype():
+    params, _, _, x = tiny_setup()
+    adj = GRAPH.normalized
+    ops = GemmOperands.build(params, adj, np.float64, TINY.blocks)
+    assert GemmOperands.for_call(ops, adj, np.dtype(np.float64), TINY.blocks) is ops
+    f_ops, _ = encode_forward(ops, x, adj, TINY)
+    assert np.array_equal(f_ops, encode_forward(params, x, adj, TINY)[0])
+    other = normalize_adjacency(np.ones((3, 3)))
+    for a, xx in ((other, x), (adj.copy(), x), (adj, x.astype(np.float32))):
+        f_ops, _ = encode_forward(ops, xx, a, TINY)
+        f_raw, _ = encode_forward(params, xx, a, TINY)
+        assert np.array_equal(f_ops, f_raw)
+    assert not np.allclose(encode_forward(ops, x, other, TINY)[0], f_ops)
 
 
 def test_encode_input_validation():

@@ -1,15 +1,23 @@
+import dataclasses
 import io
 import json
+import logging
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
+from gesturemem import inference
+from gesturemem import memory as mem
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
 from gesturemem.errors import NonFiniteError, StructuralError
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
-                                  predict, serve_stream)
+                                  model_input, predict, serve_stream)
 from gesturemem.training import TrainConfig, init_state, train
 
 from helpers import random_unit_rows
@@ -17,10 +25,12 @@ from helpers import random_unit_rows
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
 
 
-def untrained_model(use_recall=True, seed=0, n_classes=3):
-    config = TrainConfig(short_len=6, window_scale=2, queue_capacity=16,
-                         feature_dim=8, width=4, batch_size=4, epochs=0,
-                         seed=seed, use_recall=use_recall, dtype="float64")
+def untrained_model(use_recall=True, seed=0, n_classes=3, **overrides):
+    base = dict(short_len=6, window_scale=2, queue_capacity=16, feature_dim=8,
+                width=4, batch_size=4, epochs=0, seed=seed, use_recall=use_recall,
+                dtype="float64")
+    base.update(overrides)
+    config = TrainConfig(**base)
     state = init_state(config, LabelMap(names=[f"g{i}" for i in range(n_classes)]))
     return FrozenModel.from_state(state), state
 
@@ -94,6 +104,55 @@ def test_predict_uses_memory_when_filled():
     assert not np.allclose(probs_with, probs_without)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_predict_bitwise_equals_raw_params_path(dtype, blocks, k):
+    """The model's prebuilt operands give exactly the bits a raw-dict encode gives."""
+    model, state = untrained_model(dtype=dtype, blocks=blocks, temporal_kernel=k,
+                                   center=True, input_scale=1000.0)
+    rng = np.random.default_rng(blocks * 10 + k)
+    state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=model.dtype),
+                              rng.integers(0, 3, size=12))
+    for _ in range(3):
+        window = rng.normal(size=(3, 6, 3))
+        cls, probs = predict(model, window)
+        f, _ = enc.encode_forward(state.params_s, model_input(model, window)[None],
+                                  state.graph.normalized, model.encoder_cfg)
+        fused = mem.fuse(f[0], mem.recall_for_query(state.queue, f[0]))
+        ref = enc.classify(state.decoder, fused)
+        assert probs.dtype == model.dtype
+        assert np.array_equal(probs, ref) and cls == int(ref.argmax())
+
+
+def test_model_is_a_snapshot_of_the_encoder():
+    model, state = untrained_model()
+    x = np.random.default_rng(11).normal(size=(3, 6, 3))
+    _, before = predict(model, x)
+    for p in state.params_s.values():
+        p += 0.5
+    state.graph.normalized[:] = np.eye(3)
+    _, after = predict(model, x)
+    assert np.array_equal(before, after)
+    arrays = list(model.params.values()) + [model.adjacency]
+    arrays += [a for block in model.operands.blocks for a in block]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.params = state.params_s
+
+
+def test_replace_params_predicts_like_a_fresh_model():
+    model, state = untrained_model()
+    other = enc.init_encoder_params(model.encoder_cfg, np.random.default_rng(5),
+                                    np.float64)
+    replaced = dataclasses.replace(model, params=other)
+    state.params_s = other
+    fresh = FrozenModel.from_state(state)
+    x = np.random.default_rng(12).normal(size=(3, 6, 3))
+    assert np.array_equal(predict(replaced, x)[1], predict(fresh, x)[1])
+    assert not np.array_equal(predict(replaced, x)[1], predict(model, x)[1])
+
+
 # --- streaming protocol -----------------------------------------------------------
 
 def frame_line(t, joints):
@@ -142,8 +201,18 @@ def test_stream_error_objects_keep_session_alive():
     assert "error" in session.handle_line(json.dumps({"t": 0}))
     assert "error" in session.handle_line(
         json.dumps({"t": 0, "joints": [[0, 0, 0]] * 2}))
-    assert "error" in session.handle_line(
-        json.dumps({"t": 0, "joints": [[0, 0, None]] + [[0, 0, 0]] * 2}))
+    row = [0.0, 0.0, 0.0]
+    for bad in ['{"t": 0, "joints": [[0, 0, null], [0, 0, 0], [0, 0, 0]]}',
+                json.dumps({"t": 0, "joints": [["x", "y", "z"], row, row]}),
+                json.dumps({"t": 0, "joints": [row, row[:2], row]}),
+                json.dumps({"t": 0, "joints": {"a": 1}}),
+                json.dumps({"t": 0, "joints": [["1", "2", "3"], row, row]}),
+                json.dumps({"t": True, "joints": [row] * 3}),
+                json.dumps({"t": "5", "joints": [row] * 3}),
+                json.dumps({"t": 10 ** 400, "joints": [row] * 3}),
+                '{"t": ' + "1" * 5000 + ', "joints": []}',
+                "[" * 100000]:
+        assert "error" in session.handle_line(bad), bad
     rng = np.random.default_rng(7)
     outs = [session.handle_line(frame_line(i * 33.0, rng.normal(size=(3, 3))))
             for i in range(model.short_len)]
@@ -197,3 +266,68 @@ def test_serve_stream_over_text_pipes():
     outs = [json.loads(line) for line in sink.getvalue().splitlines()]
     assert len(outs) == 3  # one per frame once the buffer is full
     assert all(set(o) == {"t", "class", "name", "probs"} for o in outs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_stream_error_when_window_overflows_model_dtype():
+    model, _ = untrained_model(dtype="float32", input_scale=1000.0)
+    session = StreamSession(model, stride_ms=0.0)
+    outs = [session.handle_frame(i * 33.0, np.full((3, 3), 1e300 * (i % 2)))
+            for i in range(model.short_len)]
+    assert outs[:-1] == [None] * (model.short_len - 1)
+    assert "error" in outs[-1]
+
+
+def test_stream_emit_logs_and_times_only_at_debug(monkeypatch, caplog):
+    model, _ = untrained_model()
+    rng = np.random.default_rng(10)
+
+    def emit(session):
+        for i in range(model.short_len):
+            out = session.handle_frame(i * 33.0, rng.normal(size=(3, 3)))
+        assert "class" in out
+
+    def no_clock():
+        raise AssertionError("emit path read the clock with DEBUG off")
+
+    caplog.set_level(logging.INFO, logger=inference.log.name)
+    monkeypatch.setattr(inference, "time", types.SimpleNamespace(perf_counter=no_clock))
+    emit(StreamSession(model, stride_ms=0.0))
+    assert caplog.records == []
+    monkeypatch.undo()
+    caplog.set_level(logging.DEBUG, logger=inference.log.name)
+    emit(StreamSession(model, stride_ms=0.0))
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "inference" in caplog.records[0].getMessage()
+
+
+# JSON values of every kind, as json.loads returns them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+COORD = st.floats() | st.integers() | st.booleans() | st.none() | st.text(max_size=2)
+JOINTS = JSON_VALUES | st.lists(st.lists(COORD, min_size=2, max_size=4),
+                                min_size=2, max_size=4)
+LINES = (st.text()
+         | st.builds(lambda t, j: json.dumps({"t": t, "joints": j}), JSON_VALUES, JOINTS)
+         | st.builds(lambda j: json.dumps({"joints": j}), JOINTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, min_size=1, max_size=8))
+def test_handle_line_never_raises(lines):
+    """Every line gets None, an error object or a prediction; the session goes on."""
+    model, _ = untrained_model(dtype="float32", input_scale=1000.0, center=True)
+    session = StreamSession(model, stride_ms=0.0)
+    rng = np.random.default_rng(0)
+    for i in range(model.short_len - 1):  # the next valid frame predicts
+        session.handle_frame(-1e3 + i, rng.normal(size=(3, 3)))
+    for line in lines:
+        out = session.handle_line(line)
+        assert out is None or "error" in out or "class" in out
+    late = sys.float_info.max  # no earlier timestamp can hold back this emission
+    outs = [session.handle_line(json.dumps({"t": late, "joints": [[0.0] * 3] * 3}))
+            for _ in range(model.short_len)]
+    assert "class" in outs[-1]

@@ -8,8 +8,10 @@ import pytest
 from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
-from gesturemem.dataset import SplitSpec, SynthesisConfig, synthesize_recordings
+from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
+                                synthesize_recordings)
 from gesturemem.errors import CheckpointError, ConfigError
+from gesturemem.inference import FrozenModel
 from gesturemem.training import (TrainConfig, _sgd_apply, init_state,
                                  load_checkpoint, prepare_data,
                                  save_checkpoint, train, train_step,
@@ -277,6 +279,59 @@ def test_checkpoint_detects_truncation(tmp_path):
     path.write_bytes(raw[:-10])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _set(path, value):
+    def mutate(header):
+        *keys, last = path
+        node = header
+        for k in keys:
+            node = node[k]
+        node[last] = value
+    return mutate
+
+
+def _manifest(mutate_entries):
+    return lambda header: mutate_entries(header["tensors"])
+
+
+HEADER_FAULTS = {
+    **{f"no_{key}": (lambda key: lambda h: h.pop(key))(key)
+       for key in ("payload_sha256", "tensors", "memory", "labels", "config",
+                   "has_velocities", "rng_state", "epoch")},
+    "unknown_config_key": lambda h: h["config"].update(bogus=1),
+    "invalid_config_value": _set(["config", "dtype"], "float16"),
+    "config_not_object": _set(["config"], [1, 2]),
+    "labels_not_names": _set(["labels"], "abc"),
+    "has_velocities_disagrees": _set(["has_velocities"], False),
+    "fill_past_capacity": _set(["memory", "fill"], 33),
+    "head_not_integer": _set(["memory", "head"], 1.5),
+    "negative_step": _set(["step"], -1),
+    "rng_state_garbage": _set(["rng_state", "state"], "x"),
+    "manifest_not_list": _set(["tensors"], {}),
+    "entry_not_object": _manifest(lambda t: t.__setitem__(0, "decoder/b")),
+    "entry_lacks_shape": _manifest(lambda t: t[0].pop("shape")),
+    "entry_negative_offset": _manifest(lambda t: t[1].update(offset=-4)),
+    "entry_float_nbytes": _manifest(lambda t: t[0].update(nbytes=12.0)),
+    "entry_shape_not_nbytes": _manifest(lambda t: t[0].update(shape=[999])),
+    "entry_duplicate_name": _manifest(lambda t: t[1].update(name=t[0]["name"])),
+    "entry_dropped": _manifest(lambda t: t.pop(0)),
+    "entry_transposed": _manifest(
+        lambda t: next(e for e in t if e["name"] == "decoder/w")["shape"].reverse()),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
+    state = init_state(tiny_config(sgd_momentum=0.5), LabelMap(names=["a", "b", "c"]))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(state, path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    HEADER_FAULTS[fault](header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError):
+        FrozenModel.from_checkpoint(path)
 
 
 def test_resume_equals_uninterrupted_run(tmp_path):
