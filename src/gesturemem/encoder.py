@@ -21,6 +21,19 @@ side by side, channels innermost.
   gives every output frame.
 - Pooling: a ones-vector product over each window's T*V rows.
 
+Without a cache, :func:`encode_forward` runs a batch in tiles of whole windows
+(Goto & van de Geijn's cache blocking, ACM TOMS 2008, applied to a whole
+encoder pass). A tile's im2col matrix, ``T*V*k*width*itemsize`` bytes per
+window, stays within ``TILE_BYTES``, so it and the tile's activations stay in
+a 2 MiB per-core L2. Untiled, 1024 long windows (T=60, width 16) build a
+35 MiB im2col matrix, and the cost per window doubles. Measured on a 2-vCPU
+Xeon host with one BLAS thread, per window at T=60: 48 us at B=16, 97-100 us
+at B=1024 untiled, and 49-53 us at B=1024 for any tile from 256 KiB to 2 MiB
+(width 32: 89-106, 220-234 and 101-112 us). The plateau is wide, so the
+constant is not tuned per host. A batch that fits runs as one tile. The
+cached (training) forward is never tiled: its batches fit anyway, and
+:func:`encode_backward` reads whole-batch intermediates.
+
 The backward pass runs the same products transposed; col2im adds the k tap
 gradients back into a padded buffer. Forward and backward passes are written
 out explicitly so every gradient path can be verified against finite
@@ -46,6 +59,8 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError, StructuralError
 
 NORM_EPS = 1e-12
+# Most bytes of im2col matrix in one tile of the uncached forward.
+TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -231,10 +246,23 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
 
     ``params`` is a parameter dict or the :class:`GemmOperands` built from
     one. With ``want_cache`` the returned cache holds every intermediate
-    needed by :func:`encode_backward`.
+    needed by :func:`encode_backward`, and the batch runs as one tile;
+    otherwise it runs in tiles of whole windows (see the module docstring).
     """
     _check_input(x, cfg)
     ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks)
+    b, _, t, v = x.shape
+    window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
+    per_tile = max(1, TILE_BYTES // window_bytes)
+    if want_cache or per_tile >= b:
+        return _forward(ops, x, adj, cfg, want_cache)
+    tiles = [_forward(ops, x[lo:lo + per_tile], adj, cfg, False)[0]
+             for lo in range(0, b, per_tile)]
+    return np.concatenate(tiles), None
+
+
+def _forward(ops, x, adj, cfg, want_cache):
+    """The forward kernel of :func:`encode_forward` on checked input and operands."""
     params = ops.params
     b, _, t, v = x.shape
     k = cfg.temporal_kernel

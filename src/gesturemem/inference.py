@@ -140,6 +140,18 @@ def latency_estimate(frames, frame_period_ms, inference_ms):
     return float(frames * frame_period_ms + inference_ms)
 
 
+def _holds_bool(value):
+    """Whether a parsed JSON value holds a boolean anywhere in its lists."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            return True
+        if isinstance(v, list):
+            stack.extend(v)
+    return False
+
+
 class StreamSession:
     """One client's sliding window over arriving frames.
 
@@ -183,6 +195,10 @@ class StreamSession:
                 t = math.nan
             if not math.isfinite(t):
                 return {"error": "malformed frame: 't' must be a finite number"}
+        # numpy reads booleans mixed with numbers as 0/1; only a line that
+        # spells one out pays for the scan
+        if ("true" in line or "false" in line) and _holds_bool(obj["joints"]):
+            return {"error": "non-numeric joint coordinate", "t": t}
         return self.handle_frame(t, obj["joints"])
 
     def handle_frame(self, t_ms, joints):

@@ -404,7 +404,12 @@ def write_metrics(path, metrics):
 #
 # One JSON header line (version, config, epoch/step counters, RNG state, queue
 # cursors, label names, tensor manifest with shapes/offsets, payload SHA-256),
-# then raw little-endian float32 tensor payloads in manifest order.
+# then raw little-endian tensor payloads in manifest order, in the configured
+# dtype (``<f4`` for float32, ``<f8`` for float64).
+
+
+def _wire_dtype(config):
+    return np.dtype(config.np_dtype).newbyteorder("<")
 
 
 def _state_tensors(state):
@@ -426,11 +431,12 @@ def _state_tensors(state):
 def save_checkpoint(state, path):
     """Serialize a training state; the byte stream round-trips exactly."""
     tensors = _state_tensors(state)
+    wire = _wire_dtype(state.config)
     manifest = []
     chunks = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name]).astype("<f4")
+        arr = np.ascontiguousarray(tensors[name]).astype(wire)
         raw = arr.tobytes()
         manifest.append({"name": name, "shape": list(tensors[name].shape),
                          "offset": offset, "nbytes": len(raw)})
@@ -464,8 +470,8 @@ def _is_count(v):
     return type(v) is int and v >= 0
 
 
-def _read_tensors(manifest, payload):
-    """Tensor name -> float32 array for every manifest entry."""
+def _read_tensors(manifest, payload, wire):
+    """Tensor name -> array of the ``wire`` dtype for every manifest entry."""
     if not isinstance(manifest, list):
         raise CheckpointError("checkpoint tensor manifest is not a list")
     arrays = {}
@@ -482,10 +488,10 @@ def _read_tensors(manifest, payload):
             raise CheckpointError(f"malformed manifest entry {i}")
         if lo + nbytes > len(payload):
             raise CheckpointError(f"tensor {name} overruns the payload")
-        if nbytes != 4 * math.prod(shape):
+        if nbytes != wire.itemsize * math.prod(shape):
             raise CheckpointError(f"tensor {name}: {nbytes} bytes do not hold "
                                   f"shape {shape}")
-        arrays[name] = np.frombuffer(payload[lo:lo + nbytes], dtype="<f4").reshape(shape)
+        arrays[name] = np.frombuffer(payload[lo:lo + nbytes], dtype=wire).reshape(shape)
     return arrays
 
 
@@ -545,7 +551,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"invalid memory cursors {memory!r}")
     if not (_is_count(header["epoch"]) and _is_count(header["step"])):
         raise CheckpointError("epoch and step must be non-negative integers")
-    arrays = _read_tensors(header["tensors"], payload)
+    arrays = _read_tensors(header["tensors"], payload, _wire_dtype(config))
     shapes = {name: a.shape for name, a in arrays.items()}
     if shapes != expected:
         wrong = sorted(set(shapes) ^ set(expected)

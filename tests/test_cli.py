@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
                  "--subjects", "s03,s04"]) == 0
     out = capsys.readouterr().out
     assert "accuracy:" in out
-    rows = [json.loads(line) for line in open(log)]
+    rows = [json.loads(line) for line in Path(log).read_text().splitlines()]
     assert any(r["split"] == "test" for r in rows)
 
 

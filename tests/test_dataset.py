@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,9 +247,9 @@ def test_synthesize_deterministic_bytes(tmp_path):
                           frames_per_class=50)
     p1 = synthesize_gestures(cfg, 7, tmp_path / "a")
     p2 = synthesize_gestures(cfg, 7, tmp_path / "b")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     p3 = synthesize_gestures(cfg, 8, tmp_path / "c")
-    assert open(p1, "rb").read() != open(p3, "rb").read()
+    assert Path(p1).read_bytes() != Path(p3).read_bytes()
 
 
 def test_synthesize_standing_noise_free_is_constant(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesturemem import encoder as enc
 from gesturemem.encoder import (EncoderConfig, GemmOperands, classify, encode,
                                 encode_backward, encode_forward,
                                 init_decoder_params, init_encoders,
@@ -166,6 +167,42 @@ def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
                 assert grads[name].shape == p.shape, (case, name)
                 assert grads[name].dtype == p.dtype, (case, name)
                 assert rel_error(grads[name], grads_ref[name]) < tol, (case, name)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("t", [6, 60])
+def test_tiled_forward_matches_one_tile(monkeypatch, t, blocks, dtype, tol):
+    cfg = EncoderConfig(width=8, feature_dim=16, blocks=blocks, temporal_kernel=3)
+    params, _, _ = init_encoders(cfg, 3, seed=blocks, dtype=dtype)
+    x = np.random.default_rng(t).normal(size=(7, 3, t, 3)).astype(dtype)
+    adj = GRAPH.normalized
+    window_bytes = t * 3 * cfg.temporal_kernel * cfg.width * x.itemsize
+    assert enc.TILE_BYTES >= 7 * window_bytes  # the default runs one tile
+    f_one, _ = encode_forward(params, x, adj, cfg)
+    tiles = []
+    kernel = enc._forward
+
+    def spy(ops, xs, *args):
+        tiles.append(xs.shape[0])
+        return kernel(ops, xs, *args)
+
+    monkeypatch.setattr(enc, "_forward", spy)
+    for per_tile, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
+        monkeypatch.setattr(enc, "TILE_BYTES", per_tile * window_bytes + window_bytes // 2)
+        tiles.clear()
+        f, cache = encode_forward(params, x, adj, cfg)
+        assert tiles == sizes and cache is None
+        assert f.dtype == dtype and f.shape == f_one.shape
+        assert np.abs(f - f_one).max() < tol, per_tile
+        tiles.clear()
+        f_c, cache = encode_forward(params, x, adj, cfg, want_cache=True)
+        assert tiles == [7] and cache["shape"] == x.shape
+        assert len(cache["blocks"]) == blocks
+        assert all(blk[0].shape[0] == 7 * t for blk in cache["blocks"])
+        assert cache["f"].shape == (7, cfg.feature_dim)
+        assert np.abs(f_c - f_one).max() < tol
 
 
 def test_thigh_permutation_invariance():

@@ -207,6 +207,9 @@ def test_stream_error_objects_keep_session_alive():
                 json.dumps({"t": 0, "joints": [row, row[:2], row]}),
                 json.dumps({"t": 0, "joints": {"a": 1}}),
                 json.dumps({"t": 0, "joints": [["1", "2", "3"], row, row]}),
+                json.dumps({"t": 0, "joints": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+                json.dumps({"t": 0, "joints": [[True, 0.5, 0], row, row]}),
+                json.dumps({"t": 0, "joints": [row, row, [0, 0, False]]}),
                 json.dumps({"t": True, "joints": [row] * 3}),
                 json.dumps({"t": "5", "joints": [row] * 3}),
                 json.dumps({"t": 10 ** 400, "joints": [row] * 3}),

@@ -214,7 +214,7 @@ def test_metrics_log_schema(tmp_path):
     recordings, label_map = tiny_dataset()
     config = tiny_config(epochs=1)
     train(config, recordings, label_map, SPLIT, log_path=tmp_path / "m.jsonl")
-    rows = [json.loads(line) for line in open(tmp_path / "m.jsonl")]
+    rows = [json.loads(line) for line in (tmp_path / "m.jsonl").read_text().splitlines()]
     train_rows = [r for r in rows if r["split"] == "train"]
     test_rows = [r for r in rows if r["split"] == "test"]
     assert len(train_rows) == 1 and len(test_rows) == 1
@@ -244,6 +244,25 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert loaded.queue.head == state.queue.head
     assert np.array_equal(loaded.queue.labels, state.queue.labels)
     assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+
+
+def test_float64_checkpoint_round_trips_bitwise(tmp_path):
+    recordings, label_map = tiny_dataset()
+    config = tiny_config(epochs=1, dtype="float64", sgd_momentum=0.9)
+    state = train(config, recordings, label_map, SPLIT).state
+    path = tmp_path / "f64.ckpt"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    for name in ("params_s", "params_l", "decoder", "velocities"):
+        want, got = getattr(state, name), getattr(loaded, name)
+        assert set(got) == set(want)
+        for k in want:
+            assert got[k].dtype == np.float64
+            assert np.array_equal(got[k], want[k]), (name, k)
+    assert loaded.queue.features.dtype == np.float64
+    assert np.array_equal(loaded.queue.features, state.queue.features)
+    assert np.array_equal(loaded.queue.labels, state.queue.labels)
+    assert (loaded.queue.fill, loaded.queue.head) == (state.queue.fill, state.queue.head)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
