@@ -3,21 +3,20 @@ streams: dataset windowing, a momentum-coupled encoder pair, an external FIFO
 feature memory with similarity addressing, contrastive training, and a
 streaming inference service."""
 
-from .dataset import (Frame, LabelMap, LongTermSample, Recording, SampleSet,
+from .dataset import (LabelMap, LongTermSample, Recording, SampleSet,
                       ShortTermSample, SplitSpec, SynthesisConfig,
-                      build_long_term, load_recordings, split_subjects,
-                      split_windows, synthesize_gestures, window_dataset,
-                      write_frames)
-from .encoder import (EncoderConfig, SkeletonGraph, classify, encode,
-                      init_encoders, momentum_update, skeleton_graph)
+                      build_long_term, load_recordings, preprocess,
+                      split_subjects, split_windows, synthesize_gestures,
+                      window_dataset, write_frames)
+from .encoder import (EncoderConfig, SkeletonGraph, classify, init_encoders,
+                      momentum_update, skeleton_graph)
 from .errors import (CheckpointError, ConfigError, ContractError,
                      DataIntegrityError, EmptyMemoryError, NonFiniteError,
                      ParseError, StructuralError, ToolkitError)
 from .inference import (FrozenModel, StreamSession, latency_estimate, predict,
-                        serve_stream, serve_tcp)
-from .losses import (LossConfig, cross_entropy, memory_augmented_loss,
-                     supervised_contrastive_loss, total_loss)
-from .memory import (MemoryQueue, address, fuse, recall, recall_for_query)
+                        predict_batch, serve_stream, serve_tcp, window_features)
+from .losses import LossConfig, total_loss
+from .memory import MemoryQueue, address, address_batch, recall, recall_for_query
 from .evaluation import (ConfusionMatrix, compare_losses, evaluate,
                          export_addressing, run_ablation)
 from .training import (TrainConfig, TrainResult, TrainState, init_state,

@@ -9,13 +9,15 @@ export-addressing. Every subcommand accepts ``--config <file>`` (flat
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
 
-from . import evaluation, inference, training
+from . import inference, training
 from .config import apply_overrides, dataclass_from_mapping, read_kv_file
-from .dataset import SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures
+from .dataset import (SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures,
+                      window_dataset)
 from .errors import ConfigError, ToolkitError
 from .evaluation import (compare_losses, evaluate, export_addressing,
                          format_ablation_table, format_loss_table, run_ablation)
@@ -67,8 +69,6 @@ def _train_config(mapping):
 
 
 def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
-    from .dataset import window_dataset
-
     stride = stride or model.short_len
     sample_set = window_dataset(recordings, label_map, model.short_len,
                                 stride=stride, with_long=False)
@@ -105,7 +105,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model = FrozenModel.from_checkpoint(args.model)
+    model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_map = load_recordings(args.data)
     subjects = args.subjects.split(",") if args.subjects else None
     samples = _eval_windows(model, recordings, label_map, subjects, args.stride)
@@ -115,10 +115,8 @@ def cmd_eval(args):
         shown = "undefined" if recall is None else f"{recall:.4f}"
         print(f"recall[{label_map.name(i)}]: {shown}")
     if args.confusion_out:
-        import csv as _csv
-
         with open(args.confusion_out, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["true\\pred"] + list(label_map.names))
             for i, row in enumerate(result.confusion.counts):
                 writer.writerow([label_map.name(i)] + [int(v) for v in row])
@@ -156,7 +154,7 @@ def cmd_compare_losses(args):
 
 
 def cmd_infer(args):
-    model = FrozenModel.from_checkpoint(args.model)
+    model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_map = load_recordings(args.data)
     samples = _eval_windows(model, recordings, label_map, stride=args.stride)
     correct = 0
@@ -172,7 +170,7 @@ def cmd_infer(args):
 
 
 def cmd_serve(args):
-    model = FrozenModel.from_checkpoint(args.model)
+    model = FrozenModel.from_state(training.load_checkpoint(args.model))
     if args.port is not None:
         inference.serve_tcp(model, args.host, args.port,
                             stride_ms=args.stride_ms, frame_hz=args.frame_hz)
@@ -183,7 +181,7 @@ def cmd_serve(args):
 
 
 def cmd_export_addressing(args):
-    model = FrozenModel.from_checkpoint(args.model)
+    model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_map = load_recordings(args.data)
     subjects = args.subjects.split(",") if args.subjects else None
     samples = _eval_windows(model, recordings, label_map, subjects)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,6 @@ JOINT_NAMES = ("head", "left_thigh", "right_thigh")
 
 FRAMES_FILENAME = "frames.csv"
 LABELS_FILENAME = "labels.csv"
-
-
-@dataclass
-class Frame:
-    """A single sensor frame: three tracked joints with a per-frame label."""
-
-    recording_id: str
-    subject_id: str
-    frame_index: int
-    joints: np.ndarray  # [V, C] positions in meters
-    label: int
 
 
 @dataclass
@@ -54,14 +43,6 @@ class Recording:
 
     def __len__(self):
         return self.joints.shape[0]
-
-    def to_frames(self):
-        """Expand into Frame objects (convenience for small recordings)."""
-        return [
-            Frame(self.recording_id, self.subject_id, self.first_frame_index + i,
-                  self.joints[i], int(self.labels[i]))
-            for i in range(len(self))
-        ]
 
 
 @dataclass
@@ -351,6 +332,18 @@ def mean_center(data):
     (or a batch [B, C, T, V]), leaving only within-window motion.
     """
     return data - data.mean(axis=-2, keepdims=True)
+
+
+def preprocess(windows, center, input_scale, dtype):
+    """A model's input transform of a [C, T, V] window or [B, C, T, V] batch:
+    optional :func:`mean_center` and scaling in float64, then a contiguous
+    cast to ``dtype``. A window gets the same bits alone as in a batch."""
+    x = np.asarray(windows, dtype=np.float64)
+    if center:
+        x = mean_center(x)
+    if input_scale != 1.0:
+        x = x * input_scale
+    return np.ascontiguousarray(x, dtype=dtype)
 
 
 # --- synthetic gesture generator ------------------------------------------------

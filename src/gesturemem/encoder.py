@@ -140,17 +140,12 @@ def init_decoder_params(feature_dim, n_classes, rng, dtype=np.float32):
     }
 
 
-def init_encoders(cfg, n_classes, seed, dtype=np.float32):
-    """Create (short-term params, long-term params, decoder params).
+def init_encoders(cfg, n_classes, rng, dtype=np.float32):
+    """Create (short-term params, long-term params, decoder params) from ``rng``.
 
     The long-term encoder starts as an exact copy of the short-term one so the
     momentum coupling starts from a zero parameter gap.
     """
-    rng = np.random.default_rng(seed)
-    return init_encoders_from_rng(cfg, n_classes, rng, dtype)
-
-
-def init_encoders_from_rng(cfg, n_classes, rng, dtype=np.float32):
     params_s = init_encoder_params(cfg, rng, dtype)
     params_l = {k: v.copy() for k, v in params_s.items()}
     decoder = init_decoder_params(cfg.feature_dim, n_classes, rng, dtype)
@@ -348,18 +343,6 @@ def encode_backward(cache, grad_f):
         g_h = (g_s @ k_s.T).reshape(b, t * v, -1)
     grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
     return grads, np.ascontiguousarray(grad_x)
-
-
-def encode(params, x, adj, cfg):
-    """Encode a single [C, T', V] window into a unit-norm feature vector.
-
-    ``params`` is a parameter dict or :class:`GemmOperands`, as for
-    :func:`encode_forward`.
-    """
-    if x.ndim != 3:
-        raise StructuralError(f"expected [C, T, V] input, got shape {x.shape}")
-    f, _ = encode_forward(params, x[None], adj, cfg, want_cache=False)
-    return f[0]
 
 
 def classify(decoder, f):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import memory as mem
 from .errors import ConfigError
-from .inference import FrozenModel, predict, window_feature
+from .inference import FrozenModel, predict, window_features
 from .training import prepare_data, train
 
 log = logging.getLogger(__name__)
@@ -71,8 +71,10 @@ class EvalResult:
 def evaluate(model, samples):
     """Accuracy, confusion matrix, and per-class recall over short windows.
 
-    Runs the single-sample prediction path per window, so the reported accuracy
-    is exactly what :func:`gesturemem.inference.predict` produces.
+    Calls :func:`gesturemem.inference.predict` once per window, so the
+    reported accuracy is exactly what single-window prediction, and so
+    streaming, produces; a batched :func:`~gesturemem.inference.predict_batch`
+    may differ from it in the last bits of a probability.
     """
     if not samples:
         raise ConfigError("cannot evaluate on an empty sample set")
@@ -185,9 +187,9 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     if model.queue.fill < n_slots:
         raise ConfigError(
             f"queue holds {model.queue.fill} slots; cannot export {n_slots}")
-    if len(samples) < n_samples:
+    if not 0 < n_samples <= len(samples):
         raise ConfigError(
-            f"only {len(samples)} samples available; cannot export {n_samples}")
+            f"{len(samples)} samples available; cannot export {n_samples}")
     rng = np.random.default_rng(seed)
     slot_idx = np.sort(rng.choice(model.queue.fill, size=n_slots, replace=False))
     sample_idx = np.sort(rng.choice(len(samples), size=n_samples, replace=False))
@@ -196,16 +198,13 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     order = np.argsort(slot_labels, kind="stable")
     slot_idx, slot_labels = slot_idx[order], slot_labels[order]
 
-    chosen = [samples[i] for i in sample_idx]
-    sample_labels = np.asarray([s.label for s in chosen])
+    sample_labels = np.asarray([samples[i].label for i in sample_idx])
     order = np.argsort(sample_labels, kind="stable")
-    chosen = [chosen[i] for i in order]
-    sample_labels = sample_labels[order]
+    sample_idx, sample_labels = sample_idx[order], sample_labels[order]
 
-    matrix = np.empty((n_slots, n_samples))
-    for j, sample in enumerate(chosen):
-        weights = mem.address(model.queue, window_feature(model, sample.data))
-        matrix[:, j] = weights[slot_idx]
+    weights = mem.address_batch(
+        model.queue, window_features(model, [samples[i].data for i in sample_idx]))
+    matrix = weights[:, slot_idx].T.astype(np.float64)
 
     same = slot_labels[:, None] == sample_labels[None, :]
     same_mean = float(matrix[same].mean()) if same.any() else float("nan")

@@ -1,10 +1,16 @@
-"""Short-window prediction path and the streaming NDJSON serving protocol.
+"""Prediction and the streaming NDJSON serving protocol.
+
+One batched path serves every prediction: :func:`window_features` checks and
+preprocesses [B, C, T, V] windows and encodes them in one forward pass, and
+:func:`predict_batch` adds the recalled memory feature and decodes.
+:func:`predict` is that path on one window.
 
 Input protocol: one JSON object per line, ``{"t": <ms>, "joints": [[x,y,z]*3]}``
 (``t`` optional; synthesized from the frame counter and ``--frame-hz`` when
 absent). Output: ``{"t": <ms>, "class": <id>, "name": <gesture>, "probs": [...]}``
 once the window buffer holds T frames, at most once per ``stride_ms``.
-Malformed input yields an ``{"error": ...}`` object and the session continues.
+Malformed input, and a ``t`` earlier than the last accepted frame's, yield an
+``{"error": ...}`` object and the session continues.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ import numpy as np
 
 from . import encoder as enc
 from . import memory as mem
-from .dataset import NUM_CHANNELS, NUM_JOINTS, mean_center
+from .dataset import NUM_CHANNELS, NUM_JOINTS, preprocess
 from .errors import NonFiniteError, StructuralError, ToolkitError
-from .training import load_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -36,12 +41,14 @@ TIME_EPS_MS = 1e-6
 class FrozenModel:
     """Everything prediction needs; immutable, so one model serves every session.
 
-    A model is a snapshot of the encoder it was made from: construction copies
-    the encoder parameters and the adjacency into read-only arrays and builds
-    the encoder's GEMM operands from them once (``dataclasses.replace`` copies
-    and builds again). Changing a training state's encoder afterwards, in place
-    or by reassignment, does not reach the model. The decoder and the memory
-    queue are not copied: the model reads them from the state it was made from.
+    A model freezes the encoder it was made from: construction copies the
+    encoder parameters and the adjacency into read-only arrays and builds the
+    encoder's GEMM operands from them once (``dataclasses.replace`` copies and
+    builds again). Changing a training state's encoder afterwards, in place or
+    by reassignment, does not reach the model. The decoder and the memory queue
+    are not copied: the model reads them from the state it was made from. A
+    checkpoint becomes a model through
+    ``FrozenModel.from_state(training.load_checkpoint(path))``.
     """
 
     encoder_cfg: enc.EncoderConfig
@@ -79,10 +86,6 @@ class FrozenModel:
                    use_recall=cfg.use_recall, center=cfg.center,
                    input_scale=cfg.input_scale, dtype=cfg.np_dtype)
 
-    @classmethod
-    def from_checkpoint(cls, path):
-        return cls.from_state(load_checkpoint(path))
-
     @property
     def num_classes(self):
         return len(self.label_names)
@@ -94,43 +97,44 @@ def _read_only_copy(a):
     return a
 
 
-def model_input(model, window):
-    """Apply the model's preprocessing (centering, scaling, dtype) to a window."""
-    x = np.asarray(window, dtype=np.float64)
-    if model.center:
-        x = mean_center(x)
-    if model.input_scale != 1.0:
-        x = x * model.input_scale
-    return x.astype(model.dtype)
+def window_features(model, windows):
+    """Unit-norm encoder features [B, feature_dim] of [B, C, T, V] windows.
 
-
-def window_feature(model, window):
-    """Unit-norm encoder feature of one [C, T, V] window, after the model's
-    input checks and preprocessing."""
-    window = np.asarray(window)
-    if window.shape != (NUM_CHANNELS, model.short_len, NUM_JOINTS):
-        raise StructuralError(
-            f"expected window shape ({NUM_CHANNELS}, {model.short_len}, "
-            f"{NUM_JOINTS}), got {window.shape}")
-    if not np.isfinite(window).all():
+    The windows must have the model's length and be finite
+    (:class:`StructuralError`, :class:`NonFiniteError`); they are then
+    preprocessed as in training and encoded in one forward pass.
+    """
+    windows = np.asarray(windows)
+    shape = (NUM_CHANNELS, model.short_len, NUM_JOINTS)
+    if windows.ndim != 4 or windows.shape[1:] != shape:
+        raise StructuralError(f"expected [B, C, T, V] windows with (C, T, V) = "
+                              f"{shape}, got shape {windows.shape}")
+    if not np.isfinite(windows).all():
         raise NonFiniteError("non-finite value in prediction input")
-    return enc.encode(model.operands, model_input(model, window),
-                      model.adjacency, model.encoder_cfg)
+    x = preprocess(windows, model.center, model.input_scale, model.dtype)
+    return enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)[0]
+
+
+def predict_batch(model, windows):
+    """Classify [B, C, T, V] windows; returns (classes [B], probabilities [B, K]).
+
+    With recall on, each feature gets its addressing-weighted recall of the
+    memory queue added before decoding; an empty queue recalls nothing, so
+    prediction reduces to the plain decoder path. Ties break toward the lowest
+    class index.
+    """
+    f = window_features(model, windows)
+    if model.use_recall and model.queue.fill > 0:
+        f = f + mem.address_batch(model.queue, f) @ model.queue.filled_features
+    probs = enc.classify(model.decoder, f)
+    return probs.argmax(axis=1), probs
 
 
 def predict(model, window):
-    """Classify one [C, T, V] window; returns (class index, probability vector).
-
-    Ties break toward the lowest class index. With an empty memory queue the
-    recalled feature is zero, so prediction reduces to the plain decoder path.
-    """
-    feature = window_feature(model, window)
-    if model.use_recall:
-        fused = mem.fuse(feature, mem.recall_for_query(model.queue, feature))
-    else:
-        fused = feature
-    probs = enc.classify(model.decoder, fused)
-    return int(probs.argmax()), probs
+    """Classify one [C, T, V] window as a batch of one; returns (class index,
+    probability vector)."""
+    classes, probs = predict_batch(model, np.asarray(window)[None])
+    return int(classes[0]), probs[0]
 
 
 def latency_estimate(frames, frame_period_ms, inference_ms):
@@ -157,6 +161,8 @@ class StreamSession:
 
     Keeps the last T frames; once full, emits a prediction whenever at least
     ``stride_ms`` has elapsed (by frame timestamp) since the previous emission.
+    A frame stamped earlier than the last accepted one is rejected, not
+    buffered; equal timestamps are accepted.
     """
 
     def __init__(self, model, stride_ms=180.0, frame_hz=30.0):
@@ -165,6 +171,7 @@ class StreamSession:
         self.frame_hz = float(frame_hz)
         self.buffer = deque(maxlen=model.short_len)
         self.frames_received = 0
+        self.last_t = None
         self.last_emit_t = None
         self.last_prediction = None
 
@@ -216,6 +223,9 @@ class StreamSession:
         joints = joints.astype(np.float64, copy=False)
         if not np.isfinite(joints).all():
             return {"error": "non-finite joint coordinate", "t": t_ms}
+        if self.last_t is not None and t_ms < self.last_t:
+            return {"error": "timestamp went backwards", "t": t_ms}
+        self.last_t = t_ms
         self.buffer.append(joints)
         self.frames_received += 1
         if len(self.buffer) < self.model.short_len:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, StructuralError
 
-PROB_FLOOR = 1e-12
 DENOMINATOR_MODES = ("negatives", "all")
 
 
@@ -36,17 +35,6 @@ class LossConfig:
             raise ConfigError(
                 f"denominator_mode must be one of {DENOMINATOR_MODES}, "
                 f"got {self.denominator_mode!r}")
-
-
-def cross_entropy(probs, label):
-    """Negative log-likelihood of one probability vector, floored at 1e-12."""
-    probs = np.asarray(probs)
-    label = int(label)
-    if probs.ndim != 1:
-        raise StructuralError(f"expected a probability vector, got shape {probs.shape}")
-    if not 0 <= label < probs.shape[0]:
-        raise StructuralError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
 
 
 def softmax_cross_entropy_batch(logits, labels):
@@ -103,11 +91,6 @@ def _anchor_loss_and_coeff(sims, pos_mask, den_mask):
     return loss_rows, coeff
 
 
-def memory_augmented_loss(features, labels, queue, cfg):
-    loss, _ = memory_augmented_loss_with_grad(features, labels, queue, cfg)
-    return loss
-
-
 def memory_augmented_loss_with_grad(features, labels, queue, cfg):
     """Contrastive loss of anchor features against the frozen memory queue.
 
@@ -132,11 +115,6 @@ def memory_augmented_loss_with_grad(features, labels, queue, cfg):
     loss_rows, coeff = _anchor_loss_and_coeff(sims, pos_mask, den_mask)
     grad = (coeff @ mem) / cfg.temperature
     return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
-
-
-def supervised_contrastive_loss(features, labels, cfg):
-    loss, _ = supervised_contrastive_loss_with_grad(features, labels, cfg)
-    return loss
 
 
 def supervised_contrastive_loss_with_grad(features, labels, cfg):

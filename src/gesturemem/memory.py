@@ -81,13 +81,6 @@ class MemoryQueue:
     def filled_labels(self):
         return self.labels[:self.fill]
 
-    def snapshot(self):
-        """(features, labels) in insertion order, oldest first."""
-        if self.fill < self.capacity:
-            return self.features[:self.fill].copy(), self.labels[:self.fill].copy()
-        order = np.r_[np.arange(self.head, self.capacity), np.arange(self.head)]
-        return self.features[order].copy(), self.labels[order].copy()
-
 
 def address(queue, query):
     """Softmax-normalized similarity of a query against all filled slots.
@@ -105,6 +98,8 @@ def address(queue, query):
 
 
 def address_batch(queue, queries):
+    """Addressing vectors [B, fill] of queries [B, c]: each row is what
+    :func:`address` gives for its query, up to rounding."""
     if queue.fill == 0:
         raise EmptyMemoryError("cannot address an empty memory queue")
     logits = queries @ queue.filled_features.T
@@ -120,16 +115,6 @@ def recall(queue, weights):
         raise StructuralError(
             f"addressing vector length {weights.shape} != fill {queue.fill}")
     return weights @ queue.filled_features
-
-
-def fuse(feature, recalled):
-    """Element-wise sum of the short-term feature and the recalled feature."""
-    feature = np.asarray(feature)
-    recalled = np.asarray(recalled)
-    if feature.shape != recalled.shape:
-        raise StructuralError(
-            f"cannot fuse shapes {feature.shape} and {recalled.shape}")
-    return feature + recalled
 
 
 def recall_for_query(queue, query):

@@ -3,7 +3,7 @@ losses, SGD on the short-term encoder and decoder, momentum tracking of the
 long-term encoder, FIFO enqueueing, and binary checkpoints.
 
 Per step: encode the short windows (with gradients) and the long windows
-(without); recall against the pre-step queue and fuse; classify; combine
+(without); add the recall against the pre-step queue; classify; combine
 cross-entropy with the configured contrastive term; apply SGD with weight decay
 to the short-term encoder and decoder only; momentum-update the long-term
 encoder; then enqueue the batch's long-term features. Only the enqueue mutates
@@ -24,14 +24,19 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from . import losses
-from .dataset import LabelMap, mean_center, split_subjects, window_dataset
+from .dataset import LabelMap, preprocess, split_subjects, window_dataset
 from .errors import CheckpointError, ConfigError, NonFiniteError
+from .inference import FrozenModel, predict_batch
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
 DTYPES = {"float32": np.float32, "float64": np.float64}
 CONTRAST_KINDS = ("memory", "views")
+# Python types a TrainConfig field accepts, by its annotation (a string under
+# ``from __future__ import annotations``); booleans only where it says bool.
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "int | None": (int, type(None))}
 
 
 @dataclass
@@ -75,6 +80,11 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, FIELD_TYPES[f.type])
+                    and isinstance(value, bool) == (f.type == "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.short_len < 1 or self.window_scale < 1 or self.stride < 1:
             raise ConfigError("short_len, window_scale, and stride must be >= 1")
         if self.eval_stride is not None and self.eval_stride < 1:
@@ -160,7 +170,7 @@ def init_state(config, label_map):
                     config.queue_capacity, config.batch_size)
     rng = np.random.default_rng(config.seed)
     dtype = config.np_dtype
-    params_s, params_l, decoder = enc.init_encoders_from_rng(
+    params_s, params_l, decoder = enc.init_encoders(
         config.encoder_config(), label_map.num_classes, rng, dtype)
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
     velocities = None
@@ -230,19 +240,19 @@ def train_step(state, x_short, x_long, labels):
 
     if cfg.use_recall:
         recalled, recall_cache = mem.recall_batch_with_grad(state.queue, feats_s)
-        fused = feats_s + recalled
+        combined = feats_s + recalled
     else:
         recall_cache = None
-        fused = feats_s
+        combined = feats_s
 
-    logits = fused @ state.decoder["w"].T + state.decoder["b"]
+    logits = combined @ state.decoder["w"].T + state.decoder["b"]
     ce, g_logits, probs = losses.softmax_cross_entropy_batch(logits, labels)
     accuracy = float((probs.argmax(axis=1) == labels).mean())
 
-    g_fused = g_logits @ state.decoder["w"]
-    g_feats = g_fused.copy()
+    g_combined = g_logits @ state.decoder["w"]
+    g_feats = g_combined.copy()
     if cfg.use_recall:
-        g_feats += mem.recall_batch_backward(recall_cache, g_fused)
+        g_feats += mem.recall_batch_backward(recall_cache, g_combined)
 
     contrast = 0.0
     aug_cache = None
@@ -274,7 +284,7 @@ def train_step(state, x_short, x_long, labels):
             param_grads[k] = param_grads[k] + v
 
     grads = {f"encoder_s/{k}": v for k, v in param_grads.items()}
-    grads["decoder/w"] = g_logits.T @ fused
+    grads["decoder/w"] = g_logits.T @ combined
     grads["decoder/b"] = g_logits.sum(axis=0)
 
     _sgd_apply(state, grads)
@@ -284,32 +294,6 @@ def train_step(state, x_short, x_long, labels):
     state.step += 1
     return {"loss": float(total), "ce": float(ce), "contrast": float(contrast),
             "accuracy": accuracy}
-
-
-def _stack_samples(samples, dtype, center, input_scale=1.0):
-    data = np.stack([s.data for s in samples])
-    if center:
-        data = mean_center(data)
-    if input_scale != 1.0:
-        data = data * input_scale
-    return np.ascontiguousarray(data, dtype=dtype)
-
-
-def _eval_accuracy(state, x, labels, chunk=256):
-    """Batched short-window accuracy against the current (frozen) queue."""
-    cfg = state.config
-    enc_cfg = cfg.encoder_config()
-    adj = state.graph.normalized
-    correct = 0
-    for lo in range(0, x.shape[0], chunk):
-        xs = x[lo:lo + chunk]
-        feats, _ = enc.encode_forward(state.params_s, xs, adj, enc_cfg)
-        if cfg.use_recall and state.queue.fill > 0:
-            weights = mem.address_batch(state.queue, feats)
-            feats = feats + weights @ state.queue.filled_features
-        probs = enc.classify(state.decoder, feats)
-        correct += int((probs.argmax(axis=1) == labels[lo:lo + chunk]).sum())
-    return correct / x.shape[0]
 
 
 @dataclass
@@ -322,7 +306,9 @@ def prepare_data(config, recordings, label_map, split):
     """Window recordings into training pairs and a non-overlapping test set.
 
     Training keeps only samples whose long-term context window exists (and is
-    label-pure when required). Returns dict with stacked arrays.
+    label-pure when required). Returns a dict of the preprocessed training
+    arrays ``x_short``, ``x_long`` and ``y_train``, plus the held-out
+    ``test_samples``, raw windows that prediction preprocesses itself.
     """
     train_set = window_dataset(recordings, label_map, config.short_len,
                                config.window_scale, config.stride,
@@ -332,22 +318,18 @@ def prepare_data(config, recordings, label_map, split):
     if not pair_idx:
         raise ConfigError("no training samples with a constructible long-term window")
     dtype = config.np_dtype
-    x_short = _stack_samples([train_set.shorts[i] for i in pair_idx], dtype,
-                             config.center, config.input_scale)
-    x_long = _stack_samples([train_set.longs[i] for i in pair_idx], dtype,
-                            config.center, config.input_scale)
+    x_short = preprocess([train_set.shorts[i].data for i in pair_idx],
+                         config.center, config.input_scale, dtype)
+    x_long = preprocess([train_set.longs[i].data for i in pair_idx],
+                        config.center, config.input_scale, dtype)
     y_train = np.asarray([train_set.shorts[i].label for i in pair_idx], dtype=np.int64)
 
     eval_stride = config.eval_stride or config.short_len
     eval_set = window_dataset(recordings, label_map, config.short_len,
                               stride=eval_stride, with_long=False)
     _, test_idx = split_subjects(eval_set, split)
-    test_samples = [eval_set.shorts[i] for i in test_idx]
-    x_test = (_stack_samples(test_samples, dtype, config.center, config.input_scale)
-              if test_samples else np.zeros((0, 3, config.short_len, 3), dtype))
-    y_test = np.asarray([s.label for s in test_samples], dtype=np.int64)
     return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
-            "x_test": x_test, "y_test": y_test, "test_samples": test_samples}
+            "test_samples": [eval_set.shorts[i] for i in test_idx]}
 
 
 def train(config, recordings, label_map, split, log_path=None, resume_from=None):
@@ -370,6 +352,8 @@ def train(config, recordings, label_map, split, log_path=None, resume_from=None)
         state = init_state(config, label_map)
 
     x_short, x_long, y_train = data["x_short"], data["x_long"], data["y_train"]
+    test_windows = np.asarray([s.data for s in data["test_samples"]])
+    test_labels = np.asarray([s.label for s in data["test_samples"]])
     n = x_short.shape[0]
     metrics = []
     for epoch in range(state.epoch + 1, config.epochs + 1):
@@ -384,9 +368,13 @@ def train(config, recordings, label_map, split, log_path=None, resume_from=None)
         row = {"epoch": epoch, "split": "train"}
         row.update({k: sums[k] / n for k in sums})
         metrics.append(row)
-        if config.eval_every and epoch % config.eval_every == 0 and len(data["y_test"]):
-            acc = _eval_accuracy(state, data["x_test"], data["y_test"])
-            metrics.append({"epoch": epoch, "split": "test", "accuracy": acc})
+        if config.eval_every and epoch % config.eval_every == 0 and len(test_labels):
+            # held-out accuracy against the current (frozen) queue
+            model = FrozenModel.from_state(state)
+            classes = np.concatenate([predict_batch(model, test_windows[lo:lo + 256])[0]
+                                      for lo in range(0, len(test_labels), 256)])
+            metrics.append({"epoch": epoch, "split": "test",
+                            "accuracy": float((classes == test_labels).mean())})
         log.info("epoch %d: train acc %.4f loss %.4f", epoch, row["accuracy"], row["loss"])
 
     if log_path is not None:

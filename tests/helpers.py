@@ -1,9 +1,10 @@
-"""Shared test utilities: finite-difference oracles, a reference encoder and
-parameter flattening."""
+"""Shared test utilities: finite-difference oracles, a reference encoder, a
+single-window prediction oracle, queue inspection and parameter flattening."""
 
 import numpy as np
 
-from gesturemem.encoder import NORM_EPS, _check_input
+from gesturemem.encoder import NORM_EPS, _check_input, classify, encode_forward
+from gesturemem.memory import recall_for_query
 
 
 def rel_error(a, b, floor=1e-12):
@@ -80,6 +81,31 @@ def param_count(params):
 def random_unit_rows(rng, n, dim, dtype=np.float64):
     x = rng.normal(size=(n, dim)).astype(dtype)
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def insertion_order(queue):
+    """(features, labels) of a queue's filled slots, oldest first."""
+    order = (np.arange(queue.fill) if queue.fill < queue.capacity
+             else np.r_[np.arange(queue.head, queue.capacity), np.arange(queue.head)])
+    return queue.features[order].copy(), queue.labels[order].copy()
+
+
+def oracle_predict(model, window):
+    """One window's (class, probabilities) the long way: the input transform
+    written out, ``encode_forward`` on the raw parameter dict (operands built
+    for this call), then single-query ``recall_for_query``, ``+`` and
+    ``classify``."""
+    x = np.asarray(window, dtype=np.float64)
+    if model.center:
+        x = x - x.mean(axis=1, keepdims=True)
+    x = (x * model.input_scale).astype(model.dtype)
+    f, _ = encode_forward(dict(model.params), x[None], model.adjacency,
+                          model.encoder_cfg)
+    f = f[0]
+    if model.use_recall:
+        f = f + recall_for_query(model.queue, f)
+    probs = classify(model.decoder, f)
+    return int(probs.argmax()), probs
 
 
 # --- reference encoder ---------------------------------------------------------

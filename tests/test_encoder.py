@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
-from gesturemem.encoder import (EncoderConfig, GemmOperands, classify, encode,
+from gesturemem.encoder import (EncoderConfig, GemmOperands, classify,
                                 encode_backward, encode_forward,
                                 init_decoder_params, init_encoders,
                                 momentum_update, normalize_adjacency,
@@ -19,7 +19,8 @@ GRAPH = skeleton_graph()
 
 
 def tiny_setup(seed=0, n_classes=3, cfg=TINY):
-    params, params_l, decoder = init_encoders(cfg, n_classes, seed, dtype=np.float64)
+    params, params_l, decoder = init_encoders(cfg, n_classes,
+                                              np.random.default_rng(seed), np.float64)
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=(2, 3, 6, 3))
     return params, params_l, decoder, x
@@ -47,8 +48,9 @@ def test_encode_length_agnostic():
     params, _, _, _ = tiny_setup()
     rng = np.random.default_rng(5)
     for t in (3, 6, 60):
-        f = encode(params, rng.normal(size=(3, t, 3)), GRAPH.normalized, TINY)
-        assert f.shape == (TINY.feature_dim,)
+        f, _ = encode_forward(params, rng.normal(size=(1, 3, t, 3)), GRAPH.normalized,
+                              TINY)
+        assert f.shape == (1, TINY.feature_dim)
         assert abs(np.linalg.norm(f) - 1.0) < 1e-6
 
 
@@ -69,14 +71,15 @@ def test_operands_are_never_used_with_another_adjacency_or_dtype():
 
 def test_encode_input_validation():
     params, _, _, _ = tiny_setup()
-    bad = np.zeros((3, 6, 3))
-    bad[0, 0, 0] = np.nan
+    bad = np.zeros((1, 3, 6, 3))
+    bad[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        encode(params, bad, GRAPH.normalized, TINY)
-    with pytest.raises(StructuralError):
-        encode(params, np.zeros((3, 2, 3)), GRAPH.normalized, TINY)  # T < kernel
-    with pytest.raises(StructuralError):
-        encode(params, np.zeros((4, 6, 3)), GRAPH.normalized, TINY)  # wrong C
+        encode_forward(params, bad, GRAPH.normalized, TINY)
+    for shape in ((3, 6, 3),            # no batch axis
+                  (1, 3, 2, 3),         # T < kernel
+                  (1, 4, 6, 3)):        # wrong C
+        with pytest.raises(StructuralError):
+            encode_forward(params, np.zeros(shape), GRAPH.normalized, TINY)
 
 
 def check_param_gradients(cfg):
@@ -147,7 +150,7 @@ def test_encoder_gradients_match_finite_differences_beyond_tiny(cfg):
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
     cfg = EncoderConfig(width=8, feature_dim=16, blocks=blocks, temporal_kernel=k)
-    params, _, _ = init_encoders(cfg, 3, seed=blocks * 10 + k, dtype=dtype)
+    params, _, _ = init_encoders(cfg, 3, np.random.default_rng(blocks * 10 + k), dtype)
     rng = np.random.default_rng(k)
     for t in sorted({k, 6, 60}):
         for b in (1, 16):
@@ -175,7 +178,7 @@ def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
 @pytest.mark.parametrize("t", [6, 60])
 def test_tiled_forward_matches_one_tile(monkeypatch, t, blocks, dtype, tol):
     cfg = EncoderConfig(width=8, feature_dim=16, blocks=blocks, temporal_kernel=3)
-    params, _, _ = init_encoders(cfg, 3, seed=blocks, dtype=dtype)
+    params, _, _ = init_encoders(cfg, 3, np.random.default_rng(blocks), dtype)
     x = np.random.default_rng(t).normal(size=(7, 3, t, 3)).astype(dtype)
     adj = GRAPH.normalized
     window_bytes = t * 3 * cfg.temporal_kernel * cfg.width * x.itemsize
@@ -212,16 +215,16 @@ def test_thigh_permutation_invariance():
     perm = [0, 2, 1]
     adj_perm = GRAPH.adjacency[np.ix_(perm, perm)]
     assert np.array_equal(adj_perm, GRAPH.adjacency)
-    f = encode(params, x, GRAPH.normalized, TINY)
-    f_swapped = encode(params, x[:, :, perm],
-                       normalize_adjacency(adj_perm), TINY)
+    f, _ = encode_forward(params, x[None], GRAPH.normalized, TINY)
+    f_swapped, _ = encode_forward(params, x[None, :, :, perm],
+                                  normalize_adjacency(adj_perm), TINY)
     assert np.allclose(f, f_swapped, atol=1e-6)
 
 
 def test_init_long_term_is_exact_copy_and_seed_determinism():
-    s1, l1, d1 = init_encoders(TINY, 4, seed=42)
-    s2, l2, d2 = init_encoders(TINY, 4, seed=42)
-    s3, _, _ = init_encoders(TINY, 4, seed=43)
+    s1, l1, d1 = init_encoders(TINY, 4, np.random.default_rng(42))
+    s2, l2, d2 = init_encoders(TINY, 4, np.random.default_rng(42))
+    s3, _, _ = init_encoders(TINY, 4, np.random.default_rng(43))
     for k in s1:
         assert np.array_equal(s1[k], l1[k])
         assert np.array_equal(s1[k], s2[k])
@@ -231,14 +234,14 @@ def test_init_long_term_is_exact_copy_and_seed_determinism():
 
 
 def test_momentum_update_copy_identity_at_zero():
-    s, l, _ = init_encoders(TINY, 3, seed=1)
+    s, l, _ = init_encoders(TINY, 3, np.random.default_rng(1))
     out = momentum_update({k: v + 1.0 for k, v in l.items()}, s, 0.0)
     for k in s:
         assert np.array_equal(out[k], s[k])
 
 
 def test_momentum_update_fixed_point():
-    s, l, _ = init_encoders(TINY, 3, seed=2)
+    s, l, _ = init_encoders(TINY, 3, np.random.default_rng(2))
     for coef in (0.0, 0.5, 0.99):
         out = momentum_update(l, s, coef)
         for k in s:
@@ -251,7 +254,7 @@ def test_momentum_update_scalar_case():
 
 
 def test_momentum_update_matches_convex_combination():
-    s, l, _ = init_encoders(TINY, 3, seed=4)
+    s, l, _ = init_encoders(TINY, 3, np.random.default_rng(4))
     l = {k: v + np.random.default_rng(5).normal(size=v.shape) for k, v in l.items()}
     out = momentum_update(l, s, 0.7)
     for k in s:

@@ -11,7 +11,8 @@ from gesturemem.errors import ConfigError
 from gesturemem.evaluation import (ConfusionMatrix, compare_losses, evaluate,
                                    export_addressing, format_ablation_table,
                                    run_ablation)
-from gesturemem.inference import FrozenModel
+from gesturemem.inference import FrozenModel, window_features
+from gesturemem.memory import address
 from gesturemem.training import TrainConfig, init_state, train
 
 from helpers import random_unit_rows
@@ -165,9 +166,31 @@ def test_export_addressing_shapes_and_row_mass(tmp_path):
     assert meta["n_slots"] == 16 and meta["n_samples"] == 12
 
 
+def test_export_addressing_matches_per_window_address(tmp_path):
+    recordings, label_map = small_dataset()
+    config = small_config(epochs=1, queue_capacity=64)
+    model = FrozenModel.from_state(train(config, recordings, label_map, SPLIT).state)
+    samples = window_dataset(recordings[3:], label_map, config.short_len,
+                             stride=config.short_len, with_long=False).shorts[:20]
+    n_slots = model.queue.fill  # every slot and every sample, in label order
+    stats = export_addressing(model, samples, n_slots=n_slots, n_samples=len(samples),
+                              seed=0, out_path=tmp_path / "a.csv")
+    slot_order = np.argsort(model.queue.filled_labels, kind="stable")
+    chosen = sorted(samples, key=lambda s: s.label)
+    ref = np.stack([address(model.queue, window_features(model, [s.data])[0])
+                    for s in chosen], axis=1)[slot_order]
+    assert stats["matrix"].shape == (n_slots, len(samples))
+    assert np.abs(stats["matrix"] - ref).max() <= 1e-6
+
+
 def test_export_addressing_requires_enough_slots(tmp_path):
     model = biased_model()
     samples = windows_with_labels([0, 1])
     with pytest.raises(ConfigError):
         export_addressing(model, samples, n_slots=4, n_samples=2,
                           seed=0, out_path=tmp_path / "x.csv")
+    model.queue.enqueue_batch(random_unit_rows(np.random.default_rng(1), 4, 8), [0, 1] * 2)
+    for n_samples in (0, 3):
+        with pytest.raises(ConfigError):
+            export_addressing(model, samples, n_slots=4, n_samples=n_samples,
+                              seed=0, out_path=tmp_path / "x.csv")

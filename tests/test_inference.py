@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
 from gesturemem import inference
-from gesturemem import memory as mem
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
 from gesturemem.errors import NonFiniteError, StructuralError
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
-                                  model_input, predict, serve_stream)
+                                  predict, predict_batch, serve_stream,
+                                  window_features)
 from gesturemem.training import TrainConfig, init_state, train
 
-from helpers import random_unit_rows
+from helpers import oracle_predict, random_unit_rows
 
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
 
@@ -62,8 +62,9 @@ def test_predict_cold_start_reduces_to_decoder_path():
     assert model.queue.fill == 0
     x = np.random.default_rng(1).normal(size=(3, 6, 3))
     cls, probs = predict(model, x)
-    feature = enc.encode(model.params, x, model.adjacency, model.encoder_cfg)
-    direct = enc.classify(model.decoder, feature)
+    feature, _ = enc.encode_forward(model.params, x[None], model.adjacency,
+                                    model.encoder_cfg)
+    direct = enc.classify(model.decoder, feature[0])
     assert np.array_equal(probs, direct)
     assert cls == int(direct.argmax())
 
@@ -108,21 +109,54 @@ def test_predict_uses_memory_when_filled():
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize("k", [2, 3])
 def test_predict_bitwise_equals_raw_params_path(dtype, blocks, k):
-    """The model's prebuilt operands give exactly the bits a raw-dict encode gives."""
-    model, state = untrained_model(dtype=dtype, blocks=blocks, temporal_kernel=k,
-                                   center=True, input_scale=1000.0)
+    """predict gives exactly the bits of the single-window oracle: raw-dict
+    encode, single-query recall, sum and classify; with recall on and off,
+    against an empty and a filled queue."""
     rng = np.random.default_rng(blocks * 10 + k)
+    for use_recall in (True, False):
+        model, state = untrained_model(use_recall=use_recall, dtype=dtype,
+                                       blocks=blocks, temporal_kernel=k,
+                                       center=True, input_scale=1000.0)
+        for _ in range(2):  # empty queue, then filled
+            for _ in range(3):
+                window = rng.normal(size=(3, 6, 3))
+                cls, probs = predict(model, window)
+                ref_cls, ref = oracle_predict(model, window)
+                assert probs.dtype == model.dtype
+                assert np.array_equal(probs, ref) and cls == ref_cls
+            state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=model.dtype),
+                                      rng.integers(0, 3, size=12))
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_predict_batch_matches_per_window_predict(dtype, tol):
+    """A batch reorders the BLAS sums, so it is close to, not bitwise, predict."""
+    model, state = untrained_model(dtype=dtype, center=True, input_scale=1000.0)
+    rng = np.random.default_rng(13)
     state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=model.dtype),
                               rng.integers(0, 3, size=12))
-    for _ in range(3):
-        window = rng.normal(size=(3, 6, 3))
-        cls, probs = predict(model, window)
-        f, _ = enc.encode_forward(state.params_s, model_input(model, window)[None],
-                                  state.graph.normalized, model.encoder_cfg)
-        fused = mem.fuse(f[0], mem.recall_for_query(state.queue, f[0]))
-        ref = enc.classify(state.decoder, fused)
-        assert probs.dtype == model.dtype
-        assert np.array_equal(probs, ref) and cls == int(ref.argmax())
+    windows = rng.normal(size=(7, 3, 6, 3))
+    classes, probs = predict_batch(model, windows)
+    assert probs.shape == (7, 3) and probs.dtype == model.dtype
+    for i, window in enumerate(windows):
+        cls, p = predict(model, window)
+        assert np.abs(probs[i] - p).max() <= tol
+        assert classes[i] == cls
+
+
+def test_window_features_validation():
+    model, _ = untrained_model()
+    rng = np.random.default_rng(14)
+    for shape in ((3, 6, 3), (2, 3, 5, 3), (2, 4, 6, 3), (2, 3, 6, 2)):
+        with pytest.raises(StructuralError):
+            window_features(model, rng.normal(size=shape))
+    bad = rng.normal(size=(2, 3, 6, 3))
+    bad[1, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        window_features(model, bad)
+    f = window_features(model, list(bad[:1]))
+    assert f.shape == (1, 8)
+    assert np.allclose(np.linalg.norm(f, axis=1), 1.0)
 
 
 def test_model_is_a_snapshot_of_the_encoder():
@@ -220,6 +254,26 @@ def test_stream_error_objects_keep_session_alive():
     outs = [session.handle_line(frame_line(i * 33.0, rng.normal(size=(3, 3))))
             for i in range(model.short_len)]
     assert outs[-1] is not None  # valid frames still produce a prediction
+
+
+def test_stream_rejects_backward_timestamps():
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=0.0)
+    rng = np.random.default_rng(15)
+    frames = rng.normal(size=(model.short_len + 1, 3, 3))
+    for i in range(model.short_len - 1):
+        assert session.handle_frame(100.0 * i, frames[i]) is None
+    last = 100.0 * (model.short_len - 2)
+    out = session.handle_frame(last - 50.0, frames[-1])
+    assert out == {"error": "timestamp went backwards", "t": last - 50.0}
+    assert len(session.buffer) == model.short_len - 1  # not buffered
+    out = session.handle_line(frame_line(last - 1.0, frames[-1]))
+    assert out == {"error": "timestamp went backwards", "t": last - 1.0}
+    # an equal timestamp is valid; the window fills and predicts at once
+    out = session.handle_frame(last, frames[-2])
+    assert out["t"] == last and "class" in out
+    window = np.concatenate([frames[:model.short_len - 1], frames[-2:-1]])
+    assert out["class"] == predict(model, window.transpose(2, 0, 1))[0]
 
 
 def test_stream_missing_timestamp_uses_frame_counter():

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gesturemem.errors import ConfigError, ContractError, StructuralError
-from gesturemem.losses import (LossConfig, cross_entropy,
-                               memory_augmented_loss,
-                               memory_augmented_loss_with_grad,
+from gesturemem.errors import ConfigError, ContractError
+from gesturemem.losses import (LossConfig, memory_augmented_loss_with_grad,
                                softmax_cross_entropy_batch,
-                               supervised_contrastive_loss,
                                supervised_contrastive_loss_with_grad,
                                total_loss)
 from gesturemem.memory import MemoryQueue
@@ -62,24 +59,16 @@ def brute_force_scl(features, labels, cfg):
 # --- cross entropy ---------------------------------------------------------------
 
 def test_cross_entropy_one_hot():
-    probs = np.zeros(4)
-    probs[2] = 1.0
-    assert cross_entropy(probs, 2) <= 1e-12
+    loss, _, probs = softmax_cross_entropy_batch(np.array([[0.0, 0.0, 100.0, 0.0]]), [2])
+    assert loss <= 1e-12 and probs[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_entropy_closed_forms():
-    assert cross_entropy(np.full(11, 1 / 11), 3) == pytest.approx(math.log(11), abs=1e-12)
-    probs = np.array([0.5, 0.25, 0.25])
-    assert cross_entropy(probs, 0) == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_cross_entropy_floor_and_validation():
-    probs = np.array([0.0, 1.0])
-    assert cross_entropy(probs, 0) == pytest.approx(-math.log(1e-12))
-    with pytest.raises(StructuralError):
-        cross_entropy(probs, 2)
-    with pytest.raises(StructuralError):
-        cross_entropy(probs, -1)
+    loss, _, _ = softmax_cross_entropy_batch(np.zeros((1, 11)), [3])
+    assert loss == pytest.approx(math.log(11), abs=1e-12)
+    logits = np.log([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
+    loss, _, _ = softmax_cross_entropy_batch(logits, [0, 1])
+    assert loss == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
 
 
 def test_softmax_cross_entropy_grad_matches_fd():
@@ -107,7 +96,7 @@ def test_mal_all_same_class_slots_skipped():
     rng = np.random.default_rng(2)
     feats = random_unit_rows(rng, 2, 8)
     q = make_queue(random_unit_rows(rng, 5, 8), [3] * 5)
-    loss = memory_augmented_loss(feats, [3, 3], q, CFG)
+    loss = memory_augmented_loss_with_grad(feats, [3, 3], q, CFG)[0]
     assert loss == 0.0
 
 
@@ -116,7 +105,7 @@ def test_mal_single_anchor_closed_form():
     f = random_unit_rows(rng, 1, 3)
     slots = random_unit_rows(rng, 2, 3)
     q = make_queue(slots, [0, 1])
-    loss = memory_augmented_loss(f, [0], q, CFG)
+    loss = memory_augmented_loss_with_grad(f, [0], q, CFG)[0]
     expected = -(float(f[0] @ slots[0]) / CFG.temperature
                  - float(f[0] @ slots[1]) / CFG.temperature)
     assert loss == pytest.approx(expected, abs=1e-10)
@@ -136,7 +125,7 @@ def test_mal_matches_brute_force_oracle(mode):
         slots = random_unit_rows(rng, k, c)
         slot_labels = rng.integers(0, n_classes, size=k)
         q = make_queue(slots, slot_labels)
-        mine = memory_augmented_loss(feats, labels, q, cfg)
+        mine = memory_augmented_loss_with_grad(feats, labels, q, cfg)[0]
         oracle = brute_force_mal(feats, labels, slots, slot_labels, cfg)
         assert mine == pytest.approx(oracle, abs=1e-10)
 
@@ -166,7 +155,7 @@ def test_mal_can_be_negative_without_clamping():
     f[0, 0] = 1.0
     slots = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     q = make_queue(slots, [0, 1])
-    loss = memory_augmented_loss(f, [0], q, CFG)
+    loss = memory_augmented_loss_with_grad(f, [0], q, CFG)[0]
     assert loss < 0.0
 
 
@@ -176,10 +165,11 @@ def test_mal_rotation_invariance():
     labels = [0, 1, 1]
     slots = random_unit_rows(rng, 8, 5)
     slot_labels = rng.integers(0, 2, size=8)
-    base = memory_augmented_loss(feats, labels, make_queue(slots, slot_labels), CFG)
+    base, _ = memory_augmented_loss_with_grad(feats, labels,
+                                              make_queue(slots, slot_labels), CFG)
     rot, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-    rotated = memory_augmented_loss(feats @ rot.T, labels,
-                                    make_queue(slots @ rot.T, slot_labels), CFG)
+    rotated, _ = memory_augmented_loss_with_grad(
+        feats @ rot.T, labels, make_queue(slots @ rot.T, slot_labels), CFG)
     assert rotated == pytest.approx(base, abs=1e-9)
 
 
@@ -191,14 +181,14 @@ def test_mal_monotone_in_positive_similarity():
     losses = []
     for angle in (1.2, 0.9, 0.6, 0.3, 0.05):
         f = np.array([[math.cos(angle), math.sin(angle)]])
-        losses.append(memory_augmented_loss(f, [0], q, CFG))
+        losses.append(memory_augmented_loss_with_grad(f, [0], q, CFG)[0])
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 def test_mal_rejects_unnormalized_features():
     q = make_queue(np.array([[1.0, 0.0]]), [0])
     with pytest.raises(ContractError):
-        memory_augmented_loss(np.array([[2.0, 0.0]]), [0], q, CFG)
+        memory_augmented_loss_with_grad(np.array([[2.0, 0.0]]), [0], q, CFG)
 
 
 # --- supervised contrastive loss -------------------------------------------------
@@ -206,14 +196,14 @@ def test_mal_rejects_unnormalized_features():
 def test_scl_all_unique_classes_is_zero():
     rng = np.random.default_rng(7)
     feats = random_unit_rows(rng, 4, 5)
-    loss = supervised_contrastive_loss(feats, [0, 1, 2, 3], CFG)
+    loss = supervised_contrastive_loss_with_grad(feats, [0, 1, 2, 3], CFG)[0]
     assert loss == 0.0
 
 
 def test_scl_two_identical_same_class_is_zero():
     f = random_unit_rows(np.random.default_rng(8), 1, 4)
     feats = np.vstack([f, f])
-    loss = supervised_contrastive_loss(feats, [1, 1], CFG)
+    loss = supervised_contrastive_loss_with_grad(feats, [1, 1], CFG)[0]
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -224,7 +214,7 @@ def test_scl_matches_brute_force_oracle():
         c = int(rng.integers(2, 6))
         feats = random_unit_rows(rng, n, c)
         labels = rng.integers(0, 3, size=n)
-        mine = supervised_contrastive_loss(feats, labels, CFG)
+        mine = supervised_contrastive_loss_with_grad(feats, labels, CFG)[0]
         oracle = brute_force_scl(feats, labels, CFG)
         assert mine == pytest.approx(oracle, abs=1e-10)
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from gesturemem.errors import (ContractError, EmptyMemoryError,
                                StructuralError)
-from gesturemem.memory import (MemoryQueue, address, address_batch, fuse,
-                               recall, recall_batch_backward,
-                               recall_batch_with_grad, recall_for_query)
+from gesturemem.memory import (MemoryQueue, address, address_batch, recall,
+                               recall_batch_backward, recall_batch_with_grad,
+                               recall_for_query)
 
-from helpers import fd_grad, rel_error, random_unit_rows
+from helpers import fd_grad, insertion_order, rel_error, random_unit_rows
 
 
 def unit(v):
@@ -35,7 +35,7 @@ def test_fifo_eviction_keeps_newest():
     f1, f2, f3 = unit([1, 0]), unit([0, 1]), unit([1, 1])
     for i, f in enumerate([f1, f2, f3]):
         q.enqueue(f, i)
-    feats, labels = q.snapshot()
+    feats, labels = insertion_order(q)
     assert np.array_equal(feats, np.stack([f2, f3]))
     assert list(labels) == [1, 2]
 
@@ -47,7 +47,7 @@ def test_overfill_keeps_last_k_in_order():
     feats = random_unit_rows(rng, k + 5, 4)
     for i, f in enumerate(feats):
         q.enqueue(f, i)
-    snap_feats, snap_labels = q.snapshot()
+    snap_feats, snap_labels = insertion_order(q)
     assert q.fill == k
     assert np.array_equal(snap_feats, feats[5:])
     assert list(snap_labels) == list(range(5, k + 5))
@@ -130,7 +130,7 @@ def test_fifo_matches_deque_reference(seed, capacity):
         label = int(rng.integers(0, 5))
         q.enqueue(f, label)
         reference.append((f, label))
-        feats, labels = q.snapshot()
+        feats, labels = insertion_order(q)
         assert np.array_equal(feats, np.stack([r[0] for r in reference]))
         assert list(labels) == [r[1] for r in reference]
 
@@ -234,15 +234,6 @@ def test_recall_length_mismatch():
     q.enqueue(unit([1, 0, 0]), 0)
     with pytest.raises(StructuralError):
         recall(q, [0.5, 0.5])
-
-
-def test_fuse_cases():
-    f = np.array([1.0, 0.0])
-    assert np.array_equal(fuse(f, np.zeros(2)), f)
-    assert np.array_equal(fuse(f, f), 2 * f)
-    assert np.array_equal(fuse(f, np.array([0.5, -0.5])), [1.5, -0.5])
-    with pytest.raises(StructuralError):
-        fuse(f, np.zeros(3))
 
 
 def test_recall_for_query_cold_start_and_single_slot():

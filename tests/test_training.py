@@ -11,6 +11,7 @@ from gesturemem import memory as mem
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
 from gesturemem.errors import CheckpointError, ConfigError
+from gesturemem.evaluation import evaluate
 from gesturemem.inference import FrozenModel
 from gesturemem.training import (TrainConfig, _sgd_apply, init_state,
                                  load_checkpoint, prepare_data,
@@ -89,7 +90,7 @@ def test_train_step_matches_finite_difference_oracle():
         fused = feats + recalled
         logits = fused @ decoder["w"].T + decoder["b"]
         ce, _, _ = losses.softmax_cross_entropy_batch(logits, y)
-        mal = losses.memory_augmented_loss(feats, y, frozen_queue, loss_cfg)
+        mal, _ = losses.memory_augmented_loss_with_grad(feats, y, frozen_queue, loss_cfg)
         return losses.total_loss(ce, mal, loss_cfg)
 
     params0 = copy.deepcopy(state.params_s)
@@ -222,6 +223,33 @@ def test_metrics_log_schema(tmp_path):
     assert {"epoch", "split", "accuracy"} <= set(test_rows[0])
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_in_training_accuracy_equals_evaluate(dtype):
+    recordings, label_map = tiny_dataset()
+    config = tiny_config(epochs=2, dtype=dtype)
+    result = train(config, recordings, label_map, SPLIT)
+    samples = prepare_data(config, recordings, label_map, SPLIT)["test_samples"]
+    assert result.state.queue.fill > 0 and len(samples) > 0
+    last = [m for m in result.metrics if m["split"] == "test"][-1]["accuracy"]
+    assert last == evaluate(FrozenModel.from_state(result.state), samples).accuracy
+
+
+@pytest.mark.parametrize("field,value", [
+    ("short_len", 6.0), ("width", 16.0), ("queue_capacity", 512.0),
+    ("eval_stride", 2.0), ("epochs", True), ("input_scale", True),
+    ("learning_rate", "0.1"), ("use_recall", 1), ("center", "no"),
+    ("dtype", None), ("contrast_loss", 0)])
+def test_config_fields_are_type_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_ints_for_floats_and_none_eval_stride():
+    config = TrainConfig(input_scale=1000, temperature=1, eval_stride=None)
+    assert config.input_scale == 1000 and config.eval_stride is None
+    assert TrainConfig(eval_stride=3).eval_stride == 3
+
+
 # --- checkpointing ----------------------------------------------------------------
 
 def trained_state(tmp_path=None, epochs=2):
@@ -320,6 +348,12 @@ HEADER_FAULTS = {
                    "has_velocities", "rng_state", "epoch")},
     "unknown_config_key": lambda h: h["config"].update(bogus=1),
     "invalid_config_value": _set(["config", "dtype"], "float16"),
+    # wrong-typed values that every range and shape check lets through
+    "float_short_len": _set(["config", "short_len"], 6.0),
+    "float_width": _set(["config", "width"], 4.0),
+    "float_queue_capacity": _set(["config", "queue_capacity"], 32.0),
+    "int_use_recall": _set(["config", "use_recall"], 1),
+    "str_center": _set(["config", "center"], "yes"),
     "config_not_object": _set(["config"], [1, 2]),
     "labels_not_names": _set(["labels"], "abc"),
     "has_velocities_disagrees": _set(["has_velocities"], False),
@@ -350,7 +384,7 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
     HEADER_FAULTS[fault](header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError):
-        FrozenModel.from_checkpoint(path)
+        FrozenModel.from_state(load_checkpoint(path))
 
 
 def test_resume_equals_uninterrupted_run(tmp_path):
