@@ -259,10 +259,11 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
 def _forward(ops, x, adj, cfg, want_cache):
     """The forward kernel of :func:`encode_forward` on checked input and operands."""
     params = ops.params
-    b, _, t, v = x.shape
+    b, c_in, t, v = x.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
-    h = x.transpose(0, 2, 3, 1).reshape(b * t, -1)       # [(B*T), V*C_in]
+    # explicit sizes, never -1: an empty batch must reshape too
+    h = x.transpose(0, 2, 3, 1).reshape(b * t, v * c_in)   # [(B*T), V*C_in]
     block_caches = []
     for k_s, b_s, w_t, b_t in ops.blocks:
         c = k_s.shape[1] // v
@@ -280,8 +281,8 @@ def _forward(ops, x, adj, cfg, want_cache):
         np.maximum(act_t, 0.0, out=act_t)
         if want_cache:
             block_caches.append((h, k_s, xp, cols, act_t))
-        h = act_t.reshape(b * t, -1)
-    per_window = h.reshape(b, t * v, -1)
+        h = act_t.reshape(b * t, v * c)
+    per_window = h.reshape(b, t * v, c)
     pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
     z = pooled @ params["proj.w"].T + params["proj.b"]
     norm = np.sqrt((z * z).sum(axis=1, keepdims=True))
@@ -345,9 +346,15 @@ def encode_backward(cache, grad_f):
     return grads, np.ascontiguousarray(grad_x)
 
 
-def classify(decoder, f):
-    """Softmax class probabilities for a feature vector (or a batch of them)."""
+def classify(decoder, f, memory_logits=None):
+    """Softmax class probabilities for a feature vector (or a batch of them).
+
+    ``memory_logits``, when given, are added to the decoder's logits before
+    the softmax: the recalled memory feature already decoded by the weight.
+    """
     logits = f @ decoder["w"].T + decoder["b"]
+    if memory_logits is not None:
+        logits += memory_logits
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     return e / e.sum(axis=-1, keepdims=True)

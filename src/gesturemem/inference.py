@@ -2,19 +2,25 @@
 
 One batched path serves every prediction: :func:`window_features` checks and
 preprocesses [B, C, T, V] windows and encodes them in one forward pass, and
-:func:`predict_batch` adds the recalled memory feature and decodes.
+:func:`predict_batch` addresses the memory and decodes. A :class:`FrozenModel`
+snapshots the encoder, the decoder and the memory queue of the state it is made
+from, so the decoder folds into the memory once per model: recall's readout
+runs on ``W_dec @ memᵀ`` ([classes, fill]), not on the stored features.
 :func:`predict` is that path on one window.
 
 Input protocol: one JSON object per line, ``{"t": <ms>, "joints": [[x,y,z]*3]}``
-(``t`` optional; synthesized from the frame counter and ``--frame-hz`` when
-absent). Output: ``{"t": <ms>, "class": <id>, "name": <gesture>, "probs": [...]}``
-once the window buffer holds T frames, at most once per ``stride_ms``.
-Malformed input, and a ``t`` earlier than the last accepted frame's, yield an
-``{"error": ...}`` object and the session continues.
+(``t`` optional; when absent, one ``--frame-hz`` period after the last accepted
+frame's, or 0 for a session's first frame). Output:
+``{"t": <ms>, "class": <id>, "name": <gesture>, "probs": [...]}`` once the
+window buffer holds T frames, at most once per ``stride_ms``. Malformed input,
+a ``t`` earlier than the last accepted frame's, and over TCP a line longer
+than ``MAX_LINE_BYTES``, yield an ``{"error": ...}`` object and the session
+continues.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
@@ -35,19 +41,23 @@ log = logging.getLogger(__name__)
 # tolerance when comparing float timestamps against the emission stride, so a
 # stride exactly equal to the frame period never misses a frame to rounding
 TIME_EPS_MS = 1e-6
+# longest NDJSON line a TCP connection accepts, newline excluded
+MAX_LINE_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
 class FrozenModel:
     """Everything prediction needs; immutable, so one model serves every session.
 
-    A model freezes the encoder it was made from: construction copies the
-    encoder parameters and the adjacency into read-only arrays and builds the
-    encoder's GEMM operands from them once (``dataclasses.replace`` copies and
-    builds again). Changing a training state's encoder afterwards, in place or
-    by reassignment, does not reach the model. The decoder and the memory queue
-    are not copied: the model reads them from the state it was made from. A
-    checkpoint becomes a model through
+    A model is a read-only snapshot of the state it was made from. Construction
+    copies the encoder parameters, the adjacency, the decoder and the memory
+    queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
+    and builds from them, once, the encoder's GEMM operands and ``readout``:
+    the decoder weight applied to every filled slot, ``W_dec @ memᵀ``
+    [classes, fill] (``dataclasses.replace`` copies and builds again).
+    Changing the state's encoder, decoder or queue afterwards, in place or by
+    reassignment, does not reach the model, and writing into the model's own
+    queue raises. A checkpoint becomes a model through
     ``FrozenModel.from_state(training.load_checkpoint(path))``.
     """
 
@@ -63,6 +73,7 @@ class FrozenModel:
     input_scale: float
     dtype: type
     operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
+    readout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adjacency = _read_only_copy(self.adjacency)
@@ -72,9 +83,17 @@ class FrozenModel:
         for block in operands.blocks:
             for a in block:
                 a.flags.writeable = False
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "operands", operands)
+        decoder = {name: _read_only_copy(p) for name, p in self.decoder.items()}
+        queue = copy.copy(self.queue)
+        queue.features = _read_only_copy(queue.features)
+        queue.labels = _read_only_copy(queue.labels)
+        # class-major, so the readout GEMM streams K x classes contiguously
+        readout = decoder["w"] @ queue.filled_features.T
+        readout.flags.writeable = False
+        for name, value in (("adjacency", adjacency), ("params", params),
+                            ("operands", operands), ("decoder", decoder),
+                            ("queue", queue), ("readout", readout)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_state(cls, state):
@@ -118,15 +137,19 @@ def window_features(model, windows):
 def predict_batch(model, windows):
     """Classify [B, C, T, V] windows; returns (classes [B], probabilities [B, K]).
 
-    With recall on, each feature gets its addressing-weighted recall of the
-    memory queue added before decoding; an empty queue recalls nothing, so
-    prediction reduces to the plain decoder path. Ties break toward the lowest
-    class index.
+    With recall on, each feature's addressing-weighted recall of the memory
+    queue is added before decoding. The decoder is affine, so the recall is
+    decoded through the model's ``readout`` and added to the logits:
+    ``(f + w @ mem) @ W_decᵀ + b = f @ W_decᵀ + b + w @ readoutᵀ``, which
+    reads a [classes, fill] matrix in place of the [fill, feature_dim] queue.
+    An empty queue recalls nothing, so prediction reduces to the plain
+    decoder path. Ties break toward the lowest class index.
     """
     f = window_features(model, windows)
+    memory_logits = None
     if model.use_recall and model.queue.fill > 0:
-        f = f + mem.address_batch(model.queue, f) @ model.queue.filled_features
-    probs = enc.classify(model.decoder, f)
+        memory_logits = mem.address_batch(model.queue, f) @ model.readout.T
+    probs = enc.classify(model.decoder, f, memory_logits)
     return probs.argmax(axis=1), probs
 
 
@@ -145,13 +168,13 @@ def latency_estimate(frames, frame_period_ms, inference_ms):
 
 
 def _holds_bool(value):
-    """Whether a parsed JSON value holds a boolean anywhere in its lists."""
+    """Whether a value holds a boolean anywhere in its lists or tuples."""
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, bool):
+        if isinstance(v, (bool, np.bool_)):
             return True
-        if isinstance(v, list):
+        if isinstance(v, (list, tuple)):
             stack.extend(v)
     return False
 
@@ -170,7 +193,6 @@ class StreamSession:
         self.stride_ms = float(stride_ms)
         self.frame_hz = float(frame_hz)
         self.buffer = deque(maxlen=model.short_len)
-        self.frames_received = 0
         self.last_t = None
         self.last_emit_t = None
         self.last_prediction = None
@@ -194,7 +216,7 @@ class StreamSession:
             return {"error": "malformed frame: expected an object with 'joints'"}
         t = obj.get("t")
         if t is None:
-            t = self.frames_received * 1000.0 / self.frame_hz
+            t = 0.0 if self.last_t is None else self.last_t + 1000.0 / self.frame_hz
         else:
             try:
                 t = float(t) if type(t) in (int, float) else math.nan  # not bool
@@ -206,10 +228,20 @@ class StreamSession:
         # spells one out pays for the scan
         if ("true" in line or "false" in line) and _holds_bool(obj["joints"]):
             return {"error": "non-numeric joint coordinate", "t": t}
-        return self.handle_frame(t, obj["joints"])
+        return self._accept(t, obj["joints"])
 
     def handle_frame(self, t_ms, joints):
-        """Append one frame; returns a prediction object when one is due."""
+        """Append one frame; returns a prediction object when one is due.
+
+        ``joints`` is a [V, C] array or nested lists; booleans among the
+        numbers of a list are rejected, not read as 0/1.
+        """
+        if not isinstance(joints, np.ndarray) and _holds_bool(joints):
+            return {"error": "non-numeric joint coordinate", "t": t_ms}
+        return self._accept(t_ms, joints)
+
+    def _accept(self, t_ms, joints):
+        """:meth:`handle_frame` past the boolean scan, which the caller made."""
         try:
             joints = np.asarray(joints)
         except ValueError:  # ragged or too deeply nested
@@ -227,7 +259,6 @@ class StreamSession:
             return {"error": "timestamp went backwards", "t": t_ms}
         self.last_t = t_ms
         self.buffer.append(joints)
-        self.frames_received += 1
         if len(self.buffer) < self.model.short_len:
             return None
         if (self.last_emit_t is not None
@@ -262,16 +293,32 @@ def serve_stream(model, source, sink, stride_ms=180.0, frame_hz=30.0):
     return session
 
 
+def serve_connection(model, rfile, wfile, stride_ms=180.0, frame_hz=30.0):
+    """Run one session over binary streams until ``rfile`` ends.
+
+    A line longer than ``MAX_LINE_BYTES`` is never held whole: it gets
+    ``{"error": "line too long"}``, the rest of it is read and dropped, and
+    the session goes on with the next line.
+    """
+    session = StreamSession(model, stride_ms=stride_ms, frame_hz=frame_hz)
+    while raw := rfile.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            while raw and not raw.endswith(b"\n"):
+                raw = rfile.readline(MAX_LINE_BYTES + 1)
+            out = {"error": "line too long"}
+        else:
+            out = session.handle_line(raw.decode("utf-8", errors="replace"))
+        if out is not None:
+            wfile.write((json.dumps(out) + "\n").encode())
+    return session
+
+
 def serve_tcp(model, host, port, stride_ms=180.0, frame_hz=30.0):
     """Serve concurrent NDJSON sessions over TCP; blocks until interrupted."""
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            session = StreamSession(model, stride_ms=stride_ms, frame_hz=frame_hz)
-            for raw in self.rfile:
-                out = session.handle_line(raw.decode("utf-8", errors="replace"))
-                if out is not None:
-                    self.wfile.write((json.dumps(out) + "\n").encode())
+            serve_connection(model, self.rfile, self.wfile, stride_ms, frame_hz)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True

@@ -3,8 +3,8 @@ single-window prediction oracle, queue inspection and parameter flattening."""
 
 import numpy as np
 
-from gesturemem.encoder import NORM_EPS, _check_input, classify, encode_forward
-from gesturemem.memory import recall_for_query
+from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
+from gesturemem.memory import address
 
 
 def rel_error(a, b, floor=1e-12):
@@ -93,8 +93,9 @@ def insertion_order(queue):
 def oracle_predict(model, window):
     """One window's (class, probabilities) the long way: the input transform
     written out, ``encode_forward`` on the raw parameter dict (operands built
-    for this call), then single-query ``recall_for_query``, ``+`` and
-    ``classify``."""
+    for this call), the decoder logits, then, with recall on and a filled
+    queue, single-query ``address`` and its weights times the decoder folded
+    into the memory, ``(W_dec @ memᵀ)ᵀ``, added to the logits; then softmax."""
     x = np.asarray(window, dtype=np.float64)
     if model.center:
         x = x - x.mean(axis=1, keepdims=True)
@@ -102,9 +103,13 @@ def oracle_predict(model, window):
     f, _ = encode_forward(dict(model.params), x[None], model.adjacency,
                           model.encoder_cfg)
     f = f[0]
-    if model.use_recall:
-        f = f + recall_for_query(model.queue, f)
-    probs = classify(model.decoder, f)
+    w_dec = model.decoder["w"]
+    logits = f @ w_dec.T + model.decoder["b"]
+    if model.use_recall and model.queue.fill > 0:
+        weights = address(model.queue, f)
+        logits = logits + weights @ (w_dec @ model.queue.filled_features.T).T
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
     return int(probs.argmax()), probs
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from gesturemem.evaluation import (ConfusionMatrix, compare_losses, evaluate,
                                    export_addressing, format_ablation_table,
                                    run_ablation)
 from gesturemem.inference import FrozenModel, window_features
-from gesturemem.memory import address
+from gesturemem.memory import MemoryQueue, address
 from gesturemem.training import TrainConfig, init_state, train
 
 from helpers import random_unit_rows
@@ -189,7 +190,10 @@ def test_export_addressing_requires_enough_slots(tmp_path):
     with pytest.raises(ConfigError):
         export_addressing(model, samples, n_slots=4, n_samples=2,
                           seed=0, out_path=tmp_path / "x.csv")
-    model.queue.enqueue_batch(random_unit_rows(np.random.default_rng(1), 4, 8), [0, 1] * 2)
+    queue = MemoryQueue(8, 8, dtype=np.float64)
+    queue.enqueue_batch(random_unit_rows(np.random.default_rng(1), 4, 8), [0, 1] * 2)
+    model = dataclasses.replace(model, queue=queue)
+    assert model.queue.fill == 4
     for n_samples in (0, 3):
         with pytest.raises(ConfigError):
             export_addressing(model, samples, n_slots=4, n_samples=n_samples,

@@ -15,6 +15,7 @@ from gesturemem import inference
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
 from gesturemem.errors import NonFiniteError, StructuralError
+from gesturemem.memory import recall_for_query
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
                                   predict, predict_batch, serve_stream,
                                   window_features)
@@ -70,15 +71,15 @@ def test_predict_cold_start_reduces_to_decoder_path():
 
 
 def test_predict_deterministic_and_tie_break():
-    model, _ = untrained_model()
+    model, state = untrained_model()
     x = np.random.default_rng(2).normal(size=(3, 6, 3))
     c1, p1 = predict(model, x)
     c2, p2 = predict(model, x)
     assert c1 == c2 and np.array_equal(p1, p2)
     # ties break toward the lowest class index
-    model.decoder["w"][:] = 0.0
-    model.decoder["b"][:] = 0.0
-    cls, probs = predict(model, x)
+    state.decoder["w"][:] = 0.0
+    state.decoder["b"][:] = 0.0
+    cls, probs = predict(FrozenModel.from_state(state), x)
     assert cls == 0 and np.allclose(probs, 1.0 / len(probs))
 
 
@@ -93,14 +94,17 @@ def test_predict_validation():
 
 
 def test_predict_uses_memory_when_filled():
-    model, state = untrained_model(use_recall=True)
+    _, state = untrained_model(use_recall=True)
     rng = np.random.default_rng(3)
     state.queue.enqueue_batch(random_unit_rows(rng, 5, 8), [0] * 5)
+    model = FrozenModel.from_state(state)
     x = rng.normal(size=(3, 6, 3))
     _, probs_with = predict(model, x)
-    model_no, state_no = untrained_model(use_recall=False)
+    _, state_no = untrained_model(use_recall=False)
     state_no.queue.enqueue_batch(random_unit_rows(np.random.default_rng(3), 5, 8),
                                  [0] * 5)
+    model_no = FrozenModel.from_state(state_no)
+    assert model.queue.fill == model_no.queue.fill == 5
     _, probs_without = predict(model_no, x)
     assert not np.allclose(probs_with, probs_without)
 
@@ -110,31 +114,38 @@ def test_predict_uses_memory_when_filled():
 @pytest.mark.parametrize("k", [2, 3])
 def test_predict_bitwise_equals_raw_params_path(dtype, blocks, k):
     """predict gives exactly the bits of the single-window oracle: raw-dict
-    encode, single-query recall, sum and classify; with recall on and off,
-    against an empty and a filled queue."""
+    encode, decoder logits, single-query addressing times the decoder folded
+    into the memory, sum and softmax; with recall on and off, against an empty
+    and a filled queue."""
     rng = np.random.default_rng(blocks * 10 + k)
     for use_recall in (True, False):
         model, state = untrained_model(use_recall=use_recall, dtype=dtype,
                                        blocks=blocks, temporal_kernel=k,
                                        center=True, input_scale=1000.0)
-        for _ in range(2):  # empty queue, then filled
+        for filled in (False, True):
+            if filled:
+                state.queue.enqueue_batch(
+                    random_unit_rows(rng, 12, 8, dtype=model.dtype),
+                    rng.integers(0, 3, size=12))
+                model = FrozenModel.from_state(state)
+            assert (model.queue.fill > 0) == filled
             for _ in range(3):
                 window = rng.normal(size=(3, 6, 3))
                 cls, probs = predict(model, window)
                 ref_cls, ref = oracle_predict(model, window)
                 assert probs.dtype == model.dtype
                 assert np.array_equal(probs, ref) and cls == ref_cls
-            state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=model.dtype),
-                                      rng.integers(0, 3, size=12))
 
 
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
 def test_predict_batch_matches_per_window_predict(dtype, tol):
     """A batch reorders the BLAS sums, so it is close to, not bitwise, predict."""
-    model, state = untrained_model(dtype=dtype, center=True, input_scale=1000.0)
+    _, state = untrained_model(dtype=dtype, center=True, input_scale=1000.0)
     rng = np.random.default_rng(13)
-    state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=model.dtype),
+    state.queue.enqueue_batch(random_unit_rows(rng, 12, 8, dtype=state.config.np_dtype),
                               rng.integers(0, 3, size=12))
+    model = FrozenModel.from_state(state)
+    assert model.queue.fill == 12
     windows = rng.normal(size=(7, 3, 6, 3))
     classes, probs = predict_batch(model, windows)
     assert probs.shape == (7, 3) and probs.dtype == model.dtype
@@ -142,6 +153,37 @@ def test_predict_batch_matches_per_window_predict(dtype, tol):
         cls, p = predict(model, window)
         assert np.abs(probs[i] - p).max() <= tol
         assert classes[i] == cls
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_folded_readout_matches_recall_then_classify(dtype, tol):
+    """Decoding the recall through the model's readout reorders the sums of
+    recall, ``+`` and ``classify``: close to that unfolded path, never a class
+    apart."""
+    _, state = untrained_model(dtype=dtype, center=True, input_scale=1000.0)
+    rng = np.random.default_rng(16)
+    state.queue.enqueue_batch(random_unit_rows(rng, 16, 8, dtype=state.config.np_dtype),
+                              rng.integers(0, 3, size=16))
+    model = FrozenModel.from_state(state)
+    windows = rng.normal(size=(120, 3, 6, 3))
+    for window in windows:
+        cls, probs = predict(model, window)
+        f = window_features(model, window[None])[0]
+        unfolded = enc.classify(model.decoder, f + recall_for_query(model.queue, f))
+        assert np.abs(probs - unfolded).max() <= tol
+        assert cls == int(unfolded.argmax())
+
+
+def test_empty_batch_gives_empty_results():
+    model, _ = untrained_model(dtype="float32")
+    x = np.zeros((0, 3, 6, 3), dtype=np.float32)
+    f, _ = enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)
+    assert f.shape == (0, 8) and f.dtype == np.float32
+    assert window_features(model, x).shape == (0, 8)
+    for m in (model, FrozenModel.from_state(filled_state(dtype="float32"))):
+        classes, probs = predict_batch(m, x)
+        assert classes.shape == (0,) and probs.shape == (0, 3)
+        assert probs.dtype == np.float32
 
 
 def test_window_features_validation():
@@ -159,6 +201,15 @@ def test_window_features_validation():
     assert np.allclose(np.linalg.norm(f, axis=1), 1.0)
 
 
+def filled_state(fill=10, seed=17, **overrides):
+    _, state = untrained_model(**overrides)
+    rng = np.random.default_rng(seed)
+    state.queue.enqueue_batch(
+        random_unit_rows(rng, fill, 8, dtype=state.config.np_dtype),
+        rng.integers(0, 3, size=fill))
+    return state
+
+
 def test_model_is_a_snapshot_of_the_encoder():
     model, state = untrained_model()
     x = np.random.default_rng(11).normal(size=(3, 6, 3))
@@ -173,6 +224,36 @@ def test_model_is_a_snapshot_of_the_encoder():
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.params = state.params_s
+
+
+def test_model_is_a_snapshot_of_the_state():
+    state = filled_state()
+    model = FrozenModel.from_state(state)
+    x = np.random.default_rng(18).normal(size=(3, 6, 3))
+    _, before = predict(model, x)
+    rng = np.random.default_rng(19)
+    state.queue.enqueue_batch(random_unit_rows(rng, 4, 8), [1] * 4)
+    state.decoder["w"] += 0.5
+    state.decoder["b"] -= 0.5
+    _, after = predict(model, x)
+    assert np.array_equal(before, after)
+    assert model.queue.fill == 10 and state.queue.fill == 14
+    with pytest.raises(ValueError):
+        model.queue.enqueue_batch(random_unit_rows(rng, 1, 8), [0])
+    assert model.queue.fill == 10 and model.queue.head == 10
+    arrays = list(model.decoder.values()) + [model.queue.features,
+                                             model.queue.labels, model.readout]
+    assert not any(a.flags.writeable for a in arrays)
+    assert model.readout.shape == (3, 10) and model.readout.flags.c_contiguous
+    # a queue swapped in by replace is snapshotted and folded again
+    queue = filled_state(fill=16, seed=20).queue
+    replaced = dataclasses.replace(model, queue=queue)
+    unchanged = filled_state()  # the state as the model was made from it
+    unchanged.queue = queue
+    fresh = FrozenModel.from_state(unchanged)
+    assert replaced.readout.shape == (3, 16)
+    assert np.array_equal(predict(replaced, x)[1], predict(fresh, x)[1])
+    assert not np.array_equal(predict(replaced, x)[1], before)
 
 
 def test_replace_params_predicts_like_a_fresh_model():
@@ -286,6 +367,64 @@ def test_stream_missing_timestamp_uses_frame_counter():
             {"joints": rng.normal(size=(3, 3)).tolist()}))
     assert out is not None
     assert out["t"] == pytest.approx((model.short_len - 1) * 1000.0 / 30.0)
+
+
+def test_stream_omitted_timestamp_follows_the_last_accepted_frame():
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=0.0, frame_hz=25.0)
+    rng = np.random.default_rng(21)
+    row = lambda: rng.normal(size=(3, 3)).tolist()  # noqa: E731
+    assert session.handle_line(json.dumps({"joints": row()})) is None
+    assert session.last_t == 0.0
+    assert session.handle_line(json.dumps({"t": 5000, "joints": row()})) is None
+    for i in range(1, model.short_len - 2):
+        assert session.handle_line(json.dumps({"joints": row()})) is None
+        assert session.last_t == pytest.approx(5000.0 + 40.0 * i)
+    out = session.handle_line(json.dumps({"joints": row()}))  # the window is full
+    assert out["t"] == pytest.approx(5000.0 + 40.0 * (model.short_len - 2))
+    # a rejected frame does not advance the clock
+    assert "error" in session.handle_line(json.dumps({"joints": [[0, 0]]}))
+    out = session.handle_line(json.dumps({"joints": row()}))
+    assert out["t"] == pytest.approx(5000.0 + 40.0 * (model.short_len - 1))
+
+
+@pytest.mark.parametrize("joints", [
+    [[True, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[0.5, 0, 0], [0, 0, 0], [0, 0, False]],
+    ((0, 0, 0), (0, np.True_, 0), (0, 0, 0)),
+])
+def test_handle_frame_rejects_booleans_mixed_with_numbers(joints):
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=0.0)
+    out = session.handle_frame(0.0, joints)
+    assert out == {"error": "non-numeric joint coordinate", "t": 0.0}
+    assert len(session.buffer) == 0 and session.last_t is None
+    assert session.handle_frame(0.0, [[0, 0.5, 1]] * 3) is None  # numbers pass
+    assert len(session.buffer) == 1
+
+
+def test_serve_connection_caps_line_length():
+    model, _ = untrained_model()
+    rng = np.random.default_rng(22)
+    lines = [frame_line(i * 33.0, rng.normal(size=(3, 3))).encode()
+             for i in range(model.short_len)]
+    padded = b" " * (inference.MAX_LINE_BYTES - len(lines[0])) + lines[0]
+    assert len(padded) == inference.MAX_LINE_BYTES  # at the cap: accepted
+    too_long = b'{"t": 0, "joints": [' + b" " * (3 * inference.MAX_LINE_BYTES) + b"]}"
+    source = b"\n".join([padded, too_long, b"x" * (inference.MAX_LINE_BYTES + 1)]
+                        + lines[1:]) + b"\n"
+    sink = io.BytesIO()
+    session = inference.serve_connection(model, io.BytesIO(source), sink, stride_ms=0.0)
+    outs = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert outs[:2] == [{"error": "line too long"}] * 2
+    assert len(outs) == 3 and outs[2]["class"] == predict(
+        model, np.stack([json.loads(line)["joints"] for line in lines]).transpose(2, 0, 1))[0]
+    assert len(session.buffer) == model.short_len
+    # an over-long last line without a newline
+    sink = io.BytesIO()
+    inference.serve_connection(model, io.BytesIO(b"y" * (2 * inference.MAX_LINE_BYTES)),
+                               sink)
+    assert sink.getvalue() == b'{"error": "line too long"}\n'
 
 
 def offline_windows(recording, short_len):
