@@ -14,7 +14,8 @@ from .errors import (CheckpointError, ConfigError, ContractError,
                      DataIntegrityError, EmptyMemoryError, NonFiniteError,
                      ParseError, StructuralError, ToolkitError)
 from .inference import (FrozenModel, StreamSession, latency_estimate, predict,
-                        predict_batch, serve_stream, serve_tcp, window_features)
+                        predict_batch, serve_stream, serve_tcp, tcp_server,
+                        window_features)
 from .losses import LossConfig, total_loss
 from .memory import MemoryQueue, address, address_batch, recall, recall_for_query
 from .evaluation import (ConfusionMatrix, compare_losses, evaluate,

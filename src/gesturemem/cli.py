@@ -15,7 +15,7 @@ import logging
 import sys
 
 from . import inference, training
-from .config import apply_overrides, dataclass_from_mapping, read_kv_file
+from .config import apply_overrides, coerce, dataclass_from_mapping, read_kv_file
 from .dataset import (SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures,
                       window_dataset)
 from .errors import ConfigError, ToolkitError
@@ -57,7 +57,7 @@ def _resolve_split(mapping, recordings):
     if fraction is None:
         raise ConfigError("config must set train_subjects/test_subjects "
                           "or train_fraction")
-    fraction = float(fraction)
+    fraction = coerce(fraction, float, "train_fraction")
     if not 0 < fraction < 1:
         raise ConfigError(f"train_fraction must be in (0, 1), got {fraction}")
     n_train = min(max(int(round(fraction * len(subjects))), 1), len(subjects) - 1)
@@ -81,7 +81,7 @@ def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
 
 def cmd_generate(args):
     mapping = _load_mapping(args)
-    seed = int(mapping.pop("seed", 0))
+    seed = coerce(mapping.pop("seed", "0"), int, "seed")
     cfg = dataclass_from_mapping(SynthesisConfig, mapping)
     path = synthesize_gestures(cfg, seed, args.out)
     print(f"wrote {path}")

@@ -20,17 +20,21 @@ def read_kv_file(path):
     """Parse a flat key = value text file; '#' starts a comment line."""
     mapping = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{line_no}: empty key")
-            mapping[key] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text ({e.reason})") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{line_no}: empty key")
+        mapping[key] = value.strip()
     return mapping
 
 
@@ -45,13 +49,15 @@ def apply_overrides(mapping, assignments):
     return out
 
 
-def _coerce(value, target, key):
+def coerce(value, target, key):
+    """``value``, a string, as the field type ``target``; a value that does not
+    parse as that type is a :class:`ConfigError` naming ``key``."""
     if isinstance(target, (types.UnionType, typing._SpecialForm)) or \
             typing.get_origin(target) in (typing.Union, types.UnionType):
         args = [a for a in typing.get_args(target) if a is not type(None)]
         if value.lower() in ("none", ""):
             return None
-        return _coerce(value, args[0], key)
+        return coerce(value, args[0], key)
     if target is bool:
         try:
             return _BOOL_WORDS[value.lower()]
@@ -89,7 +95,7 @@ def dataclass_from_mapping(cls, mapping, extra_keys=()):
         if key not in field_names:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
         if isinstance(value, str):
-            kwargs[key] = _coerce(value, hints[key], key)
+            kwargs[key] = coerce(value, hints[key], key)
         else:
             kwargs[key] = value
     return cls(**kwargs)

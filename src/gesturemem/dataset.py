@@ -144,24 +144,34 @@ def _resolve_frames_path(path):
     return path
 
 
+def _records(path):
+    """Yield (line number, stripped line) of every record in a UTF-8 text file;
+    blank and '#' comment lines are skipped. Bytes that are not UTF-8 are a
+    :class:`ParseError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield line_no, line
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
+
+
 def load_label_map(path):
     """Read a ``label_id,gesture_name`` file; ids must be 0..N-1 without gaps."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",", 1)
-            if len(parts) != 2:
-                raise ParseError("expected 'label_id,gesture_name'", line_no)
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise ParseError(f"bad label_id {parts[0]!r}", line_no) from None
-            if label in entries:
-                raise ParseError(f"duplicate label_id {label}", line_no)
-            entries[label] = parts[1].strip()
+    for line_no, line in _records(path):
+        parts = line.split(",", 1)
+        if len(parts) != 2:
+            raise ParseError("expected 'label_id,gesture_name'", line_no)
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise ParseError(f"bad label_id {parts[0]!r}", line_no) from None
+        if label in entries:
+            raise ParseError(f"duplicate label_id {label}", line_no)
+        entries[label] = parts[1].strip()
     if not entries:
         return LabelMap(names=[])
     if sorted(entries) != list(range(len(entries))):
@@ -179,19 +189,15 @@ def load_recordings(path):
     """
     frames_path = _resolve_frames_path(path)
     groups = {}  # rec_id -> (subject, list[(frame_index, label, joints)])
-    with open(frames_path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rec_id, subj_id, frame_index, label, joints = _parse_frame_line(line, line_no)
-            if rec_id not in groups:
-                groups[rec_id] = (subj_id, [])
-            elif groups[rec_id][0] != subj_id:
-                raise DataIntegrityError(
-                    f"recording {rec_id!r} claims two subjects: "
-                    f"{groups[rec_id][0]!r} and {subj_id!r} (line {line_no})")
-            groups[rec_id][1].append((frame_index, label, joints))
+    for line_no, line in _records(frames_path):
+        rec_id, subj_id, frame_index, label, joints = _parse_frame_line(line, line_no)
+        if rec_id not in groups:
+            groups[rec_id] = (subj_id, [])
+        elif groups[rec_id][0] != subj_id:
+            raise DataIntegrityError(
+                f"recording {rec_id!r} claims two subjects: "
+                f"{groups[rec_id][0]!r} and {subj_id!r} (line {line_no})")
+        groups[rec_id][1].append((frame_index, label, joints))
 
     recordings = []
     max_label = -1

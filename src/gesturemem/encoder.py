@@ -15,29 +15,34 @@ side by side, channels innermost.
   2018) fold into one [V*C_in, V*C_out] weight, ``kron(adj, w_s.T)``, so the
   conv is a single GEMM over all frames.
 - Temporal conv: the spatial ReLU writes into the interior of a zero-padded
-  [B, T+k-1, V, C] buffer (``pad_l = (k-1)//2`` zero frames on the left, the
-  rest on the right). im2col copies its k shifted views into one
-  [(B*T*V), k*C] matrix, and one GEMM with ``w_t`` as a [k*C, C_out] matrix
-  gives every output frame.
+  [B, (T+k-1)*V, C] buffer (``pad_l = (k-1)//2`` zero frames on the left,
+  the rest on the right). Frame t of a window is its rows t*V .. (t+1)*V, so
+  tap kk reads, for every output frame, one contiguous [T*V, C] block of each
+  window: rows kk*V .. (kk+T)*V. The conv is one GEMM per tap on its block,
+  summed into the output (accumulating kn2row, Anderson et al. 2017,
+  arXiv:1709.03395), with the taps ``w_t`` as a [k, C_in, C_out] array: no
+  im2col matrix, no k copies of the input. Blocks write only the interior,
+  so one buffer serves every block of an uncached pass.
 - Pooling: a ones-vector product over each window's T*V rows.
 
 Without a cache, :func:`encode_forward` runs a batch in tiles of whole windows
 (Goto & van de Geijn's cache blocking, ACM TOMS 2008, applied to a whole
-encoder pass). A tile's im2col matrix, ``T*V*k*width*itemsize`` bytes per
-window, stays within ``TILE_BYTES``, so it and the tile's activations stay in
-a 2 MiB per-core L2. Untiled, 1024 long windows (T=60, width 16) build a
-35 MiB im2col matrix, and the cost per window doubles. Measured on a 2-vCPU
-Xeon host with one BLAS thread, per window at T=60: 48 us at B=16, 97-100 us
-at B=1024 untiled, and 49-53 us at B=1024 for any tile from 256 KiB to 2 MiB
-(width 32: 89-106, 220-234 and 101-112 us). The plateau is wide, so the
+encoder pass). A window counts ``T*V*k*width*itemsize`` bytes, k activations
+of one block: for k = 3 about what a block holds at once (the padded buffer,
+a tap product and the output). A tile's count stays within ``TILE_BYTES``, so
+its working set stays in a 2 MiB per-core L2. Measured on a 2-vCPU Xeon host
+with one BLAS thread, per window at T=60, width 16: 27 us at B=16, 57 us at
+B=1024 untiled, and 27-30 us at B=1024 for any tile from 512 KiB to 4 MiB
+(width 32: 56-65 us tiled, 125 us untiled). The plateau is wide, so the
 constant is not tuned per host. A batch that fits runs as one tile. The
 cached (training) forward is never tiled: its batches fit anyway, and
 :func:`encode_backward` reads whole-batch intermediates.
 
-The backward pass runs the same products transposed; col2im adds the k tap
-gradients back into a padded buffer. Forward and backward passes are written
-out explicitly so every gradient path can be verified against finite
-differences.
+The backward pass runs the same products transposed. It lays the output
+gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows
+after each window, so each tap's weight and input gradient is one GEMM over
+the rows of the whole batch. Forward and backward passes are written out
+explicitly so every gradient path can be verified against finite differences.
 
 Parameters live in plain dicts of numpy arrays keyed like ``block0.spatial.w``;
 the short-term and long-term encoders hold structurally identical dicts. They
@@ -59,7 +64,8 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError, StructuralError
 
 NORM_EPS = 1e-12
-# Most bytes of im2col matrix in one tile of the uncached forward.
+# Most bytes, counted as T*V*k*width*itemsize per window, in one tile of the
+# uncached forward.
 TILE_BYTES = 1 << 20
 
 
@@ -179,11 +185,6 @@ def _spatial_weight(w_s, adj):
     return (adj[:, None, :, None] * w_s.T[None, :, None, :]).reshape(v * c_in, v * c_out)
 
 
-def _temporal_weight(w_t):
-    """w_t [C_out, C_in, k] as the [k*C_in, C_out] matrix of the im2col GEMM."""
-    return w_t.transpose(2, 1, 0).reshape(-1, w_t.shape[0])
-
-
 def _column_sums(a):
     """Sum over rows as a ones-vector GEMV: blocked BLAS accumulation keeps
     float32 error far below numpy's row-by-row ``sum(axis=0)``."""
@@ -196,8 +197,9 @@ class GemmOperands:
 
     Built for one adjacency array and one activation dtype. ``blocks`` holds,
     per block, the spatial weight ``kron(adj, w_s.T)``, the spatial bias tiled
-    over the joints, the im2col temporal weight and the temporal bias; the
-    projection is read from ``params``, the dict they were built from.
+    over the joints, the temporal taps (``w_t`` as a [k, C_in, C_out] array)
+    and the temporal bias; the projection is read from ``params``, the dict
+    they were built from.
     """
 
     params: dict
@@ -213,7 +215,7 @@ class GemmOperands:
         blocks = tuple(
             (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
              np.tile(params[f"block{i}.spatial.b"], v),
-             _temporal_weight(params[f"block{i}.temporal.w"]),
+             np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)),
              params[f"block{i}.temporal.b"])
             for i in range(n_blocks))
         return cls(params=params, adj=adj, dtype=dtype, blocks=blocks)
@@ -265,22 +267,23 @@ def _forward(ops, x, adj, cfg, want_cache):
     # explicit sizes, never -1: an empty batch must reshape too
     h = x.transpose(0, 2, 3, 1).reshape(b * t, v * c_in)   # [(B*T), V*C_in]
     block_caches = []
-    for k_s, b_s, w_t, b_t in ops.blocks:
+    xp = None
+    for k_s, b_s, taps, b_t in ops.blocks:
         c = k_s.shape[1] // v
         pre_s = h @ k_s                                     # [(B*T), V*C]
         pre_s += b_s
-        xp = np.zeros((b, t + k - 1, v, c), dtype=pre_s.dtype)
-        np.maximum(pre_s.reshape(b, t, v, c), 0.0, out=xp[:, pad_l:pad_l + t])
-        # im2col: row (b, t, v) holds the k taps xp[b, t:t+k, v, :]
-        cols = np.empty((b, t, v, k, c), dtype=xp.dtype)
-        for kk in range(k):
-            cols[:, :, :, kk] = xp[:, kk:kk + t]
-        cols = cols.reshape(b * t * v, k * c)
-        act_t = cols @ w_t                                  # [(B*T*V), C]
+        if xp is None or want_cache:
+            xp = np.zeros((b, (t + k - 1) * v, c), dtype=pre_s.dtype)
+            # tap kk of output frame t reads padded frame t + kk
+            shifted = [xp[:, kk * v:(kk + t) * v] for kk in range(k)]
+        np.maximum(pre_s.reshape(b, t * v, c), 0.0, out=shifted[pad_l])
+        act_t = shifted[0] @ taps[0]                        # [B, T*V, C]
+        for kk in range(1, k):
+            act_t += shifted[kk] @ taps[kk]
         act_t += b_t
         np.maximum(act_t, 0.0, out=act_t)
         if want_cache:
-            block_caches.append((h, k_s, xp, cols, act_t))
+            block_caches.append((h, k_s, xp, taps, act_t))
         h = act_t.reshape(b * t, v * c)
     per_window = h.reshape(b, t * v, c)
     pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
@@ -321,21 +324,25 @@ def encode_backward(cache, grad_f):
     g_h = (g_pooled / (t * v))[:, None, :]                 # [B, 1 or T*V, C]
 
     for i in reversed(range(cfg.blocks)):
-        h, k_s, xp, cols, act_t = cache["blocks"][i]
-        w_t = params[f"block{i}.temporal.w"]
-        c = w_t.shape[0]
+        h, k_s, xp, taps, act_t = cache["blocks"][i]
+        c = act_t.shape[2]
+        # g_t where tap 0 reads each output frame (module docstring)
+        g_pad = np.zeros_like(xp)
         # a ReLU output is positive exactly where its pre-activation is
-        g_t = (g_h * (act_t.reshape(b, t * v, c) > 0)).reshape(-1, c)
-        grads[f"block{i}.temporal.b"] = _column_sums(g_t)
-        g_wk = (g_t.T @ cols).reshape(c, k, -1)             # [C_out, tap, C_in]
-        grads[f"block{i}.temporal.w"] = np.ascontiguousarray(g_wk.transpose(0, 2, 1))
-        # col2im: tap kk of output row t read padded row t + kk
-        g_cols = (g_t @ _temporal_weight(w_t).T).reshape(b, t, v, k, c)
+        np.multiply(g_h, act_t > 0, out=g_pad[:, :t * v])
+        g_rows = g_pad.reshape(-1, c)[:b * (t + k - 1) * v - (k - 1) * v]
+        grads[f"block{i}.temporal.b"] = _column_sums(g_rows)
+        x_rows = xp.reshape(-1, c)
         g_xp = np.zeros_like(xp)
+        g_x_rows = g_xp.reshape(-1, c)
+        g_taps = np.empty_like(taps)                        # [tap, C_in, C_out]
         for kk in range(k):
-            g_xp[:, kk:kk + t] += g_cols[:, :, :, kk]
-        act_s = xp[:, pad_l:pad_l + t]
-        g_s = (g_xp[:, pad_l:pad_l + t] * (act_s > 0)).reshape(b * t, v * c)
+            tap_rows = slice(kk * v, kk * v + len(g_rows))
+            g_taps[kk] = x_rows[tap_rows].T @ g_rows
+            g_x_rows[tap_rows] += g_rows @ taps[kk].T
+        grads[f"block{i}.temporal.w"] = np.ascontiguousarray(g_taps.transpose(2, 1, 0))
+        interior = slice(pad_l * v, (pad_l + t) * v)
+        g_s = (g_xp[:, interior] * (xp[:, interior] > 0)).reshape(b * t, v * c)
         grads[f"block{i}.spatial.b"] = _column_sums(g_s.reshape(-1, c))
         # d kron(adj, w_s.T) -> d w_s: contract the joint pairs against adj
         g_ks = (h.T @ g_s).reshape(v, -1, v, c)

@@ -66,23 +66,27 @@ class EvalResult:
     accuracy: float
     confusion: ConfusionMatrix
     per_class_recall: list
+    probs: np.ndarray  # [N, classes]: row i is predict's vector for sample i
 
 
 def evaluate(model, samples):
-    """Accuracy, confusion matrix, and per-class recall over short windows.
+    """Accuracy, confusion matrix, per-class recall and class probabilities
+    over short windows.
 
     Calls :func:`gesturemem.inference.predict` once per window, so the
-    reported accuracy is exactly what single-window prediction, and so
-    streaming, produces; a batched :func:`~gesturemem.inference.predict_batch`
-    may differ from it in the last bits of a probability.
+    reported accuracy and probabilities are exactly what single-window
+    prediction, and so streaming, produces; a batched
+    :func:`~gesturemem.inference.predict_batch` may differ from it in the last
+    bits of a probability.
     """
     if not samples:
         raise ConfigError("cannot evaluate on an empty sample set")
     y_true = [s.label for s in samples]
-    y_pred = [predict(model, s.data)[0] for s in samples]
+    y_pred, probs = zip(*(predict(model, s.data) for s in samples))
     confusion = ConfusionMatrix.from_predictions(y_true, y_pred, model.num_classes)
     return EvalResult(accuracy=confusion.accuracy(), confusion=confusion,
-                      per_class_recall=confusion.per_class_recall())
+                      per_class_recall=confusion.per_class_recall(),
+                      probs=np.stack(probs))
 
 
 def _train_and_score(config, recordings, label_map, split):

@@ -15,7 +15,8 @@ frame's, or 0 for a session's first frame). Output:
 window buffer holds T frames, at most once per ``stride_ms``. Malformed input,
 a ``t`` earlier than the last accepted frame's, and over TCP a line longer
 than ``MAX_LINE_BYTES``, yield an ``{"error": ...}`` object and the session
-continues.
+continues. A TCP connection beyond ``MAX_SESSIONS`` open sessions gets
+``{"error": "server busy"}`` and is closed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import logging
 import math
 import socketserver
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,6 +45,8 @@ log = logging.getLogger(__name__)
 TIME_EPS_MS = 1e-6
 # longest NDJSON line a TCP connection accepts, newline excluded
 MAX_LINE_BYTES = 64 * 1024
+# most TCP sessions open at once; one more connection is told so and closed
+MAX_SESSIONS = 64
 
 
 @dataclass(frozen=True)
@@ -313,17 +317,48 @@ def serve_connection(model, rfile, wfile, stride_ms=180.0, frame_hz=30.0):
     return session
 
 
-def serve_tcp(model, host, port, stride_ms=180.0, frame_hz=30.0):
-    """Serve concurrent NDJSON sessions over TCP; blocks until interrupted."""
+class _SessionServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, at most ``max_sessions`` of them at once."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, handler, max_sessions):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(max_sessions)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            request.sendall(b'{"error": "server busy"}\n')
+            self.shutdown_request(request)
+            return
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+
+def tcp_server(model, host, port, stride_ms=180.0, frame_hz=30.0):
+    """A bound, not yet serving, TCP server of NDJSON sessions.
+
+    Each connection is a session of :func:`serve_connection` on its own
+    thread. A connection beyond ``MAX_SESSIONS`` open sessions is answered
+    ``{"error": "server busy"}`` and closed. Run it with ``serve_forever()``
+    and stop it with ``shutdown()`` and ``server_close()``.
+    """
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             serve_connection(model, self.rfile, self.wfile, stride_ms, frame_hz)
 
-    class Server(socketserver.ThreadingTCPServer):
-        allow_reuse_address = True
-        daemon_threads = True
+    return _SessionServer((host, port), Handler, MAX_SESSIONS)
 
-    with Server((host, port), Handler) as server:
+
+def serve_tcp(model, host, port, stride_ms=180.0, frame_hz=30.0):
+    """Serve concurrent NDJSON sessions over TCP; blocks until interrupted."""
+    with tcp_server(model, host, port, stride_ms, frame_hz) as server:
         log.info("serving on %s:%d (stride %.0f ms)", host, port, stride_ms)
         server.serve_forever()

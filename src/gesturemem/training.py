@@ -85,6 +85,8 @@ class TrainConfig:
             if not (isinstance(value, FIELD_TYPES[f.type])
                     and isinstance(value, bool) == (f.type == "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.short_len < 1 or self.window_scale < 1 or self.stride < 1:
             raise ConfigError("short_len, window_scale, and stride must be >= 1")
         if self.eval_stride is not None and self.eval_stride < 1:
@@ -105,6 +107,8 @@ class TrainConfig:
             raise ConfigError("input_scale must be positive")
         if not (0.0 <= self.sgd_momentum < 1.0):
             raise ConfigError("sgd_momentum must be in [0, 1)")
+        if self.jitter_sigma < 0:
+            raise ConfigError("jitter_sigma must be >= 0")
         self.loss_config()  # validates temperature / weight / mode
 
     @classmethod

@@ -11,7 +11,8 @@ import gesturemem
 from gesturemem.cli import main
 from gesturemem.config import (apply_overrides, dataclass_from_mapping,
                                read_kv_file)
-from gesturemem.errors import ConfigError
+from gesturemem.dataset import load_recordings
+from gesturemem.errors import ConfigError, ParseError
 from gesturemem.training import TrainConfig
 
 
@@ -162,3 +163,54 @@ def test_dataclass_from_mapping_coercion():
         dataclass_from_mapping(TrainConfig, {"short_len": "many"})
     with pytest.raises(ConfigError):
         dataclass_from_mapping(TrainConfig, {"use_recall": "perhaps"})
+
+
+NOT_UTF8 = b"seed = 1\n\xff\xfe bad bytes\n"
+
+
+def _corrupt(path):
+    path.write_bytes(path.read_bytes() + NOT_UTF8)
+
+
+BAD_INPUTS = {
+    "generate_seed_not_int": (["generate", "--set", "seed=abc"], "seed"),
+    "train_fraction_not_number": (["train", "--set", "train_fraction=abc"],
+                                  "train_fraction"),
+    "config_not_utf8": (["generate", "--config", "{tmp}/bad.cfg"], "UTF-8"),
+    "frames_not_utf8": (["train", "--set", "train_fraction=0.5"], "frames.csv"),
+    "labels_not_utf8": (["train", "--set", "train_fraction=0.5"], "labels.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_an_error_line_and_exit_2(tmp_path, capsys, case):
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", str(data)]) == 0
+    (tmp_path / "bad.cfg").write_bytes(NOT_UTF8)
+    if case.startswith(("frames", "labels")):
+        _corrupt(data / f"{case.split('_')[0]}.csv")
+    argv, needle = BAD_INPUTS[case]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] == "generate":
+        argv += ["--out", str(tmp_path / "out")]
+    else:
+        argv += ["--data", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+
+
+def test_non_utf8_files_raise_typed_errors(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(NOT_UTF8)
+    with pytest.raises(ConfigError, match="UTF-8"):
+        read_kv_file(bad)
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", str(data)]) == 0
+    for name in ("labels.csv", "frames.csv"):
+        _corrupt(data / name)
+        with pytest.raises(ParseError, match=name):
+            load_recordings(str(data))

@@ -164,6 +164,9 @@ def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
             assert f.dtype == dtype and g_x.dtype == dtype, case
             assert g_x.shape == x.shape, case
             assert rel_error(f, f_ref) < tol, case
+            # the uncached pass shares one padded buffer among its blocks
+            f_uncached, _ = encode_forward(params, x, GRAPH.normalized, cfg)
+            assert rel_error(f_uncached, f_ref) < tol, case
             assert rel_error(g_x, g_x_ref) < tol, case
             assert set(grads) == set(params), case
             for name, p in params.items():

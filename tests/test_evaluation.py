@@ -12,7 +12,7 @@ from gesturemem.errors import ConfigError
 from gesturemem.evaluation import (ConfusionMatrix, compare_losses, evaluate,
                                    export_addressing, format_ablation_table,
                                    run_ablation)
-from gesturemem.inference import FrozenModel, window_features
+from gesturemem.inference import FrozenModel, predict, window_features
 from gesturemem.memory import MemoryQueue, address
 from gesturemem.training import TrainConfig, init_state, train
 
@@ -105,6 +105,22 @@ def test_evaluate_total_matches_sample_count():
     assert res.confusion.total == len(samples)
     trace = int(np.trace(res.confusion.counts))
     assert res.accuracy == trace / len(samples)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_evaluate_probs_are_predicts_rows_bitwise(dtype):
+    recordings, label_map = small_dataset()
+    config = small_config(dtype=dtype)
+    model = FrozenModel.from_state(train(config, recordings, label_map, SPLIT).state)
+    assert model.use_recall and model.queue.fill > 0
+    samples = window_dataset(recordings, label_map, config.short_len,
+                             stride=config.short_len, with_long=False).shorts
+    res = evaluate(model, samples)
+    assert res.probs.shape == (len(samples), model.num_classes)
+    assert res.probs.dtype == model.dtype
+    for row, s in zip(res.probs, samples):
+        assert np.array_equal(row, predict(model, s.data)[1])
+    assert res.accuracy == np.mean(res.probs.argmax(axis=1) == [s.label for s in samples])
 
 
 def test_run_ablation_four_cells_and_baseline_delta_zero():

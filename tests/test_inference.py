@@ -2,7 +2,10 @@ import dataclasses
 import io
 import json
 import logging
+import socket
 import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -425,6 +428,43 @@ def test_serve_connection_caps_line_length():
     inference.serve_connection(model, io.BytesIO(b"y" * (2 * inference.MAX_LINE_BYTES)),
                                sink)
     assert sink.getvalue() == b'{"error": "line too long"}\n'
+
+
+def test_tcp_server_caps_open_sessions(monkeypatch):
+    model, _ = untrained_model()
+    monkeypatch.setattr(inference, "MAX_SESSIONS", 1)
+    server = inference.tcp_server(model, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = server.server_address
+    try:
+        with socket.create_connection(address, timeout=10) as held, \
+                held.makefile("rwb") as stream:
+            # a reply shows the session holds the one slot
+            stream.write(b"not json\n")
+            stream.flush()
+            assert "error" in json.loads(stream.readline())
+            with socket.create_connection(address, timeout=10) as extra, \
+                    extra.makefile("rb") as refused:
+                assert json.loads(refused.readline()) == {"error": "server busy"}
+                assert refused.readline() == b""  # closed by the server
+        # the held session's slot frees once its thread sees the close
+        deadline = time.monotonic() + 10
+        while True:
+            with socket.create_connection(address, timeout=10) as conn, \
+                    conn.makefile("rwb") as stream:
+                stream.write(b"not json\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+            if reply != {"error": "server busy"} or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert reply["error"] != "server busy"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def offline_windows(recording, short_len):

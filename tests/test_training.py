@@ -244,6 +244,19 @@ def test_config_fields_are_type_checked(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["learning_rate", "temperature", "weight_decay",
+                                   "mal_weight", "input_scale", "jitter_sigma"])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_rejects_negative_jitter_sigma():
+    with pytest.raises(ConfigError, match="jitter_sigma"):
+        TrainConfig(jitter_sigma=-0.01)
+
+
 def test_config_accepts_ints_for_floats_and_none_eval_stride():
     config = TrainConfig(input_scale=1000, temperature=1, eval_stride=None)
     assert config.input_scale == 1000 and config.eval_stride is None
@@ -355,6 +368,12 @@ HEADER_FAULTS = {
     "int_use_recall": _set(["config", "use_recall"], 1),
     "str_center": _set(["config", "center"], "yes"),
     "config_not_object": _set(["config"], [1, 2]),
+    # json writes these as NaN and Infinity, and reads them back as floats
+    **{f"{value}_{field}": _set(["config", field], float(value))
+       for field in ("learning_rate", "temperature", "weight_decay", "mal_weight",
+                     "input_scale", "jitter_sigma")
+       for value in ("nan", "inf")},
+    "negative_jitter_sigma": _set(["config", "jitter_sigma"], -0.01),
     "labels_not_names": _set(["labels"], "abc"),
     "has_velocities_disagrees": _set(["has_velocities"], False),
     "fill_past_capacity": _set(["memory", "fill"], 33),
