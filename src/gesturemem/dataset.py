@@ -1,5 +1,10 @@
 """Frame ingestion, sliding-window sample construction, and synthetic gesture data.
 
+Windowing is vectorized per recording: purity comes from where each frame's
+run of equal labels ends, and a recording's short (or long) windows are one
+gather from a strided view into an [N, C, T, V] block whose disjoint rows are
+the samples' ``data``, so a retained sample keeps its recording's block alive.
+
 File formats
 ------------
 Frames file: one frame per line,
@@ -16,6 +21,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataIntegrityError, NonFiniteError, ParseError
 
@@ -250,27 +256,58 @@ def write_frames(path, recordings, label_map=None):
     return frames_path
 
 
+def _run_ends(labels):
+    """For each frame, the index one past the last frame of its run of equal labels."""
+    ends = np.append(np.flatnonzero(labels[1:] != labels[:-1]) + 1, len(labels))
+    return np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def _windows(joints, starts, length):
+    """The windows ``joints[s:s + length]`` for ``s`` in ``starts``, as one
+    contiguous [N, C, length, V] block gathered from a strided view."""
+    frames = np.ascontiguousarray(joints.transpose(2, 0, 1))  # [C, F, V]
+    view = sliding_window_view(frames, length, axis=1).transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(view[starts])
+
+
 def split_windows(recording, short_len, stride):
     """Slide a window of ``short_len`` frames over a recording at ``stride``.
 
     Windows that straddle a label boundary are skipped (equivalent, at stride 1,
-    to re-sliding until the window is pure). A recording shorter than the window
-    yields no samples.
+    to re-sliding until the window is pure): the run of equal labels holding a
+    kept window's first frame reaches its last. Each ``data`` is a row of one
+    gathered block, which a retained sample keeps alive. A recording shorter
+    than the window yields no samples.
     """
     if short_len < 1 or stride < 1:
         raise ConfigError("short_len and stride must be >= 1")
-    samples = []
+    if len(recording) < short_len:
+        return []
+    starts = np.arange(0, len(recording) - short_len + 1, stride)
+    starts = starts[_run_ends(recording.labels)[starts] >= starts + short_len]
+    block = _windows(recording.joints, starts, short_len)
+    rec_id, first = recording.recording_id, recording.first_frame_index
+    return [ShortTermSample(data, label, rec_id, first + start) for data, label, start
+            in zip(block, recording.labels[starts].tolist(), starts.tolist())]
+
+
+def _long_windows(recording, samples, window_scale, purity_required, first=0):
+    """:func:`build_long_term` of every sample of ``samples``, one recording's
+    samples from index ``first`` on, in one vectorized pass and one gather."""
+    if not samples:
+        return []
+    short_len = samples[0].data.shape[1]
+    total = window_scale * short_len
     n = len(recording)
-    labels = recording.labels
-    for start in range(0, n - short_len + 1, stride):
-        window = labels[start:start + short_len]
-        if (window == window[0]).all():
-            data = np.ascontiguousarray(
-                recording.joints[start:start + short_len].transpose(2, 0, 1))
-            samples.append(ShortTermSample(
-                data=data, label=int(window[0]), recording_id=recording.recording_id,
-                start_frame=recording.first_frame_index + start))
-    return samples
+    if n < total:
+        return [None] * len(samples)
+    at = np.array([s.start_frame for s in samples]) - recording.first_frame_index
+    starts = np.clip(at - window_scale // 2 * short_len, 0, n - total)
+    keep = (not purity_required) | ((recording.labels[starts] == [s.label for s in samples])
+                                    & (_run_ends(recording.labels)[starts] >= starts + total))
+    rows = iter(_windows(recording.joints, starts[keep], total))
+    return [LongTermSample(next(rows), s.label, first + j) if kept else None
+            for j, (s, kept) in enumerate(zip(samples, keep.tolist()))]
 
 
 def build_long_term(samples, recording, i, window_scale, purity_required=True):
@@ -283,36 +320,21 @@ def build_long_term(samples, recording, i, window_scale, purity_required=True):
     """
     if window_scale < 1:
         raise ConfigError("window_scale must be >= 1")
-    sample = samples[i]
-    short_len = sample.data.shape[1]
-    total = window_scale * short_len
-    n = len(recording)
-    if n < total:
-        return None
-    half = window_scale // 2
-    start = (sample.start_frame - recording.first_frame_index) - half * short_len
-    start = min(max(start, 0), n - total)
-    window_labels = recording.labels[start:start + total]
-    if purity_required and not (window_labels == sample.label).all():
-        return None
-    data = np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
-    return LongTermSample(data=data, label=sample.label, center_sample_index=i)
+    return _long_windows(recording, [samples[i]], window_scale, purity_required, i)[0]
 
 
 def window_dataset(recordings, label_map, short_len, window_scale=1, stride=1,
                    purity_required=True, with_long=True):
     """Window every recording and (optionally) attach long-term context windows."""
+    if with_long and window_scale < 1:
+        raise ConfigError("window_scale must be >= 1")
     shorts, longs, subjects = [], [], []
     for rec in recordings:
         rec_samples = split_windows(rec, short_len, stride)
-        for j, s in enumerate(rec_samples):
-            shorts.append(s)
-            subjects.append(rec.subject_id)
-            if with_long:
-                longs.append(build_long_term(rec_samples, rec, j, window_scale,
-                                             purity_required))
-            else:
-                longs.append(None)
+        shorts.extend(rec_samples)
+        subjects.extend([rec.subject_id] * len(rec_samples))
+        longs.extend(_long_windows(rec, rec_samples, window_scale, purity_required)
+                     if with_long else [None] * len(rec_samples))
     return SampleSet(shorts=shorts, longs=longs, subjects=subjects, label_map=label_map)
 
 
@@ -347,8 +369,8 @@ def preprocess(windows, center, input_scale, dtype):
     x = np.asarray(windows, dtype=np.float64)
     if center:
         x = mean_center(x)
-    if input_scale != 1.0:
-        x = x * input_scale
+    if input_scale != 1.0:  # in place when centering made x a fresh array
+        x = np.multiply(x, input_scale, out=x if center else None)
     return np.ascontiguousarray(x, dtype=dtype)
 
 

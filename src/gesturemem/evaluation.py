@@ -14,7 +14,7 @@ import numpy as np
 from . import memory as mem
 from .errors import ConfigError
 from .inference import FrozenModel, predict, window_features
-from .training import prepare_data, train
+from .training import train
 
 log = logging.getLogger(__name__)
 
@@ -92,8 +92,7 @@ def evaluate(model, samples):
 def _train_and_score(config, recordings, label_map, split):
     result = train(config, recordings, label_map, split)
     model = FrozenModel.from_state(result.state)
-    test_samples = prepare_data(config, recordings, label_map, split)["test_samples"]
-    return evaluate(model, test_samples).accuracy, result
+    return evaluate(model, result.test_samples).accuracy, result
 
 
 def _configs_equal_modulo(base, other, ignore):

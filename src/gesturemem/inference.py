@@ -16,7 +16,8 @@ window buffer holds T frames, at most once per ``stride_ms``. Malformed input,
 a ``t`` earlier than the last accepted frame's, and over TCP a line longer
 than ``MAX_LINE_BYTES``, yield an ``{"error": ...}`` object and the session
 continues. A TCP connection beyond ``MAX_SESSIONS`` open sessions gets
-``{"error": "server busy"}`` and is closed.
+``{"error": "server busy"}`` and is closed, and one that sends nothing for
+``IDLE_TIMEOUT_S`` seconds gets ``{"error": "idle timeout"}`` and is closed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from .dataset import NUM_CHANNELS, NUM_JOINTS, preprocess
-from .errors import NonFiniteError, StructuralError, ToolkitError
+from .errors import StructuralError, ToolkitError
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +48,8 @@ TIME_EPS_MS = 1e-6
 MAX_LINE_BYTES = 64 * 1024
 # most TCP sessions open at once; one more connection is told so and closed
 MAX_SESSIONS = 64
+# seconds a TCP session may wait for its next bytes before it is closed
+IDLE_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -123,17 +126,15 @@ def _read_only_copy(a):
 def window_features(model, windows):
     """Unit-norm encoder features [B, feature_dim] of [B, C, T, V] windows.
 
-    The windows must have the model's length and be finite
-    (:class:`StructuralError`, :class:`NonFiniteError`); they are then
-    preprocessed as in training and encoded in one forward pass.
+    The windows must have the model's length (:class:`StructuralError`); they
+    are preprocessed as in training, which keeps a non-finite one non-finite
+    for the encoder's check (:class:`NonFiniteError`), and encoded in one pass.
     """
     windows = np.asarray(windows)
     shape = (NUM_CHANNELS, model.short_len, NUM_JOINTS)
     if windows.ndim != 4 or windows.shape[1:] != shape:
         raise StructuralError(f"expected [B, C, T, V] windows with (C, T, V) = "
                               f"{shape}, got shape {windows.shape}")
-    if not np.isfinite(windows).all():
-        raise NonFiniteError("non-finite value in prediction input")
     x = preprocess(windows, model.center, model.input_scale, model.dtype)
     return enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)[0]
 
@@ -346,13 +347,20 @@ def tcp_server(model, host, port, stride_ms=180.0, frame_hz=30.0):
 
     Each connection is a session of :func:`serve_connection` on its own
     thread. A connection beyond ``MAX_SESSIONS`` open sessions is answered
-    ``{"error": "server busy"}`` and closed. Run it with ``serve_forever()``
-    and stop it with ``shutdown()`` and ``server_close()``.
+    ``{"error": "server busy"}`` and closed, and so is one idle for
+    ``IDLE_TIMEOUT_S``, with ``{"error": "idle timeout"}``, freeing its slot.
+    Run it with ``serve_forever()`` and stop it with ``shutdown()`` and
+    ``server_close()``.
     """
 
     class Handler(socketserver.StreamRequestHandler):
+        timeout = IDLE_TIMEOUT_S
+
         def handle(self):
-            serve_connection(model, self.rfile, self.wfile, stride_ms, frame_hz)
+            try:
+                serve_connection(model, self.rfile, self.wfile, stride_ms, frame_hz)
+            except TimeoutError:
+                self.wfile.write(b'{"error": "idle timeout"}\n')
 
     return _SessionServer((host, port), Handler, MAX_SESSIONS)
 

@@ -304,6 +304,7 @@ def train_step(state, x_short, x_long, labels):
 class TrainResult:
     state: TrainState
     metrics: list = field(default_factory=list)
+    test_samples: list = field(default_factory=list)  # prepare_data's held-out windows
 
 
 def prepare_data(config, recordings, label_map, split):
@@ -383,7 +384,7 @@ def train(config, recordings, label_map, split, log_path=None, resume_from=None)
 
     if log_path is not None:
         write_metrics(log_path, metrics)
-    return TrainResult(state=state, metrics=metrics)
+    return TrainResult(state=state, metrics=metrics, test_samples=data["test_samples"])
 
 
 def write_metrics(path, metrics):

@@ -1,8 +1,10 @@
 """Shared test utilities: finite-difference oracles, a reference encoder, a
-single-window prediction oracle, queue inspection and parameter flattening."""
+single-window prediction oracle, reference windowing, queue inspection and
+parameter flattening."""
 
 import numpy as np
 
+from gesturemem.dataset import LongTermSample, ShortTermSample
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
 from gesturemem.memory import address
 
@@ -185,3 +187,45 @@ def ref_encode_backward(cache, grad_f):
         g_xa = np.einsum("oi,botv->bitv", w_s, g_s)
         g_h = np.einsum("bitv,uv->bitu", g_xa, adj)
     return grads, g_h
+
+
+# --- reference windowing -------------------------------------------------------
+# One window per Python iteration: a label slice, a purity test and a copy, as
+# the definitions read. The vectorized windowing in gesturemem.dataset is
+# pinned against these.
+
+def ref_split_windows(recording, short_len, stride):
+    """Label-pure ``short_len``-frame windows at ``stride``, one at a time."""
+    samples = []
+    n = len(recording)
+    labels = recording.labels
+    for start in range(0, n - short_len + 1, stride):
+        window = labels[start:start + short_len]
+        if (window == window[0]).all():
+            data = np.ascontiguousarray(
+                recording.joints[start:start + short_len].transpose(2, 0, 1))
+            samples.append(ShortTermSample(
+                data=data, label=int(window[0]), recording_id=recording.recording_id,
+                start_frame=recording.first_frame_index + start))
+    return samples
+
+
+def ref_build_long_term(samples, recording, i, window_scale, purity_required=True):
+    """The ``window_scale * T``-frame context window of sample ``i``: it starts
+    ``floor(S/2) * T`` frames before the sample, is shifted to fit inside the
+    recording, and is None when the recording is too short or, with
+    ``purity_required``, when it mixes labels."""
+    sample = samples[i]
+    short_len = sample.data.shape[1]
+    total = window_scale * short_len
+    n = len(recording)
+    if n < total:
+        return None
+    half = window_scale // 2
+    start = (sample.start_frame - recording.first_frame_index) - half * short_len
+    start = min(max(start, 0), n - total)
+    window_labels = recording.labels[start:start + total]
+    if purity_required and not (window_labels == sample.label).all():
+        return None
+    data = np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
+    return LongTermSample(data=data, label=sample.label, center_sample_index=i)

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gesturemem.dataset import (LabelMap, Recording, SplitSpec,
                                 window_dataset, write_frames)
 from gesturemem.errors import (ConfigError, DataIntegrityError,
                                NonFiniteError, ParseError)
+from helpers import ref_build_long_term, ref_split_windows
 
 
 def make_recording(labels, rec_id="r0", subject="s0", seed=0):
@@ -192,6 +194,88 @@ def test_build_long_term_always_full_length_within_recording(seed, short_len, sc
             assert long is None
         else:
             assert long.data.shape[1] == scale * short_len
+
+
+# --- vectorized windowing against the per-window reference -----------------------
+
+def assert_same_sample(got, want):
+    """Same type, same data bits (dtype and shape too), same other fields."""
+    if want is None:
+        assert got is None
+        return
+    assert type(got) is type(want)
+    assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+    assert got.data.flags.c_contiguous
+    assert got.data.tobytes() == want.data.tobytes()
+    fields = lambda s: {k: (type(v), v) for k, v in vars(s).items() if k != "data"}
+    assert fields(got) == fields(want)
+
+
+@st.composite
+def run_recordings(draw, rec_id="r0", subject="s0"):
+    """A recording built from label runs, of any length from 0 frames up."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), max_size=6))
+    labels = np.repeat([lab for lab, _ in runs], [k for _, k in runs]).astype(np.int64)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    joints = np.random.default_rng(len(labels)).normal(size=(len(labels), 3, 3))
+    return Recording(rec_id, subject, joints.astype(dtype), labels,
+                     first_frame_index=draw(st.integers(0, 1000)))
+
+
+@given(st.lists(run_recordings(), min_size=1, max_size=3), st.integers(1, 8),
+       st.integers(1, 7), st.integers(1, 5), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_windowing_equals_per_window_reference(recs, short_len, stride, scale, purity):
+    for k, rec in enumerate(recs):
+        rec.recording_id, rec.subject_id = f"r{k}", f"s{k % 2}"
+    ds = window_dataset(recs, LabelMap(names=["a", "b", "c"]), short_len, scale,
+                        stride, purity)
+    want_shorts, want_longs, want_subjects = [], [], []
+    for rec in recs:
+        samples = split_windows(rec, short_len, stride)
+        want = ref_split_windows(rec, short_len, stride)
+        assert len(samples) == len(want)
+        for got_s, want_s in zip(samples, want):
+            assert_same_sample(got_s, want_s)
+        for i in range(len(want)):
+            want_long = ref_build_long_term(want, rec, i, scale, purity)
+            assert_same_sample(build_long_term(samples, rec, i, scale, purity), want_long)
+            want_longs.append(want_long)
+            # a sample labelled unlike its frames has no pure context window
+            relabel = lambda ss: [dataclasses.replace(ss[i], label=ss[i].label + 1)]
+            assert_same_sample(build_long_term(relabel(samples), rec, 0, scale, purity),
+                               ref_build_long_term(relabel(want), rec, 0, scale, purity))
+        want_shorts += want
+        want_subjects += [rec.subject_id] * len(want)
+    assert len(ds.shorts) == len(want_shorts) == len(ds.longs)
+    for got_s, want_s in zip(ds.shorts, want_shorts):
+        assert_same_sample(got_s, want_s)
+    for got_l, want_l in zip(ds.longs, want_longs):
+        assert_same_sample(got_l, want_l)
+    assert ds.subjects == want_subjects
+    flat = window_dataset(recs, ds.label_map, short_len, scale, stride, purity,
+                          with_long=False)
+    assert flat.longs == [None] * len(want_shorts)
+
+
+def test_windows_of_one_block_do_not_alias():
+    rec = make_recording([0] * 12, seed=6)
+    ds = window_dataset([rec], LabelMap(names=["a"]), short_len=3, window_scale=2)
+    for samples in (ds.shorts, ds.longs):
+        before = [s.data.copy() for s in samples]
+        samples[4].data[...] = -1.0
+        for j, s in enumerate(samples):
+            assert np.array_equal(s.data, before[j]) == (j != 4)
+    assert np.array_equal(rec.joints, make_recording([0] * 12, seed=6).joints)
+
+
+def test_window_dataset_rejects_scale_below_one_up_front():
+    too_short = make_recording([0] * 2)  # no short window, so no long one either
+    with pytest.raises(ConfigError, match="window_scale"):
+        window_dataset([too_short], LabelMap(names=["a"]), short_len=3, window_scale=0)
+    ds = window_dataset([too_short], LabelMap(names=["a"]), short_len=3,
+                        window_scale=0, with_long=False)
+    assert len(ds) == 0
 
 
 # --- subject splits ---------------------------------------------------------------

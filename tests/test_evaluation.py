@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gesturemem import evaluation, training
 from gesturemem.dataset import (LabelMap, ShortTermSample, SplitSpec,
                                 SynthesisConfig, synthesize_recordings,
                                 window_dataset)
@@ -157,6 +158,26 @@ def test_compare_losses_reproducible():
     r1 = compare_losses(small_config(), recordings, label_map, SPLIT)
     r2 = compare_losses(small_config(), recordings, label_map, SPLIT)
     assert r1["accuracies"] == r2["accuracies"]
+
+
+def test_each_cell_windows_its_data_once(monkeypatch):
+    calls = []
+    real = training.prepare_data
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "prepare_data", spy)
+    monkeypatch.setattr(evaluation, "prepare_data", spy, raising=False)
+    recordings, label_map = small_dataset()
+    run_ablation(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
+    assert len(calls) == 4 * 2
+    assert {(c.use_recall, c.use_mal) for c in calls} == {
+        (False, False), (True, False), (False, True), (True, True)}
+    calls.clear()
+    compare_losses(small_config(), recordings, label_map, SPLIT, seeds=[0])
+    assert [c.contrast_loss for c in calls] == ["memory", "views"]
 
 
 def test_export_addressing_shapes_and_row_mass(tmp_path):

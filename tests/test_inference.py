@@ -467,6 +467,49 @@ def test_tcp_server_caps_open_sessions(monkeypatch):
     assert not thread.is_alive()
 
 
+def test_tcp_server_closes_idle_sessions(monkeypatch):
+    model, _ = untrained_model()
+    monkeypatch.setattr(inference, "MAX_SESSIONS", 1)
+    monkeypatch.setattr(inference, "IDLE_TIMEOUT_S", 0.2)
+    server = inference.tcp_server(model, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = server.server_address
+    try:
+        with socket.create_connection(address, timeout=10) as idle, \
+                idle.makefile("rb") as idle_in:
+            # client A sends nothing: it is told so, closed, and its slot freed
+            assert json.loads(idle_in.readline()) == {"error": "idle timeout"}
+            assert idle_in.readline() == b""
+            deadline = time.monotonic() + 10
+            while True:
+                with socket.create_connection(address, timeout=10) as conn, \
+                        conn.makefile("rwb") as stream:
+                    stream.write(b"not json\n")
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                if reply != {"error": "server busy"} or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            # client B, while A is still connected on its side, is served
+            assert "error" in reply and reply["error"] != "server busy"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_non_finite_window_of_a_centering_model_is_rejected():
+    model, _ = untrained_model(center=True, input_scale=1000.0, dtype="float32")
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros((2, 3, 6, 3))
+        bad[1, 2, 3, 0] = value
+        # centering turns an inf into inf - inf, for which numpy warns
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            window_features(model, bad)
+
+
 def offline_windows(recording, short_len):
     starts = range(len(recording) - short_len + 1)
     return [recording.joints[s:s + short_len].transpose(2, 0, 1) for s in starts]
