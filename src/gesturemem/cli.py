@@ -69,14 +69,12 @@ def _train_config(mapping):
 
 
 def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
-    stride = stride or model.short_len
-    sample_set = window_dataset(recordings, label_map, model.short_len,
-                                stride=stride, with_long=False)
+    """Windows of the recordings of ``subjects`` (of all when not given)."""
     if subjects:
         keep = set(subjects)
-        return [s for s, subj in zip(sample_set.shorts, sample_set.subjects)
-                if subj in keep]
-    return sample_set.shorts
+        recordings = [r for r in recordings if r.subject_id in keep]
+    return window_dataset(recordings, label_map, model.short_len,
+                          stride=stride or model.short_len, with_long=False).shorts
 
 
 def cmd_generate(args):

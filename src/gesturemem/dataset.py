@@ -4,6 +4,9 @@ Windowing is vectorized per recording: purity comes from where each frame's
 run of equal labels ends, and a recording's short (or long) windows are one
 gather from a strided view into an [N, C, T, V] block whose disjoint rows are
 the samples' ``data``, so a retained sample keeps its recording's block alive.
+:func:`window_starts` holds the start and purity rules. Training gathers its
+arrays from those starts with no sample objects, centered by the in-order
+frame sums that ``mean`` makes over T, so its bits match :func:`preprocess`.
 
 File formats
 ------------
@@ -262,6 +265,23 @@ def _run_ends(labels):
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 
+def window_starts(recording, short_len, stride=1, window_scale=1, at=None, labels=None,
+                   purity_required=True):
+    """Window start frames and which are kept. Without ``at``: short windows
+    at ``0, stride, ...``, kept when label-pure. Given short starts ``at``:
+    their S*T-frame long windows, ``floor(S/2) * T`` frames earlier, shifted
+    into the recording (which must hold them), kept unless ``purity_required``
+    and they hold a label other than ``labels`` (default: the labels at ``at``)."""
+    if at is None:
+        at = np.arange(0, len(recording) - short_len + 1, stride)
+    labels = recording.labels[at] if labels is None else labels
+    total = window_scale * short_len
+    starts = np.clip(at - window_scale // 2 * short_len, 0, len(recording) - total)
+    keep = (not purity_required) | ((recording.labels[starts] == labels)
+                                    & (_run_ends(recording.labels)[starts] >= starts + total))
+    return starts, keep
+
+
 def _windows(joints, starts, length):
     """The windows ``joints[s:s + length]`` for ``s`` in ``starts``, as one
     contiguous [N, C, length, V] block gathered from a strided view."""
@@ -283,8 +303,8 @@ def split_windows(recording, short_len, stride):
         raise ConfigError("short_len and stride must be >= 1")
     if len(recording) < short_len:
         return []
-    starts = np.arange(0, len(recording) - short_len + 1, stride)
-    starts = starts[_run_ends(recording.labels)[starts] >= starts + short_len]
+    starts, pure = window_starts(recording, short_len, stride)
+    starts = starts[pure]
     block = _windows(recording.joints, starts, short_len)
     rec_id, first = recording.recording_id, recording.first_frame_index
     return [ShortTermSample(data, label, rec_id, first + start) for data, label, start
@@ -297,15 +317,13 @@ def _long_windows(recording, samples, window_scale, purity_required, first=0):
     if not samples:
         return []
     short_len = samples[0].data.shape[1]
-    total = window_scale * short_len
-    n = len(recording)
-    if n < total:
+    if len(recording) < window_scale * short_len:
         return [None] * len(samples)
     at = np.array([s.start_frame for s in samples]) - recording.first_frame_index
-    starts = np.clip(at - window_scale // 2 * short_len, 0, n - total)
-    keep = (not purity_required) | ((recording.labels[starts] == [s.label for s in samples])
-                                    & (_run_ends(recording.labels)[starts] >= starts + total))
-    rows = iter(_windows(recording.joints, starts[keep], total))
+    starts, keep = window_starts(recording, short_len, window_scale=window_scale, at=at,
+                                  labels=[s.label for s in samples],
+                                  purity_required=purity_required)
+    rows = iter(_windows(recording.joints, starts[keep], window_scale * short_len))
     return [LongTermSample(next(rows), s.label, first + j) if kept else None
             for j, (s, kept) in enumerate(zip(samples, keep.tolist()))]
 

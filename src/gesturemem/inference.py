@@ -269,7 +269,7 @@ class StreamSession:
         if (self.last_emit_t is not None
                 and t_ms - self.last_emit_t < self.stride_ms - TIME_EPS_MS):
             return None
-        window = np.stack(self.buffer).transpose(2, 0, 1)  # [T,V,C] -> [C,T,V]
+        window = np.array(self.buffer).transpose(2, 0, 1)  # [T,V,C] -> [C,T,V]
         debug = log.isEnabledFor(logging.DEBUG)
         started = time.perf_counter() if debug else 0.0
         try:

@@ -98,14 +98,14 @@ def address(queue, query):
 
 
 def address_batch(queue, queries):
-    """Addressing vectors [B, fill] of queries [B, c]: each row is what
-    :func:`address` gives for its query, up to rounding."""
+    """Addressing vectors [B, fill] of queries [B, c], a softmax made in place:
+    each row is what :func:`address` gives for its query, up to rounding."""
     if queue.fill == 0:
         raise EmptyMemoryError("cannot address an empty memory queue")
-    logits = queries @ queue.filled_features.T
-    m = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - m)
-    return w / w.sum(axis=1, keepdims=True)
+    w = queries @ queue.filled_features.T
+    w -= w.max(axis=1, keepdims=True)
+    w /= np.exp(w, out=w).sum(axis=1, keepdims=True)
+    return w
 
 
 def recall(queue, weights):

@@ -24,7 +24,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from . import losses
-from .dataset import LabelMap, preprocess, split_subjects, window_dataset
+from .dataset import LabelMap, split_subjects, window_dataset, window_starts
 from .errors import CheckpointError, ConfigError, NonFiniteError
 from .inference import FrozenModel, predict_batch
 
@@ -307,33 +307,57 @@ class TrainResult:
     test_samples: list = field(default_factory=list)  # prepare_data's held-out windows
 
 
+def _pair_windows(frames, starts, length, config):
+    """:func:`dataset.preprocess` of the windows ``frames[s:s + length]``, ``s``
+    in ``starts``, as one [N, C, length, V] block, bit for bit. Its mean over T
+    is a running sum from zero in frame order (numpy sums pairwise only along
+    the innermost axis); so is the mean over the outer axis of the gather."""
+    windows = frames[np.arange(length)[:, None] + starts]
+    if config.center:
+        windows -= windows.mean(axis=0)
+    if config.input_scale != 1.0:
+        windows *= config.input_scale
+    return np.ascontiguousarray(windows.transpose(1, 3, 0, 2), dtype=config.np_dtype)
+
+
 def prepare_data(config, recordings, label_map, split):
     """Window recordings into training pairs and a non-overlapping test set.
 
     Training keeps only samples whose long-term context window exists (and is
     label-pure when required). Returns a dict of the preprocessed training
     arrays ``x_short``, ``x_long`` and ``y_train``, plus the held-out
-    ``test_samples``, raw windows that prediction preprocesses itself.
+    ``test_samples``, raw windows that prediction preprocesses itself. The
+    arrays are gathered from the training frames in one pass, with no sample
+    objects; held-out subjects are windowed for testing only.
     """
-    train_set = window_dataset(recordings, label_map, config.short_len,
-                               config.window_scale, config.stride,
-                               config.purity_required, with_long=True)
-    train_idx, _ = split_subjects(train_set, split)
-    pair_idx = [i for i in train_idx if train_set.longs[i] is not None]
-    if not pair_idx:
+    short_len, scale = config.short_len, config.window_scale
+    stray = [r for r in recordings
+             if r.subject_id not in split.train_subjects | split.test_subjects]
+    if stray:  # one with windows fails the split
+        split_subjects(window_dataset(stray, label_map, short_len, stride=config.stride,
+                                      with_long=False), split)
+    train_recs = [r for r in recordings
+                  if r.subject_id in split.train_subjects and len(r) >= scale * short_len]
+    shorts, longs, offset = [], [], 0
+    for rec in train_recs:
+        at, pure = window_starts(rec, short_len, config.stride)
+        at = at[pure]
+        starts, keep = window_starts(rec, short_len, window_scale=scale, at=at,
+                                     purity_required=config.purity_required)
+        shorts.append(offset + at[keep])
+        longs.append(offset + starts[keep])
+        offset += len(rec)
+    if not sum(map(len, shorts)):
         raise ConfigError("no training samples with a constructible long-term window")
-    dtype = config.np_dtype
-    x_short = preprocess([train_set.shorts[i].data for i in pair_idx],
-                         config.center, config.input_scale, dtype)
-    x_long = preprocess([train_set.longs[i].data for i in pair_idx],
-                        config.center, config.input_scale, dtype)
-    y_train = np.asarray([train_set.shorts[i].label for i in pair_idx], dtype=np.int64)
-
-    eval_stride = config.eval_stride or config.short_len
-    eval_set = window_dataset(recordings, label_map, config.short_len,
-                              stride=eval_stride, with_long=False)
+    shorts = np.concatenate(shorts)
+    frames = np.concatenate([r.joints for r in train_recs], dtype=np.float64)
+    held_out = [r for r in recordings if r.subject_id not in split.train_subjects]
+    eval_set = window_dataset(held_out, label_map, short_len,
+                              stride=config.eval_stride or short_len, with_long=False)
     _, test_idx = split_subjects(eval_set, split)
-    return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
+    return {"x_short": _pair_windows(frames, shorts, short_len, config),
+            "x_long": _pair_windows(frames, np.concatenate(longs), scale * short_len, config),
+            "y_train": np.concatenate([r.labels for r in train_recs])[shorts].astype(np.int64),
             "test_samples": [eval_set.shorts[i] for i in test_idx]}
 
 

@@ -1,11 +1,13 @@
 """Shared test utilities: finite-difference oracles, a reference encoder, a
-single-window prediction oracle, reference windowing, queue inspection and
-parameter flattening."""
+single-window prediction oracle, reference windowing and training data, queue
+inspection and parameter flattening."""
 
 import numpy as np
 
-from gesturemem.dataset import LongTermSample, ShortTermSample
+from gesturemem.dataset import (LongTermSample, ShortTermSample, preprocess,
+                                split_subjects, window_dataset)
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
+from gesturemem.errors import ConfigError
 from gesturemem.memory import address
 
 
@@ -229,3 +231,30 @@ def ref_build_long_term(samples, recording, i, window_scale, purity_required=Tru
         return None
     data = np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
     return LongTermSample(data=data, label=sample.label, center_sample_index=i)
+
+
+def ref_prepare_data(config, recordings, label_map, split):
+    """``training.prepare_data`` built from sample objects: every recording
+    windowed with its long windows, the split applied to the samples, the
+    pairs' rows stacked and put through ``preprocess``, then every recording
+    windowed again at the eval stride for the held-out samples."""
+    train_set = window_dataset(recordings, label_map, config.short_len,
+                               config.window_scale, config.stride,
+                               config.purity_required, with_long=True)
+    train_idx, _ = split_subjects(train_set, split)
+    pair_idx = [i for i in train_idx if train_set.longs[i] is not None]
+    if not pair_idx:
+        raise ConfigError("no training samples with a constructible long-term window")
+    dtype = config.np_dtype
+    x_short = preprocess([train_set.shorts[i].data for i in pair_idx],
+                         config.center, config.input_scale, dtype)
+    x_long = preprocess([train_set.longs[i].data for i in pair_idx],
+                        config.center, config.input_scale, dtype)
+    y_train = np.asarray([train_set.shorts[i].label for i in pair_idx], dtype=np.int64)
+
+    eval_stride = config.eval_stride or config.short_len
+    eval_set = window_dataset(recordings, label_map, config.short_len,
+                              stride=eval_stride, with_long=False)
+    _, test_idx = split_subjects(eval_set, split)
+    return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
+            "test_samples": [eval_set.shorts[i] for i in test_idx]}

@@ -3,15 +3,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gesturemem
+from gesturemem import cli
 from gesturemem.cli import main
 from gesturemem.config import (apply_overrides, dataclass_from_mapping,
                                read_kv_file)
-from gesturemem.dataset import load_recordings
+from gesturemem.dataset import (SynthesisConfig, load_recordings, synthesize_recordings,
+                                window_dataset)
 from gesturemem.errors import ConfigError, ParseError
 from gesturemem.training import TrainConfig
 
@@ -95,6 +98,28 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
     assert "accuracy:" in out
     rows = [json.loads(line) for line in Path(log).read_text().splitlines()]
     assert any(r["split"] == "test" for r in rows)
+
+
+def test_eval_windows_only_the_requested_subjects(monkeypatch):
+    recordings, label_map = synthesize_recordings(SynthesisConfig(frames_per_class=30), 0)
+    model = SimpleNamespace(short_len=6)
+    windowed = []
+
+    def spy(recs, *args, **kwargs):
+        windowed.extend(r.subject_id for r in recs)
+        return window_dataset(recs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "window_dataset", spy)
+    key = lambda s: (s.data.tobytes(), s.label, s.recording_id, s.start_frame)
+    for subjects, stride, want_subjects in ((["s03", "s01"], 4, {"s01", "s03"}),
+                                            (None, None, {r.subject_id for r in recordings})):
+        windowed.clear()
+        samples = cli._eval_windows(model, recordings, label_map, subjects, stride)
+        assert set(windowed) == want_subjects and len(windowed) == len(want_subjects)
+        every = window_dataset(recordings, label_map, 6, stride=stride or 6, with_long=False)
+        assert [key(s) for s in samples] == [key(s) for s, subject
+                                             in zip(every.shorts, every.subjects)
+                                             if subject in want_subjects]
 
 
 def test_infer_emits_ndjson(tmp_path, capsys):

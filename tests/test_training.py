@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
-from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
+from gesturemem.dataset import (LabelMap, Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
 from gesturemem.errors import CheckpointError, ConfigError
 from gesturemem.evaluation import evaluate
@@ -18,8 +20,8 @@ from gesturemem.training import (TrainConfig, _sgd_apply, init_state,
                                  save_checkpoint, train, train_step,
                                  write_metrics)
 
-from helpers import (fd_param_grads, random_unit_rows, rel_error,
-                     relu_preactivations)
+from helpers import (fd_param_grads, random_unit_rows, ref_prepare_data,
+                     rel_error, relu_preactivations)
 
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
 
@@ -439,6 +441,74 @@ def test_prepare_data_drops_samples_without_long_windows():
     assert data["x_long"].shape[1:] == (3, config.window_scale * config.short_len, 3)
     assert data["x_short"].shape[0] == data["x_long"].shape[0]
     assert data["x_short"].shape[0] > 0
+
+
+# --- training data against the sample-object reference ---------------------------
+
+def prepared_or_error(config, recordings, label_map, split, build):
+    """What ``build`` returns, with each array and test sample as its bits and
+    fields, or the message of the ConfigError it raises."""
+    try:
+        data = build(config, recordings, label_map, split)
+    except ConfigError as e:
+        return str(e)
+    arrays = {k: (data[k].dtype, data[k].shape, data[k].flags.c_contiguous,
+                  data[k].tobytes()) for k in ("x_short", "x_long", "y_train")}
+    samples = [(type(s), s.data.dtype, s.data.shape, s.data.tobytes(), type(s.label),
+                s.label, s.recording_id, s.start_frame) for s in data["test_samples"]]
+    return arrays, samples
+
+
+@st.composite
+def subject_recordings(draw):
+    """1-4 recordings built from label runs, 0 frames up, so some are shorter
+    than T or than S*T; subjects s0-s2 train or test, s3 sometimes in neither."""
+    recs = []
+    for k in range(draw(st.integers(1, 4))):
+        runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 40)), max_size=5))
+        labels = np.repeat([lab for lab, _ in runs], [n for _, n in runs]).astype(np.int64)
+        joints = np.random.default_rng(len(labels) + k).normal(size=(len(labels), 3, 3))
+        joints += draw(st.sampled_from([0.0, 1.5]))
+        joints[:draw(st.integers(0, len(labels)))] = -0.0  # numpy's sum of -0.0s is +0.0
+        subject = draw(st.sampled_from(["s0", "s0", "s1", "s1", "s2", "s2", "s3"]))
+        recs.append(Recording(f"r{k}", subject, joints, labels,
+                              first_frame_index=draw(st.integers(0, 50))))
+    return recs
+
+
+@given(subject_recordings(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 10),
+       st.sampled_from([None, 1, 3]), st.booleans(), st.booleans(),
+       st.sampled_from([1.0, 1000.0]), st.sampled_from(["float32", "float64"]),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_prepare_data_equals_sample_reference(recordings, short_len, stride, scale,
+                                              eval_stride, purity, center, input_scale,
+                                              dtype, split_s1):
+    config = TrainConfig(short_len=short_len, window_scale=scale, stride=stride,
+                         eval_stride=eval_stride, purity_required=purity, center=center,
+                         input_scale=input_scale, dtype=dtype)
+    split = SplitSpec.from_lists(["s0", "s1"] if split_s1 else ["s0"],
+                                 ["s2"] if split_s1 else ["s1", "s2"])
+    label_map = LabelMap(names=["a", "b", "c"])
+    got = prepared_or_error(config, recordings, label_map, split, prepare_data)
+    assert got == prepared_or_error(config, recordings, label_map, split,
+                                    ref_prepare_data)
+
+
+def test_prepare_data_errors_match_reference():
+    recordings, label_map = tiny_dataset(frames_per_class=60)
+    cases = [
+        # no recording holds a long window
+        (tiny_config(window_scale=40), SPLIT),
+        # s04 is in neither list
+        (tiny_config(), SplitSpec.from_lists(["s00", "s01", "s02"], ["s03"])),
+        # both: the split error comes first
+        (tiny_config(window_scale=40), SplitSpec.from_lists(["s00"], ["s01"])),
+    ]
+    for config, split in cases:
+        want = prepared_or_error(config, recordings, label_map, split, ref_prepare_data)
+        assert isinstance(want, str)
+        assert prepared_or_error(config, recordings, label_map, split, prepare_data) == want
 
 
 def test_sgd_momentum_velocity_is_checkpointed(tmp_path):
