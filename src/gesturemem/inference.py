@@ -8,6 +8,16 @@ from, so the decoder folds into the memory once per model: recall's readout
 runs on ``W_dec @ memᵀ`` ([classes, fill]), not on the stored features.
 :func:`predict` is that path on one window.
 
+A prediction reads the memory once, in three operations: ``e = f @ keys``,
+``exp(e)`` in place and ``s = e @ readoutᵀ``. Every filled slot has unit norm
+within ``memory.NORM_TOL`` (the model checks this when it is built) and the
+encoder's features have norm at most 1, so every logit lies in [-1.001, 1.001]:
+exp cannot overflow and needs no max pass, and the softmax normalizer is at
+least ``fill * e^-1.001``. The readout's last row is all ones, so the same
+product gives the normalizer, and only the ``classes`` decoded numbers are
+divided by it (the online softmax's deferred rescale, Milakov & Gimelshein
+2018, arXiv:1805.02867; FlashAttention, Dao et al. 2022, arXiv:2205.14135).
+
 Input protocol: one JSON object per line, ``{"t": <ms>, "joints": [[x,y,z]*3]}``
 (``t`` optional; when absent, one ``--frame-hz`` period after the last accepted
 frame's, or 0 for a session's first frame). Output:
@@ -37,7 +47,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from .dataset import NUM_CHANNELS, NUM_JOINTS, preprocess
-from .errors import StructuralError, ToolkitError
+from .errors import ContractError, StructuralError, ToolkitError
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +69,26 @@ class FrozenModel:
     A model is a read-only snapshot of the state it was made from. Construction
     copies the encoder parameters, the adjacency, the decoder and the memory
     queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
-    and builds from them, once, the encoder's GEMM operands and ``readout``:
-    the decoder weight applied to every filled slot, ``W_dec @ memᵀ``
-    [classes, fill] (``dataclasses.replace`` copies and builds again).
+    and builds from them, once, the encoder's GEMM operands, ``keys`` and
+    ``readout`` (``dataclasses.replace`` copies and builds again):
+
+    - ``keys`` is ``memᵀ`` [feature_dim, fill], the filled slots made
+      slot-minor so that addressing streams them contiguously. It is a second
+      ``fill x feature_dim`` copy of the queue (8 MiB for 65536 float32 slots
+      of 32).
+    - ``readout`` is ``[W_dec @ memᵀ - readout_mean; 1ᵀ]`` [classes + 1,
+      fill]: the decoder weight applied to every filled slot, less its mean
+      over the slots (``readout_mean`` [classes], added back after the
+      divide), then a row of ones that sums the exponentiated logits into
+      the softmax normalizer. Taking the mean off makes the rounding that the
+      readout's float sums accumulate scale with how far the slots' decoded
+      values spread, not with their size: when every slot decodes alike, as
+      in a collapsed memory, the decoded recall is exact.
+
+    Every filled slot must be finite with norm within ``memory.NORM_TOL`` of 1,
+    else :class:`ContractError`; that bounds the logits (see the module
+    docstring).
+
     Changing the state's encoder, decoder or queue afterwards, in place or by
     reassignment, does not reach the model, and writing into the model's own
     queue raises. A checkpoint becomes a model through
@@ -80,7 +107,9 @@ class FrozenModel:
     input_scale: float
     dtype: type
     operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
+    keys: np.ndarray = field(init=False, repr=False, compare=False)
     readout: np.ndarray = field(init=False, repr=False, compare=False)
+    readout_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adjacency = _read_only_copy(self.adjacency)
@@ -94,12 +123,22 @@ class FrozenModel:
         queue = copy.copy(self.queue)
         queue.features = _read_only_copy(queue.features)
         queue.labels = _read_only_copy(queue.labels)
+        bad, norms = mem.off_unit_norm(queue.filled_features)
+        if bad.any():
+            raise ContractError(f"memory slot {np.flatnonzero(bad)[0]} has norm "
+                                f"{norms[bad][0]:.6f}, not 1")
+        keys = np.ascontiguousarray(queue.filled_features.T)
         # class-major, so the readout GEMM streams K x classes contiguously
-        readout = decoder["w"] @ queue.filled_features.T
-        readout.flags.writeable = False
+        folded = decoder["w"] @ keys
+        mean = folded.sum(axis=1, dtype=np.float64) / max(queue.fill, 1)
+        mean = mean.astype(folded.dtype)
+        readout = np.vstack([folded - mean[:, None], np.ones_like(folded[:1])])
+        for a in (keys, readout, mean):
+            a.flags.writeable = False
         for name, value in (("adjacency", adjacency), ("params", params),
                             ("operands", operands), ("decoder", decoder),
-                            ("queue", queue), ("readout", readout)):
+                            ("queue", queue), ("keys", keys), ("readout", readout),
+                            ("readout_mean", mean)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -144,16 +183,22 @@ def predict_batch(model, windows):
 
     With recall on, each feature's addressing-weighted recall of the memory
     queue is added before decoding. The decoder is affine, so the recall is
-    decoded through the model's ``readout`` and added to the logits:
-    ``(f + w @ mem) @ W_decᵀ + b = f @ W_decᵀ + b + w @ readoutᵀ``, which
-    reads a [classes, fill] matrix in place of the [fill, feature_dim] queue.
+    decoded through the model's folded readout and added to the logits:
+    ``(f + w @ mem) @ W_decᵀ + b = f @ W_decᵀ + b + w @ (W_dec @ memᵀ)ᵀ``,
+    which reads a [classes, fill] matrix in place of the [fill, feature_dim]
+    queue. The addressing softmax ``w = e / Σe`` with ``e = exp(f @ keys)``
+    is never formed: ``e @ readoutᵀ`` gives the decoded recall's
+    ``e``-weighted sums, less the readout mean, and ``Σe`` (the ones row) at
+    once; the first is divided by the second and the mean added back.
     An empty queue recalls nothing, so prediction reduces to the plain
     decoder path. Ties break toward the lowest class index.
     """
     f = window_features(model, windows)
     memory_logits = None
     if model.use_recall and model.queue.fill > 0:
-        memory_logits = mem.address_batch(model.queue, f) @ model.readout.T
+        e = f @ model.keys
+        s = np.exp(e, out=e) @ model.readout.T
+        memory_logits = s[:, :-1] / s[:, -1:] + model.readout_mean
     probs = enc.classify(model.decoder, f, memory_logits)
     return probs.argmax(axis=1), probs
 

@@ -42,9 +42,9 @@ class MemoryQueue:
 
         All or nothing: the whole batch is checked before any slot is written
         (:class:`StructuralError` for shapes, :class:`ContractError` for a
-        norm off 1 by more than ``NORM_TOL`` or a negative label), so a bad
-        row leaves the queue unchanged. A batch longer than ``capacity``
-        keeps only its last ``capacity`` rows.
+        norm off 1 by more than ``NORM_TOL``, a non-finite one or a negative
+        label), so a bad row leaves the queue unchanged. A batch longer than
+        ``capacity`` keeps only its last ``capacity`` rows.
         """
         features = np.asarray(features)
         labels = np.asarray(labels).astype(np.int64, copy=False)
@@ -54,8 +54,7 @@ class MemoryQueue:
         n = features.shape[0]
         if labels.shape != (n,):
             raise StructuralError(f"{labels.shape} labels for {n} features")
-        norms = np.linalg.norm(features, axis=1)
-        bad = np.abs(norms - 1.0) > NORM_TOL
+        bad, norms = off_unit_norm(features)
         if bad.any():
             raise ContractError(
                 f"enqueued feature norm {norms[bad][0]:.6f} deviates from 1")
@@ -80,6 +79,13 @@ class MemoryQueue:
     @property
     def filled_labels(self):
         return self.labels[:self.fill]
+
+
+def off_unit_norm(rows):
+    """(mask of the rows whose L2 norm is off 1 by more than ``NORM_TOL``,
+    the norms). A NaN or infinite norm is off too."""
+    norms = np.linalg.norm(rows, axis=1)
+    return ~(np.abs(norms - 1.0) <= NORM_TOL), norms
 
 
 def address(queue, query):

@@ -529,7 +529,10 @@ def load_checkpoint(path):
     """Rebuild a TrainState from :func:`save_checkpoint` output.
 
     A header, manifest or payload that is not what :func:`save_checkpoint`
-    writes for the stored configuration raises :class:`CheckpointError`.
+    writes for the stored configuration raises :class:`CheckpointError`, and
+    so does a payload no training state holds: a non-finite tensor, a filled
+    memory slot off unit norm (``memory.NORM_TOL``), or a memory label that
+    is not a class index.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -575,6 +578,18 @@ def load_checkpoint(path):
                        | {n for n in set(shapes) & set(expected) if shapes[n] != expected[n]})
         raise CheckpointError(f"tensors missing, unexpected or misshapen for the "
                               f"config: {', '.join(wrong)}")
+    bad = [name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()]
+    if bad:
+        raise CheckpointError(f"non-finite values in {', '.join(bad)}")
+    with np.errstate(over="ignore"):  # a slot too large to square is off too
+        off = mem.off_unit_norm(arrays["memory/features"][:memory["fill"]])[0]
+    if off.any():
+        raise CheckpointError("a filled memory slot is off unit norm")
+    slot_labels = arrays["memory/labels"]
+    if not ((slot_labels == np.rint(slot_labels)) & (slot_labels >= 0)
+            & (slot_labels < len(labels))).all():
+        raise CheckpointError(f"memory labels are not class indices in "
+                              f"[0, {len(labels)})")
 
     dtype = config.np_dtype
 

@@ -8,7 +8,6 @@ from gesturemem.dataset import (LongTermSample, ShortTermSample, preprocess,
                                 split_subjects, window_dataset)
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
 from gesturemem.errors import ConfigError
-from gesturemem.memory import address
 
 
 def rel_error(a, b, floor=1e-12):
@@ -98,8 +97,12 @@ def oracle_predict(model, window):
     """One window's (class, probabilities) the long way: the input transform
     written out, ``encode_forward`` on the raw parameter dict (operands built
     for this call), the decoder logits, then, with recall on and a filled
-    queue, single-query ``address`` and its weights times the decoder folded
-    into the memory, ``(W_dec @ memᵀ)ᵀ``, added to the logits; then softmax."""
+    queue, the memory read in the served order: the logits against the
+    slot-minor keys ``memᵀ``, exp with no max subtracted, the product with the
+    decoder folded into the memory, less its slot mean, plus a ones row,
+    ``[W_dec @ memᵀ - mean; 1ᵀ]``, and the decoded recall divided by the
+    normalizer that row sums, plus the mean, added to the logits; then
+    softmax."""
     x = np.asarray(window, dtype=np.float64)
     if model.center:
         x = x - x.mean(axis=1, keepdims=True)
@@ -110,8 +113,14 @@ def oracle_predict(model, window):
     w_dec = model.decoder["w"]
     logits = f @ w_dec.T + model.decoder["b"]
     if model.use_recall and model.queue.fill > 0:
-        weights = address(model.queue, f)
-        logits = logits + weights @ (w_dec @ model.queue.filled_features.T).T
+        keys = np.ascontiguousarray(model.queue.filled_features.T)
+        folded = w_dec @ keys
+        mean = (folded.sum(axis=1, dtype=np.float64) / keys.shape[1]).astype(folded.dtype)
+        readout = np.concatenate([folded - mean[:, None],
+                                  np.ones((1, keys.shape[1]), folded.dtype)])
+        e = np.exp(f[None] @ keys)
+        s = (e @ readout.T)[0]
+        logits = logits + (s[:-1] / s[-1] + mean)
     e = np.exp(logits - logits.max())
     probs = e / e.sum()
     return int(probs.argmax()), probs

@@ -17,7 +17,7 @@ from gesturemem import encoder as enc
 from gesturemem import inference
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
-from gesturemem.errors import NonFiniteError, StructuralError
+from gesturemem.errors import ContractError, NonFiniteError, StructuralError
 from gesturemem.memory import recall_for_query
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
                                   predict, predict_batch, serve_stream,
@@ -177,6 +177,59 @@ def test_folded_readout_matches_recall_then_classify(dtype, tol):
         assert cls == int(unfolded.argmax())
 
 
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+@pytest.mark.parametrize("slots", ["query", "negated", "mixed", "equal"])
+def test_folded_readout_bound_on_a_big_adversarial_queue(dtype, tol, slots):
+    """The served memory read (no max pass, the normalizer from the readout's
+    ones row) stays within the bound of the max-subtracted unfolded path on
+    4096 slots at the ends of the logit range: every slot a copy of the
+    query (all logits 1) or of its negation (all -1), random slots with a
+    quarter of each, and one random slot repeated throughout."""
+    _, state = untrained_model(dtype=dtype, center=True, input_scale=1000.0,
+                               queue_capacity=4096)
+    rng = np.random.default_rng(22)
+    plain = FrozenModel.from_state(state)
+    labels = rng.integers(0, 3, size=4096)
+    for window in rng.normal(size=(6, 3, 6, 3)):
+        f = window_features(plain, window[None])[0]  # the query predict makes
+        if slots == "query":
+            rows = np.repeat(f[None], 4096, axis=0)
+        elif slots == "negated":
+            rows = np.repeat(-f[None], 4096, axis=0)
+        elif slots == "mixed":
+            rows = random_unit_rows(rng, 4096, 8, dtype=f.dtype)
+            rows[rng.permutation(4096)[:2048]] = np.r_[[f] * 1024, [-f] * 1024]
+        else:
+            rows = np.repeat(random_unit_rows(rng, 1, 8, dtype=f.dtype), 4096, axis=0)
+        state.queue.enqueue_batch(rows, labels)
+        model = FrozenModel.from_state(state)
+        assert model.queue.fill == 4096
+        cls, probs = predict(model, window)
+        unfolded = enc.classify(model.decoder, f + recall_for_query(model.queue, f))
+        assert np.abs(probs - unfolded).max() <= tol
+        # the negated query cancels f exactly: the logits are the bias, a tie
+        assert unfolded.max() - unfolded[cls] <= tol
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "scaled", "zero"])
+def test_model_rejects_a_slot_off_unit_norm(fault):
+    """Prediction's bounded logits need unit-norm slots, so a model is not
+    made from a queue holding anything else, directly or by replace."""
+    state = filled_state()
+    model = FrozenModel.from_state(state)
+    queue = filled_state(fill=16, seed=23).queue
+    queue.features[5] = {"nan": [np.nan] + [0.0] * 7, "inf": [np.inf] + [0.0] * 7,
+                         "scaled": queue.features[5] * 1.01,
+                         "zero": np.zeros(8)}[fault]
+    state.queue = queue
+    with pytest.raises(ContractError, match="slot 5"):
+        FrozenModel.from_state(state)
+    with pytest.raises(ContractError, match="slot 5"):
+        dataclasses.replace(model, queue=queue)
+    queue.fill = 5  # a slot past the fill is never read
+    assert FrozenModel.from_state(state).queue.fill == 5
+
+
 def test_empty_batch_gives_empty_results():
     model, _ = untrained_model(dtype="float32")
     x = np.zeros((0, 3, 6, 3), dtype=np.float32)
@@ -245,16 +298,20 @@ def test_model_is_a_snapshot_of_the_state():
         model.queue.enqueue_batch(random_unit_rows(rng, 1, 8), [0])
     assert model.queue.fill == 10 and model.queue.head == 10
     arrays = list(model.decoder.values()) + [model.queue.features,
-                                             model.queue.labels, model.readout]
+                                             model.queue.labels, model.keys,
+                                             model.readout, model.readout_mean]
     assert not any(a.flags.writeable for a in arrays)
-    assert model.readout.shape == (3, 10) and model.readout.flags.c_contiguous
+    assert model.readout.shape == (4, 10) and model.readout.flags.c_contiguous
+    assert np.array_equal(model.readout[-1], np.ones(10))
+    assert model.keys.flags.c_contiguous
+    assert np.array_equal(model.keys, model.queue.filled_features.T)
     # a queue swapped in by replace is snapshotted and folded again
     queue = filled_state(fill=16, seed=20).queue
     replaced = dataclasses.replace(model, queue=queue)
     unchanged = filled_state()  # the state as the model was made from it
     unchanged.queue = queue
     fresh = FrozenModel.from_state(unchanged)
-    assert replaced.readout.shape == (3, 16)
+    assert replaced.readout.shape == (4, 16) and replaced.keys.shape == (8, 16)
     assert np.array_equal(predict(replaced, x)[1], predict(fresh, x)[1])
     assert not np.array_equal(predict(replaced, x)[1], before)
 

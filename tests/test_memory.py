@@ -63,6 +63,19 @@ def test_enqueue_contract_checks():
         q.enqueue(unit([1, 1]), 0)
 
 
+@pytest.mark.parametrize("row", [[np.nan] * 3, [1.0, 0.0, np.nan]],
+                         ids=["nan_row", "nan_norm_row"])
+def test_enqueue_batch_rejects_nan_rows(row):
+    """A NaN norm compares false with any tolerance, so it must not pass as
+    a norm within it."""
+    q = MemoryQueue(4, 3, dtype=np.float64)
+    q.enqueue(unit([1, 2, 3]), 0)
+    before = copy.deepcopy(q)
+    with pytest.raises(ContractError):
+        q.enqueue_batch(np.array([unit([0, 1, 0]), row]), [1, 2])
+    assert_same_queue(q, before)
+
+
 def prefilled(capacity, prefill, seed):
     q = MemoryQueue(capacity, 3, dtype=np.float64)
     for f in random_unit_rows(np.random.default_rng(seed), prefill, 3):

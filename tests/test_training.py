@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -406,6 +407,65 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError):
         FrozenModel.from_state(load_checkpoint(path))
+
+
+def _filled_checkpoint(path, fill=10):
+    """A checkpoint of a fresh state whose queue holds ``fill`` unit slots."""
+    state = init_state(tiny_config(), LabelMap(names=["a", "b", "c"]))
+    rng = np.random.default_rng(7)
+    state.queue.enqueue_batch(random_unit_rows(rng, fill, 8, dtype=np.float32),
+                              rng.integers(0, 3, size=fill))
+    save_checkpoint(state, path)
+
+
+def _rewrite_tensor(path, name, edit):
+    """Apply ``edit`` to one tensor of a checkpoint's payload in place and
+    re-sign the payload, so only the checks on its values can catch it."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    entry = next(e for e in header["tensors"] if e["name"] == name)
+    lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+    a = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(entry["shape"]).copy()
+    edit(a)
+    payload = payload[:lo] + a.tobytes() + payload[hi:]
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+PAYLOAD_FAULTS = {
+    "nan_slot": ("memory/features", lambda a: a[2].__setitem__(0, np.nan)),
+    "inf_slot": ("memory/features", lambda a: a[2].__setitem__(0, np.inf)),
+    "scaled_slot": ("memory/features", lambda a: a[2].__imul__(1e6)),
+    "slot_too_large_to_square": ("memory/features",
+                                 lambda a: a[2].__setitem__(0, 1e30)),
+    "nan_label": ("memory/labels", lambda a: a.__setitem__(2, np.nan)),
+    "fractional_label": ("memory/labels", lambda a: a.__setitem__(2, 1.5)),
+    "negative_label": ("memory/labels", lambda a: a.__setitem__(2, -3)),
+    "label_past_classes": ("memory/labels", lambda a: a.__setitem__(2, 99)),
+    "nan_decoder_weight": ("decoder/w", lambda a: a.__setitem__((0, 0), np.nan)),
+    "inf_encoder_weight": ("encoder_l/block0.temporal.w",
+                           lambda a: a.reshape(-1).__setitem__(0, -np.inf)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+def test_checkpoint_payload_no_state_holds_is_checkpoint_error(tmp_path, fault):
+    """A payload with a valid checksum but values no training state holds is
+    refused, not loaded to predict NaN or read labels past the classes."""
+    path = tmp_path / "p.ckpt"
+    _filled_checkpoint(path)
+    _rewrite_tensor(path, *PAYLOAD_FAULTS[fault])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_slot_past_the_fill_is_not_checked(tmp_path):
+    path = tmp_path / "p.ckpt"
+    _filled_checkpoint(path)
+    _rewrite_tensor(path, "memory/features", lambda a: a[12].__setitem__(0, 3.0))
+    loaded = load_checkpoint(path)
+    assert loaded.queue.fill == 10 and loaded.queue.features[12, 0] == 3.0
+    FrozenModel.from_state(loaded)
 
 
 def test_resume_equals_uninterrupted_run(tmp_path):
