@@ -3,9 +3,8 @@ streams: dataset windowing, a momentum-coupled encoder pair, an external FIFO
 feature memory with similarity addressing, contrastive training, and a
 streaming inference service."""
 
-from .dataset import (LabelMap, LongTermSample, Recording, SampleSet,
-                      ShortTermSample, SplitSpec, SynthesisConfig,
-                      build_long_term, load_recordings, preprocess,
+from .dataset import (LabelMap, Recording, SampleSet, ShortTermSample,
+                      SplitSpec, SynthesisConfig, load_recordings, preprocess,
                       split_subjects, split_windows, synthesize_gestures,
                       window_dataset, write_frames)
 from .encoder import (EncoderConfig, SkeletonGraph, classify, init_encoders,

@@ -73,8 +73,8 @@ def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
     if subjects:
         keep = set(subjects)
         recordings = [r for r in recordings if r.subject_id in keep]
-    return window_dataset(recordings, label_map, model.short_len,
-                          stride=stride or model.short_len, with_long=False).shorts
+    stride = stride if stride is not None else model.short_len
+    return window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
 
 
 def cmd_generate(args):

@@ -1,11 +1,12 @@
 """Frame ingestion, sliding-window sample construction, and synthetic gesture data.
 
 Windowing is vectorized per recording: purity comes from where each frame's
-run of equal labels ends, and a recording's short (or long) windows are one
-gather from a strided view into an [N, C, T, V] block whose disjoint rows are
-the samples' ``data``, so a retained sample keeps its recording's block alive.
-:func:`window_starts` holds the start and purity rules. Training gathers its
-arrays from those starts with no sample objects, centered by the in-order
+run of equal labels ends, and a recording's short windows are one gather from
+a strided view into an [N, C, T, V] block whose disjoint rows are the samples'
+``data``, so a retained sample keeps its recording's block alive.
+:func:`window_starts` holds the start and purity rules of short windows and of
+the S*T-frame long windows that pair with them. Training gathers its short and
+long arrays from those starts with no sample objects, centered by the in-order
 frame sums that ``mean`` makes over T, so its bits match :func:`preprocess`.
 
 File formats
@@ -65,15 +66,6 @@ class ShortTermSample:
 
 
 @dataclass
-class LongTermSample:
-    """The S*T-frame context window centered on one short-term sample."""
-
-    data: np.ndarray  # [C, S*T, V]
-    label: int
-    center_sample_index: int
-
-
-@dataclass
 class LabelMap:
     """Ordered class-index -> gesture-name mapping."""
 
@@ -106,10 +98,9 @@ class SplitSpec:
 
 @dataclass
 class SampleSet:
-    """Parallel lists of short windows, their optional long windows, and subjects."""
+    """Parallel lists of short windows and their subjects."""
 
     shorts: list
-    longs: list
     subjects: list
     label_map: LabelMap
 
@@ -265,20 +256,19 @@ def _run_ends(labels):
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 
-def window_starts(recording, short_len, stride=1, window_scale=1, at=None, labels=None,
-                   purity_required=True):
+def window_starts(recording, short_len, stride=1, window_scale=1, at=None,
+                  purity_required=True):
     """Window start frames and which are kept. Without ``at``: short windows
     at ``0, stride, ...``, kept when label-pure. Given short starts ``at``:
     their S*T-frame long windows, ``floor(S/2) * T`` frames earlier, shifted
     into the recording (which must hold them), kept unless ``purity_required``
-    and they hold a label other than ``labels`` (default: the labels at ``at``)."""
+    and they mix labels. A long window holds its short window, so a pure one
+    has its short window's label."""
     if at is None:
         at = np.arange(0, len(recording) - short_len + 1, stride)
-    labels = recording.labels[at] if labels is None else labels
     total = window_scale * short_len
     starts = np.clip(at - window_scale // 2 * short_len, 0, len(recording) - total)
-    keep = (not purity_required) | ((recording.labels[starts] == labels)
-                                    & (_run_ends(recording.labels)[starts] >= starts + total))
+    keep = (not purity_required) | (_run_ends(recording.labels)[starts] >= starts + total)
     return starts, keep
 
 
@@ -311,49 +301,18 @@ def split_windows(recording, short_len, stride):
             in zip(block, recording.labels[starts].tolist(), starts.tolist())]
 
 
-def _long_windows(recording, samples, window_scale, purity_required, first=0):
-    """:func:`build_long_term` of every sample of ``samples``, one recording's
-    samples from index ``first`` on, in one vectorized pass and one gather."""
-    if not samples:
-        return []
-    short_len = samples[0].data.shape[1]
-    if len(recording) < window_scale * short_len:
-        return [None] * len(samples)
-    at = np.array([s.start_frame for s in samples]) - recording.first_frame_index
-    starts, keep = window_starts(recording, short_len, window_scale=window_scale, at=at,
-                                  labels=[s.label for s in samples],
-                                  purity_required=purity_required)
-    rows = iter(_windows(recording.joints, starts[keep], window_scale * short_len))
-    return [LongTermSample(next(rows), s.label, first + j) if kept else None
-            for j, (s, kept) in enumerate(zip(samples, keep.tolist()))]
-
-
-def build_long_term(samples, recording, i, window_scale, purity_required=True):
-    """Build the ``window_scale * T``-frame context window around sample ``i``.
-
-    The window spans ``[start - floor(S/2)*T, start + (S - floor(S/2))*T)`` in
-    frames and is shifted to fit when it overruns either end of the recording.
-    Returns ``None`` when the recording is too short, or when ``purity_required``
-    and the window mixes labels.
-    """
-    if window_scale < 1:
-        raise ConfigError("window_scale must be >= 1")
-    return _long_windows(recording, [samples[i]], window_scale, purity_required, i)[0]
-
-
-def window_dataset(recordings, label_map, short_len, window_scale=1, stride=1,
-                   purity_required=True, with_long=True):
-    """Window every recording and (optionally) attach long-term context windows."""
-    if with_long and window_scale < 1:
-        raise ConfigError("window_scale must be >= 1")
-    shorts, longs, subjects = [], [], []
+def window_dataset(recordings, label_map, short_len, stride=1, with_long=False):
+    """Window every recording into label-pure short samples. Long windows come
+    only from :func:`training.prepare_data`, so ``with_long`` must be False."""
+    if with_long:
+        raise ConfigError("window_dataset builds no long windows; "
+                          "training.prepare_data gathers them")
+    shorts, subjects = [], []
     for rec in recordings:
         rec_samples = split_windows(rec, short_len, stride)
         shorts.extend(rec_samples)
         subjects.extend([rec.subject_id] * len(rec_samples))
-        longs.extend(_long_windows(rec, rec_samples, window_scale, purity_required)
-                     if with_long else [None] * len(rec_samples))
-    return SampleSet(shorts=shorts, longs=longs, subjects=subjects, label_map=label_map)
+    return SampleSet(shorts=shorts, subjects=subjects, label_map=label_map)
 
 
 def split_subjects(sample_set, spec):

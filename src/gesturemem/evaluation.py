@@ -95,19 +95,12 @@ def _train_and_score(config, recordings, label_map, split):
     return evaluate(model, result.test_samples).accuracy, result
 
 
-def _configs_equal_modulo(base, other, ignore):
-    a, b = dataclasses.asdict(base), dataclasses.asdict(other)
-    for key in ignore:
-        a.pop(key), b.pop(key)
-    return a == b
-
-
 def run_ablation(config, recordings, label_map, split, seeds=None):
     """Train the four (use_recall, use_mal) cells and report test accuracies.
 
-    All cells share every config field but the two flags (asserted), and each
-    seed is applied to all four cells. Returns ``{"cells": {name: [acc...]},
-    "mean": {...}, "delta": {...}}`` with deltas against the baseline mean.
+    All cells share every config field but the two flags, and each seed is
+    applied to all four cells. Returns ``{"cells": {name: [acc...]}, "mean":
+    {...}, "delta": {...}}`` with deltas against the baseline mean.
     """
     seeds = list(seeds) if seeds else [config.seed]
     cells = {name: [] for name, _, _ in ABLATION_CELLS}
@@ -115,8 +108,6 @@ def run_ablation(config, recordings, label_map, split, seeds=None):
         for name, use_recall, use_mal in ABLATION_CELLS:
             cfg = dataclasses.replace(config, use_recall=use_recall,
                                       use_mal=use_mal, seed=seed)
-            if not _configs_equal_modulo(config, cfg, ("use_recall", "use_mal", "seed")):
-                raise ConfigError("ablation cells drifted beyond the two flags")
             acc, _ = _train_and_score(cfg, recordings, label_map, split)
             log.info("ablation seed %d cell %s: accuracy %.4f", seed, name, acc)
             cells[name].append(acc)
@@ -187,7 +178,7 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     metadata sidecar). Also reports the mean address mass that samples place on
     same-class vs. different-class slots within the exported block.
     """
-    if model.queue.fill < n_slots:
+    if not 0 < n_slots <= model.queue.fill:
         raise ConfigError(
             f"queue holds {model.queue.fill} slots; cannot export {n_slots}")
     if not 0 < n_samples <= len(samples):

@@ -32,22 +32,19 @@ class MemoryQueue:
     def __len__(self):
         return self.fill
 
-    def enqueue(self, feature, label):
-        """Write one slot at the head, evicting the oldest entry once full."""
-        self.enqueue_batch(np.asarray(feature)[None], [label])
-
     def enqueue_batch(self, features, labels):
-        """Write rows in order, leaving the slots, ``head`` and ``fill`` that
-        one :meth:`enqueue` per row would leave.
+        """Write rows in order at the head, evicting the oldest slots once
+        full; a batch longer than ``capacity`` keeps only its last
+        ``capacity`` rows.
 
         All or nothing: the whole batch is checked before any slot is written
         (:class:`StructuralError` for shapes, :class:`ContractError` for a
-        norm off 1 by more than ``NORM_TOL``, a non-finite one or a negative
-        label), so a bad row leaves the queue unchanged. A batch longer than
-        ``capacity`` keeps only its last ``capacity`` rows.
+        norm off 1 by more than ``NORM_TOL``, a non-finite one, or a label
+        that is not a non-negative whole number), so a bad row leaves the
+        queue unchanged.
         """
         features = np.asarray(features)
-        labels = np.asarray(labels).astype(np.int64, copy=False)
+        labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[1] != self.feature_dim:
             raise StructuralError(
                 f"expected features [n, {self.feature_dim}], got shape {features.shape}")
@@ -58,6 +55,12 @@ class MemoryQueue:
         if bad.any():
             raise ContractError(
                 f"enqueued feature norm {norms[bad][0]:.6f} deviates from 1")
+        if labels.dtype.kind == "f":  # before the cast, which truncates or wraps
+            bad = ~((np.abs(labels) < 2.0 ** 63) & (labels == np.trunc(labels)))
+            if bad.any():
+                raise ContractError(
+                    f"class label {labels[bad][0]} is not a finite whole number")
+        labels = labels.astype(np.int64, copy=False)
         if (labels < 0).any():
             raise ContractError(f"negative class label {labels[labels < 0][0]}")
         # rows that a longer batch would overwrite never need writing

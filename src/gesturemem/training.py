@@ -334,8 +334,8 @@ def prepare_data(config, recordings, label_map, split):
     stray = [r for r in recordings
              if r.subject_id not in split.train_subjects | split.test_subjects]
     if stray:  # one with windows fails the split
-        split_subjects(window_dataset(stray, label_map, short_len, stride=config.stride,
-                                      with_long=False), split)
+        split_subjects(window_dataset(stray, label_map, short_len, stride=config.stride),
+                       split)
     train_recs = [r for r in recordings
                   if r.subject_id in split.train_subjects and len(r) >= scale * short_len]
     shorts, longs, offset = [], [], 0
@@ -353,7 +353,7 @@ def prepare_data(config, recordings, label_map, split):
     frames = np.concatenate([r.joints for r in train_recs], dtype=np.float64)
     held_out = [r for r in recordings if r.subject_id not in split.train_subjects]
     eval_set = window_dataset(held_out, label_map, short_len,
-                              stride=config.eval_stride or short_len, with_long=False)
+                              stride=config.eval_stride or short_len)
     _, test_idx = split_subjects(eval_set, split)
     return {"x_short": _pair_windows(frames, shorts, short_len, config),
             "x_long": _pair_windows(frames, np.concatenate(longs), scale * short_len, config),

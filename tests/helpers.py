@@ -4,8 +4,8 @@ inspection and parameter flattening."""
 
 import numpy as np
 
-from gesturemem.dataset import (LongTermSample, ShortTermSample, preprocess,
-                                split_subjects, window_dataset)
+from gesturemem.dataset import (SampleSet, ShortTermSample, preprocess,
+                                split_subjects)
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
 from gesturemem.errors import ConfigError
 
@@ -202,8 +202,8 @@ def ref_encode_backward(cache, grad_f):
 
 # --- reference windowing -------------------------------------------------------
 # One window per Python iteration: a label slice, a purity test and a copy, as
-# the definitions read. The vectorized windowing in gesturemem.dataset is
-# pinned against these.
+# the definitions read. The vectorized windowing of gesturemem.dataset and
+# training.prepare_data is pinned against these.
 
 def ref_split_windows(recording, short_len, stride):
     """Label-pure ``short_len``-frame windows at ``stride``, one at a time."""
@@ -221,12 +221,11 @@ def ref_split_windows(recording, short_len, stride):
     return samples
 
 
-def ref_build_long_term(samples, recording, i, window_scale, purity_required=True):
-    """The ``window_scale * T``-frame context window of sample ``i``: it starts
-    ``floor(S/2) * T`` frames before the sample, is shifted to fit inside the
-    recording, and is None when the recording is too short or, with
-    ``purity_required``, when it mixes labels."""
-    sample = samples[i]
+def ref_build_long_term(sample, recording, window_scale, purity_required=True):
+    """The ``window_scale * T``-frame context window [C, S*T, V] of a short
+    sample: it starts ``floor(S/2) * T`` frames before the sample, is shifted
+    to fit inside the recording, and is None when the recording is too short
+    or, with ``purity_required``, when it mixes labels."""
     short_len = sample.data.shape[1]
     total = window_scale * short_len
     n = len(recording)
@@ -238,32 +237,37 @@ def ref_build_long_term(samples, recording, i, window_scale, purity_required=Tru
     window_labels = recording.labels[start:start + total]
     if purity_required and not (window_labels == sample.label).all():
         return None
-    data = np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
-    return LongTermSample(data=data, label=sample.label, center_sample_index=i)
+    return np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
 
 
 def ref_prepare_data(config, recordings, label_map, split):
-    """``training.prepare_data`` built from sample objects: every recording
-    windowed with its long windows, the split applied to the samples, the
-    pairs' rows stacked and put through ``preprocess``, then every recording
+    """``training.prepare_data`` one window at a time: every recording windowed
+    by :func:`ref_split_windows`, the split applied to the samples, each
+    training sample paired with its :func:`ref_build_long_term` window, the
+    pairs stacked and put through ``preprocess``, then every recording
     windowed again at the eval stride for the held-out samples."""
-    train_set = window_dataset(recordings, label_map, config.short_len,
-                               config.window_scale, config.stride,
-                               config.purity_required, with_long=True)
+    def windowed(stride):
+        pairs = [(s, rec) for rec in recordings
+                 for s in ref_split_windows(rec, config.short_len, stride)]
+        return pairs, SampleSet(shorts=[s for s, _ in pairs],
+                                subjects=[rec.subject_id for _, rec in pairs],
+                                label_map=label_map)
+
+    pairs, train_set = windowed(config.stride)
     train_idx, _ = split_subjects(train_set, split)
-    pair_idx = [i for i in train_idx if train_set.longs[i] is not None]
-    if not pair_idx:
+    longs = [(pairs[i][0], ref_build_long_term(*pairs[i], config.window_scale,
+                                               config.purity_required))
+             for i in train_idx]
+    longs = [(short, long) for short, long in longs if long is not None]
+    if not longs:
         raise ConfigError("no training samples with a constructible long-term window")
     dtype = config.np_dtype
-    x_short = preprocess([train_set.shorts[i].data for i in pair_idx],
+    x_short = preprocess([short.data for short, _ in longs],
                          config.center, config.input_scale, dtype)
-    x_long = preprocess([train_set.longs[i].data for i in pair_idx],
-                        config.center, config.input_scale, dtype)
-    y_train = np.asarray([train_set.shorts[i].label for i in pair_idx], dtype=np.int64)
+    x_long = preprocess([long for _, long in longs], config.center, config.input_scale, dtype)
+    y_train = np.asarray([short.label for short, _ in longs], dtype=np.int64)
 
-    eval_stride = config.eval_stride or config.short_len
-    eval_set = window_dataset(recordings, label_map, config.short_len,
-                              stride=eval_stride, with_long=False)
+    _, eval_set = windowed(config.eval_stride or config.short_len)
     _, test_idx = split_subjects(eval_set, split)
     return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
             "test_samples": [eval_set.shorts[i] for i in test_idx]}

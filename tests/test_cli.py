@@ -116,7 +116,7 @@ def test_eval_windows_only_the_requested_subjects(monkeypatch):
         windowed.clear()
         samples = cli._eval_windows(model, recordings, label_map, subjects, stride)
         assert set(windowed) == want_subjects and len(windowed) == len(want_subjects)
-        every = window_dataset(recordings, label_map, 6, stride=stride or 6, with_long=False)
+        every = window_dataset(recordings, label_map, 6, stride=stride or 6)
         assert [key(s) for s in samples] == [key(s) for s, subject
                                              in zip(every.shorts, every.subjects)
                                              if subject in want_subjects]
@@ -135,6 +135,26 @@ def test_infer_emits_ndjson(tmp_path, capsys):
     assert lines
     row = json.loads(lines[0])
     assert {"recording", "start_frame", "true", "class", "name"} <= set(row)
+
+
+def test_out_of_range_stride_and_n_slots_exit_2(tmp_path, capsys):
+    synth = write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH)
+    traincfg = write_cfg(tmp_path / "train.cfg", DEMO_TRAIN)
+    data = str(tmp_path / "data")
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["generate", "--config", synth, "--out", data]) == 0
+    assert main(["train", "--config", traincfg, "--data", data, "--out", ckpt]) == 0
+    capsys.readouterr()
+    for command in ("eval", "infer"):
+        assert main([command, "--model", ckpt, "--data", data, "--stride", "0"]) == 2
+        assert "stride must be >= 1" in capsys.readouterr().err
+    export = ["export-addressing", "--model", ckpt, "--data", data, "--n-samples", "4"]
+    for n_slots in ("-1", "0"):
+        out = tmp_path / f"addr{n_slots}.csv"
+        assert main(export + ["--n-slots", n_slots, "--out", str(out)]) == 2
+        assert f"cannot export {n_slots}" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(export + ["--n-slots", "4", "--out", str(tmp_path / "addr.csv")]) == 0
 
 
 def test_serve_stdin_subprocess_round_trip(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturemem.dataset import (LabelMap, Recording, SplitSpec,
-                                SynthesisConfig, build_long_term,
-                                load_recordings, mean_center, split_subjects,
-                                split_windows, synthesize_gestures,
-                                window_dataset, write_frames)
+                                SynthesisConfig, load_recordings, mean_center,
+                                split_subjects, split_windows,
+                                synthesize_gestures, window_dataset,
+                                write_frames)
 from gesturemem.errors import (ConfigError, DataIntegrityError,
                                NonFiniteError, ParseError)
-from helpers import ref_build_long_term, ref_split_windows
+from helpers import ref_split_windows
 
 
 def make_recording(labels, rec_id="r0", subject="s0", seed=0):
@@ -127,75 +126,6 @@ def test_split_windows_stride_one_equals_enumeration(labels, short_len):
         assert set(window) == {s.label}
 
 
-# --- long-term windows ------------------------------------------------------------
-
-def test_build_long_term_scale_one_equals_short():
-    rec = make_recording([0] * 12, seed=1)
-    samples = split_windows(rec, short_len=3, stride=1)
-    long = build_long_term(samples, rec, 4, window_scale=1)
-    assert np.array_equal(long.data, samples[4].data)
-    assert long.label == samples[4].label
-    assert long.center_sample_index == 4
-
-
-def test_build_long_term_centered_window():
-    # S=2 -> floor(S/2)=1 leading short window: start 6 covers frames [3, 9)
-    rec = make_recording([0] * 20, seed=2)
-    samples = split_windows(rec, short_len=3, stride=1)
-    i = [s.start_frame for s in samples].index(6)
-    long = build_long_term(samples, rec, i, window_scale=2)
-    assert long.data.shape == (3, 6, 3)
-    assert np.array_equal(long.data, rec.joints[3:9].transpose(2, 0, 1))
-
-
-def test_build_long_term_clamps_left_edge():
-    rec = make_recording([0] * 20, seed=4)
-    samples = split_windows(rec, short_len=3, stride=1)
-    long = build_long_term(samples, rec, 0, window_scale=4)  # start 0
-    assert long.data.shape == (3, 12, 3)
-    assert np.array_equal(long.data, rec.joints[0:12].transpose(2, 0, 1))
-
-
-def test_build_long_term_clamps_right_edge_and_length():
-    rec = make_recording([0] * 15, seed=5)
-    samples = split_windows(rec, short_len=3, stride=1)
-    last = len(samples) - 1  # start 12
-    long = build_long_term(samples, rec, last, window_scale=4)
-    assert long.data.shape == (3, 12, 3)
-    assert np.array_equal(long.data, rec.joints[3:15].transpose(2, 0, 1))
-
-
-def test_build_long_term_too_short_recording():
-    rec = make_recording([0] * 5)
-    samples = split_windows(rec, short_len=3, stride=1)
-    assert build_long_term(samples, rec, 0, window_scale=2) is None
-
-
-def test_build_long_term_purity():
-    rec = make_recording([0] * 6 + [1] * 6)
-    samples = split_windows(rec, short_len=3, stride=1)
-    i = [s.start_frame for s in samples].index(6)  # window [3, 9) mixes labels
-    assert build_long_term(samples, rec, i, window_scale=2) is None
-    long = build_long_term(samples, rec, i, window_scale=2, purity_required=False)
-    assert long is not None and long.label == 1
-    assert np.array_equal(long.data, rec.joints[3:9].transpose(2, 0, 1))
-
-
-@given(st.integers(0, 1000), st.integers(1, 5), st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_build_long_term_always_full_length_within_recording(seed, short_len, scale):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 40))
-    rec = make_recording(rng.integers(0, 2, size=n), seed=seed)
-    samples = split_windows(rec, short_len, stride=1)
-    for i in range(len(samples)):
-        long = build_long_term(samples, rec, i, scale, purity_required=False)
-        if n < scale * short_len:
-            assert long is None
-        else:
-            assert long.data.shape[1] == scale * short_len
-
-
 # --- vectorized windowing against the per-window reference -----------------------
 
 def assert_same_sample(got, want):
@@ -223,67 +153,48 @@ def run_recordings(draw, rec_id="r0", subject="s0"):
 
 
 @given(st.lists(run_recordings(), min_size=1, max_size=3), st.integers(1, 8),
-       st.integers(1, 7), st.integers(1, 5), st.booleans())
+       st.integers(1, 7))
 @settings(max_examples=300, deadline=None)
-def test_windowing_equals_per_window_reference(recs, short_len, stride, scale, purity):
+def test_windowing_equals_per_window_reference(recs, short_len, stride):
     for k, rec in enumerate(recs):
         rec.recording_id, rec.subject_id = f"r{k}", f"s{k % 2}"
-    ds = window_dataset(recs, LabelMap(names=["a", "b", "c"]), short_len, scale,
-                        stride, purity)
-    want_shorts, want_longs, want_subjects = [], [], []
+    ds = window_dataset(recs, LabelMap(names=["a", "b", "c"]), short_len, stride)
+    want_shorts, want_subjects = [], []
     for rec in recs:
         samples = split_windows(rec, short_len, stride)
         want = ref_split_windows(rec, short_len, stride)
         assert len(samples) == len(want)
         for got_s, want_s in zip(samples, want):
             assert_same_sample(got_s, want_s)
-        for i in range(len(want)):
-            want_long = ref_build_long_term(want, rec, i, scale, purity)
-            assert_same_sample(build_long_term(samples, rec, i, scale, purity), want_long)
-            want_longs.append(want_long)
-            # a sample labelled unlike its frames has no pure context window
-            relabel = lambda ss: [dataclasses.replace(ss[i], label=ss[i].label + 1)]
-            assert_same_sample(build_long_term(relabel(samples), rec, 0, scale, purity),
-                               ref_build_long_term(relabel(want), rec, 0, scale, purity))
         want_shorts += want
         want_subjects += [rec.subject_id] * len(want)
-    assert len(ds.shorts) == len(want_shorts) == len(ds.longs)
+    assert len(ds.shorts) == len(want_shorts)
     for got_s, want_s in zip(ds.shorts, want_shorts):
         assert_same_sample(got_s, want_s)
-    for got_l, want_l in zip(ds.longs, want_longs):
-        assert_same_sample(got_l, want_l)
     assert ds.subjects == want_subjects
-    flat = window_dataset(recs, ds.label_map, short_len, scale, stride, purity,
-                          with_long=False)
-    assert flat.longs == [None] * len(want_shorts)
 
 
 def test_windows_of_one_block_do_not_alias():
     rec = make_recording([0] * 12, seed=6)
-    ds = window_dataset([rec], LabelMap(names=["a"]), short_len=3, window_scale=2)
-    for samples in (ds.shorts, ds.longs):
-        before = [s.data.copy() for s in samples]
-        samples[4].data[...] = -1.0
-        for j, s in enumerate(samples):
-            assert np.array_equal(s.data, before[j]) == (j != 4)
+    samples = window_dataset([rec], LabelMap(names=["a"]), short_len=3).shorts
+    before = [s.data.copy() for s in samples]
+    samples[4].data[...] = -1.0
+    for j, s in enumerate(samples):
+        assert np.array_equal(s.data, before[j]) == (j != 4)
     assert np.array_equal(rec.joints, make_recording([0] * 12, seed=6).joints)
 
 
-def test_window_dataset_rejects_scale_below_one_up_front():
-    too_short = make_recording([0] * 2)  # no short window, so no long one either
-    with pytest.raises(ConfigError, match="window_scale"):
-        window_dataset([too_short], LabelMap(names=["a"]), short_len=3, window_scale=0)
-    ds = window_dataset([too_short], LabelMap(names=["a"]), short_len=3,
-                        window_scale=0, with_long=False)
-    assert len(ds) == 0
+def test_window_dataset_refuses_long_windows():
+    with pytest.raises(ConfigError, match="prepare_data"):
+        window_dataset([make_recording([0] * 12)], LabelMap(names=["a"]), short_len=3,
+                       with_long=True)
 
 
 # --- subject splits ---------------------------------------------------------------
 
 def test_split_subjects_basic():
     recs = [make_recording([0] * 8, rec_id=f"r{i}", subject=f"s{i}") for i in range(2)]
-    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4, stride=4,
-                        with_long=False)
+    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4, stride=4)
     train, test = split_subjects(ds, SplitSpec.from_lists(["s0"], ["s1"]))
     assert all(ds.subjects[i] == "s0" for i in train)
     assert all(ds.subjects[i] == "s1" for i in test)
@@ -297,7 +208,7 @@ def test_split_spec_rejects_overlap():
 
 def test_split_subjects_requires_cover():
     recs = [make_recording([0] * 8, rec_id=f"r{i}", subject=f"s{i}") for i in range(3)]
-    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4, with_long=False)
+    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4)
     with pytest.raises(ConfigError):
         split_subjects(ds, SplitSpec.from_lists(["s0"], ["s1"]))
 
@@ -310,7 +221,7 @@ def test_split_subjects_count_conservation_25_subjects():
     for subj in cfg.subject_ids():
         recs.append(make_recording(rng.integers(0, 2, size=40),
                                    rec_id=f"rec_{subj}", subject=subj))
-    ds = window_dataset(recs, LabelMap(names=["a", "b"]), short_len=5, with_long=False)
+    ds = window_dataset(recs, LabelMap(names=["a", "b"]), short_len=5)
     subjects = cfg.subject_ids()
     train, test = split_subjects(ds, SplitSpec.from_lists(subjects[:18], subjects[18:]))
     assert len(train) + len(test) == len(ds)

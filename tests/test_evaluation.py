@@ -101,7 +101,7 @@ def test_evaluate_total_matches_sample_count():
     result = train(config, recordings, label_map, SPLIT)
     model = FrozenModel.from_state(result.state)
     samples = window_dataset(recordings, label_map, config.short_len,
-                             stride=config.short_len, with_long=False).shorts
+                             stride=config.short_len).shorts
     res = evaluate(model, samples)
     assert res.confusion.total == len(samples)
     trace = int(np.trace(res.confusion.counts))
@@ -115,7 +115,7 @@ def test_evaluate_probs_are_predicts_rows_bitwise(dtype):
     model = FrozenModel.from_state(train(config, recordings, label_map, SPLIT).state)
     assert model.use_recall and model.queue.fill > 0
     samples = window_dataset(recordings, label_map, config.short_len,
-                             stride=config.short_len, with_long=False).shorts
+                             stride=config.short_len).shorts
     res = evaluate(model, samples)
     assert res.probs.shape == (len(samples), model.num_classes)
     assert res.probs.dtype == model.dtype
@@ -186,7 +186,7 @@ def test_export_addressing_shapes_and_row_mass(tmp_path):
     result = train(config, recordings, label_map, SPLIT)
     model = FrozenModel.from_state(result.state)
     samples = window_dataset(recordings, label_map, config.short_len,
-                             stride=config.short_len, with_long=False).shorts
+                             stride=config.short_len).shorts
     out = tmp_path / "addr.csv"
     stats = export_addressing(model, samples, n_slots=16, n_samples=12,
                               seed=3, out_path=out)
@@ -209,7 +209,7 @@ def test_export_addressing_matches_per_window_address(tmp_path):
     config = small_config(epochs=1, queue_capacity=64)
     model = FrozenModel.from_state(train(config, recordings, label_map, SPLIT).state)
     samples = window_dataset(recordings[3:], label_map, config.short_len,
-                             stride=config.short_len, with_long=False).shorts[:20]
+                             stride=config.short_len).shorts[:20]
     n_slots = model.queue.fill  # every slot and every sample, in label order
     stats = export_addressing(model, samples, n_slots=n_slots, n_samples=len(samples),
                               seed=0, out_path=tmp_path / "a.csv")
@@ -231,7 +231,7 @@ def test_export_addressing_requires_enough_slots(tmp_path):
     queue.enqueue_batch(random_unit_rows(np.random.default_rng(1), 4, 8), [0, 1] * 2)
     model = dataclasses.replace(model, queue=queue)
     assert model.queue.fill == 4
-    for n_samples in (0, 3):
+    for n_slots, n_samples in ((0, 2), (-1, 2), (5, 2), (4, 0), (4, 3)):
         with pytest.raises(ConfigError):
-            export_addressing(model, samples, n_slots=4, n_samples=n_samples,
+            export_addressing(model, samples, n_slots=n_slots, n_samples=n_samples,
                               seed=0, out_path=tmp_path / "x.csv")

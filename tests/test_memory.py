@@ -24,7 +24,7 @@ def unit(v):
 def test_enqueue_single():
     q = MemoryQueue(4, 3, dtype=np.float64)
     f = unit([1.0, 2.0, 3.0])
-    q.enqueue(f, 2)
+    q.enqueue_batch([f], [2])
     assert q.fill == 1 and q.head == 1
     assert np.array_equal(q.features[0], f)
     assert q.labels[0] == 2
@@ -34,7 +34,7 @@ def test_fifo_eviction_keeps_newest():
     q = MemoryQueue(2, 2, dtype=np.float64)
     f1, f2, f3 = unit([1, 0]), unit([0, 1]), unit([1, 1])
     for i, f in enumerate([f1, f2, f3]):
-        q.enqueue(f, i)
+        q.enqueue_batch([f], [i])
     feats, labels = insertion_order(q)
     assert np.array_equal(feats, np.stack([f2, f3]))
     assert list(labels) == [1, 2]
@@ -46,7 +46,7 @@ def test_overfill_keeps_last_k_in_order():
     rng = np.random.default_rng(0)
     feats = random_unit_rows(rng, k + 5, 4)
     for i, f in enumerate(feats):
-        q.enqueue(f, i)
+        q.enqueue_batch([f], [i])
     snap_feats, snap_labels = insertion_order(q)
     assert q.fill == k
     assert np.array_equal(snap_feats, feats[5:])
@@ -56,11 +56,11 @@ def test_overfill_keeps_last_k_in_order():
 def test_enqueue_contract_checks():
     q = MemoryQueue(4, 3, dtype=np.float64)
     with pytest.raises(ContractError):
-        q.enqueue(np.array([2.0, 0.0, 0.0]), 0)
+        q.enqueue_batch([np.array([2.0, 0.0, 0.0])], [0])
     with pytest.raises(ContractError):
-        q.enqueue(unit([1, 1, 1]), -1)
+        q.enqueue_batch([unit([1, 1, 1])], [-1])
     with pytest.raises(StructuralError):
-        q.enqueue(unit([1, 1]), 0)
+        q.enqueue_batch([unit([1, 1])], [0])
 
 
 @pytest.mark.parametrize("row", [[np.nan] * 3, [1.0, 0.0, np.nan]],
@@ -69,17 +69,30 @@ def test_enqueue_batch_rejects_nan_rows(row):
     """A NaN norm compares false with any tolerance, so it must not pass as
     a norm within it."""
     q = MemoryQueue(4, 3, dtype=np.float64)
-    q.enqueue(unit([1, 2, 3]), 0)
+    q.enqueue_batch([unit([1, 2, 3])], [0])
     before = copy.deepcopy(q)
     with pytest.raises(ContractError):
         q.enqueue_batch(np.array([unit([0, 1, 0]), row]), [1, 2])
     assert_same_queue(q, before)
 
 
+@pytest.mark.parametrize("label", [2.7, np.nan, np.inf, 1e30, -0.5],
+                         ids=["fraction", "nan", "inf", "beyond_int64", "negative_fraction"])
+def test_enqueue_batch_rejects_labels_that_are_not_whole_numbers(label):
+    q = MemoryQueue(4, 3, dtype=np.float64)
+    q.enqueue_batch([unit([1, 2, 3])], [0.0])
+    before = copy.deepcopy(q)
+    with pytest.raises(ContractError, match="whole number"):
+        q.enqueue_batch([unit([0, 1, 0]), unit([1, 0, 0])], [2.0, label])
+    assert_same_queue(q, before)
+    q.enqueue_batch([unit([0, 1, 0])], [2.0])
+    assert list(q.filled_labels) == [0, 2]
+
+
 def prefilled(capacity, prefill, seed):
     q = MemoryQueue(capacity, 3, dtype=np.float64)
     for f in random_unit_rows(np.random.default_rng(seed), prefill, 3):
-        q.enqueue(f, 1)
+        q.enqueue_batch([f], [1])
     return q
 
 
@@ -100,7 +113,7 @@ def test_enqueue_batch_matches_per_row_enqueue(capacity, n, prefill, seed):
     labels = rng.integers(0, 5, size=n)
     batched.enqueue_batch(feats, labels)
     for f, y in zip(feats, labels):
-        per_row.enqueue(f, y)
+        per_row.enqueue_batch([f], [y])
     assert_same_queue(batched, per_row)
 
 
@@ -141,7 +154,7 @@ def test_fifo_matches_deque_reference(seed, capacity):
     for step in range(200):
         f = random_unit_rows(rng, 1, 3)[0]
         label = int(rng.integers(0, 5))
-        q.enqueue(f, label)
+        q.enqueue_batch([f], [label])
         reference.append((f, label))
         feats, labels = insertion_order(q)
         assert np.array_equal(feats, np.stack([r[0] for r in reference]))
@@ -150,7 +163,7 @@ def test_fifo_matches_deque_reference(seed, capacity):
 
 def test_address_single_slot_is_one():
     q = MemoryQueue(4, 3, dtype=np.float64)
-    q.enqueue(unit([1, 0, 0]), 0)
+    q.enqueue_batch([unit([1, 0, 0])], [0])
     assert np.array_equal(address(q, unit([0, 1, 0])), [1.0])
 
 
@@ -158,7 +171,7 @@ def test_address_equal_features_uniform():
     q = MemoryQueue(8, 3, dtype=np.float64)
     f = unit([1, 2, 2])
     for _ in range(5):
-        q.enqueue(f, 0)
+        q.enqueue_batch([f], [0])
     weights = address(q, unit([3, 1, 0]))
     assert np.allclose(weights, 0.2, atol=1e-12)
 
@@ -166,8 +179,8 @@ def test_address_equal_features_uniform():
 def test_address_two_slot_closed_form():
     # logits 1 and 0 -> softmax [e/(e+1), 1/(e+1)]
     q = MemoryQueue(2, 2, dtype=np.float64)
-    q.enqueue(np.array([1.0, 0.0]), 0)
-    q.enqueue(np.array([0.0, 1.0]), 1)
+    q.enqueue_batch([np.array([1.0, 0.0])], [0])
+    q.enqueue_batch([np.array([0.0, 1.0])], [1])
     weights = address(q, np.array([1.0, 0.0]))
     e = math.e
     assert weights[0] == pytest.approx(e / (e + 1), abs=1e-12)
@@ -226,8 +239,8 @@ def test_recall_one_hot_returns_slot():
 def test_recall_antipodal_features_cancel():
     q = MemoryQueue(2, 3, dtype=np.float64)
     f = unit([1, 2, -1])
-    q.enqueue(f, 0)
-    q.enqueue(-f, 1)
+    q.enqueue_batch([f], [0])
+    q.enqueue_batch([-f], [1])
     assert np.allclose(recall(q, [0.5, 0.5]), 0.0, atol=1e-15)
 
 
@@ -244,7 +257,7 @@ def test_recall_matches_per_coordinate_oracle():
 
 def test_recall_length_mismatch():
     q = MemoryQueue(4, 3, dtype=np.float64)
-    q.enqueue(unit([1, 0, 0]), 0)
+    q.enqueue_batch([unit([1, 0, 0])], [0])
     with pytest.raises(StructuralError):
         recall(q, [0.5, 0.5])
 
@@ -254,7 +267,7 @@ def test_recall_for_query_cold_start_and_single_slot():
     query = unit([1, 1, 0])
     assert np.array_equal(recall_for_query(q, query), np.zeros(3))
     slot = unit([0, 1, 1])
-    q.enqueue(slot, 0)
+    q.enqueue_batch([slot], [0])
     assert np.allclose(recall_for_query(q, query), slot, atol=1e-15)
 
 

@@ -241,7 +241,7 @@ def test_in_training_accuracy_equals_evaluate(dtype):
     ("short_len", 6.0), ("width", 16.0), ("queue_capacity", 512.0),
     ("eval_stride", 2.0), ("epochs", True), ("input_scale", True),
     ("learning_rate", "0.1"), ("use_recall", 1), ("center", "no"),
-    ("dtype", None), ("contrast_loss", 0)])
+    ("dtype", None), ("contrast_loss", 0), ("window_scale", 0)])
 def test_config_fields_are_type_checked(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
@@ -503,7 +503,41 @@ def test_prepare_data_drops_samples_without_long_windows():
     assert data["x_short"].shape[0] > 0
 
 
-# --- training data against the sample-object reference ---------------------------
+@pytest.mark.parametrize("labels,scale,purity,pairs", [
+    ([0] * 12, 1, True, {s: s for s in range(10)}),  # S=1: the short window itself
+    ([0] * 20, 2, True, {6: 3}),  # floor(S/2)*T frames earlier: start 6 spans [3, 9)
+    ([0] * 20, 4, True, {0: 0}),  # clamped at the left edge
+    ([0] * 15, 4, True, {12: 3}),  # clamped at the right edge
+    ([0] * 5, 2, True, {}),  # the recording cannot hold S*T frames: no pair at all
+    ([0] * 6 + [1] * 6, 2, True, {6: None, 9: 6}),  # [3, 9) mixes labels
+    ([0] * 6 + [1] * 6, 2, False, {6: 3}),
+], ids=["scale_one", "centered", "left_clamp", "right_clamp", "too_short", "impure",
+        "impure_kept"])
+def test_prepare_data_long_windows(labels, scale, purity, pairs):
+    """``pairs`` maps a short window's start (T=3, stride 1) to its long
+    window's start, or to None when the pair is dropped."""
+    rec = Recording("r0", "s0", np.random.default_rng(1).normal(size=(len(labels), 3, 3)),
+                    np.asarray(labels, dtype=np.int64))
+    config = TrainConfig(short_len=3, window_scale=scale, stride=1, purity_required=purity,
+                         center=False, input_scale=1.0, dtype="float64")
+    build = lambda: prepare_data(config, [rec], LabelMap(names=["a", "b"]),
+                                 SplitSpec.from_lists(["s0"], ["s1"]))
+    if not pairs:
+        with pytest.raises(ConfigError, match="long-term window"):
+            build()
+        return
+    data = build()
+    window = lambda start, length: rec.joints[start:start + length].transpose(2, 0, 1)
+    for short, long in pairs.items():
+        rows = [i for i, x in enumerate(data["x_short"])
+                if np.array_equal(x, window(short, 3))]
+        assert len(rows) == (long is not None)
+        for i in rows:
+            assert np.array_equal(data["x_long"][i], window(long, 3 * scale))
+            assert data["y_train"][i] == labels[short]
+
+
+# --- training data against the per-window reference ------------------------------
 
 def prepared_or_error(config, recordings, label_map, split, build):
     """What ``build`` returns, with each array and test sample as its bits and
