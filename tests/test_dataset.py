@@ -9,9 +9,10 @@ from gesturemem.dataset import (LabelMap, Recording, SplitSpec,
                                 SynthesisConfig, load_recordings, mean_center,
                                 split_subjects, split_windows,
                                 synthesize_gestures, window_dataset,
-                                write_frames)
+                                window_starts, write_frames)
 from gesturemem.errors import (ConfigError, DataIntegrityError,
                                NonFiniteError, ParseError)
+from gesturemem.training import TrainConfig, prepare_data
 from helpers import ref_split_windows
 
 
@@ -124,6 +125,38 @@ def test_split_windows_stride_one_equals_enumeration(labels, short_len):
     for s in samples:
         window = labels[s.start_frame:s.start_frame + short_len]
         assert set(window) == {s.label}
+
+
+@given(st.integers(0, 1000), st.integers(1, 5), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_build_long_term_always_full_length_within_recording(seed, short_len, scale):
+    """Without purity, every pure short window of a recording that holds S*T
+    frames gets a long window of exactly S*T frames inside the recording that
+    holds the short one; a shorter recording gives no training pair."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    rec = make_recording(rng.integers(0, 2, size=n), seed=seed)
+    shorts = [s.start_frame for s in split_windows(rec, short_len, stride=1)]
+    config = TrainConfig(short_len=short_len, window_scale=scale, stride=1,
+                         purity_required=False, center=False, input_scale=1.0,
+                         dtype="float64")
+    build = lambda: prepare_data(config, [rec], LabelMap(names=["a", "b"]),
+                                 SplitSpec.from_lists(["s0"], ["s1"]))
+    total = scale * short_len
+    if n < total or not shorts:
+        with pytest.raises(ConfigError, match="long-term window"):
+            build()
+        return
+    starts, keep = window_starts(rec, short_len, window_scale=scale,
+                                 at=np.asarray(shorts), purity_required=False)
+    assert keep.all()
+    assert ((0 <= starts) & (starts + total <= n)).all()
+    assert ((starts <= shorts) & (np.asarray(shorts) + short_len <= starts + total)).all()
+    data = build()
+    assert data["x_long"].shape == (len(shorts), 3, total, 3)
+    for i, start in enumerate(starts):
+        assert np.array_equal(data["x_long"][i],
+                              rec.joints[start:start + total].transpose(2, 0, 1))
 
 
 # --- vectorized windowing against the per-window reference -----------------------
