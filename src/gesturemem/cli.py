@@ -43,6 +43,11 @@ def _load_mapping(args):
     return apply_overrides(mapping, args.set)
 
 
+def _names(text):
+    """The names of a comma-separated list, stripped, empty ones dropped."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _resolve_split(mapping, recordings):
     """Subject split from explicit lists or a deterministic sorted-prefix fraction."""
     subjects = sorted({r.subject_id for r in recordings})
@@ -51,8 +56,7 @@ def _resolve_split(mapping, recordings):
     if train or test:
         if not (train and test):
             raise ConfigError("train_subjects and test_subjects must be set together")
-        as_list = lambda v: [s.strip() for s in v.split(",") if s.strip()]
-        return SplitSpec.from_lists(as_list(train), as_list(test))
+        return SplitSpec.from_lists(_names(train), _names(test))
     fraction = mapping.get("train_fraction")
     if fraction is None:
         raise ConfigError("config must set train_subjects/test_subjects "
@@ -69,9 +73,18 @@ def _train_config(mapping):
 
 
 def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
-    """Windows of the recordings of ``subjects`` (of all when not given)."""
-    if subjects:
+    """Windows of the recordings of ``subjects`` (of all when None).
+
+    An empty list, or one naming a subject the data lacks, is a
+    :class:`ConfigError`.
+    """
+    if subjects is not None:
         keep = set(subjects)
+        if not keep:
+            raise ConfigError("--subjects lists no subject")
+        unknown = sorted(keep - {r.subject_id for r in recordings})
+        if unknown:
+            raise ConfigError(f"--subjects: no subject {', '.join(unknown)} in the data")
         recordings = [r for r in recordings if r.subject_id in keep]
     stride = stride if stride is not None else model.short_len
     return window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
@@ -105,7 +118,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_map = load_recordings(args.data)
-    subjects = args.subjects.split(",") if args.subjects else None
+    subjects = _names(args.subjects) if args.subjects else None
     samples = _eval_windows(model, recordings, label_map, subjects, args.stride)
     result = evaluate(model, samples)
     print(f"accuracy: {result.accuracy:.4f} over {len(samples)} windows")
@@ -181,7 +194,7 @@ def cmd_serve(args):
 def cmd_export_addressing(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_map = load_recordings(args.data)
-    subjects = args.subjects.split(",") if args.subjects else None
+    subjects = _names(args.subjects) if args.subjects else None
     samples = _eval_windows(model, recordings, label_map, subjects)
     stats = export_addressing(model, samples, args.n_slots, args.n_samples,
                               args.seed, args.out)

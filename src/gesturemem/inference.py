@@ -28,11 +28,20 @@ than ``MAX_LINE_BYTES``, yield an ``{"error": ...}`` object and the session
 continues. A TCP connection beyond ``MAX_SESSIONS`` open sessions gets
 ``{"error": "server busy"}`` and is closed, and one that sends nothing for
 ``IDLE_TIMEOUT_S`` seconds gets ``{"error": "idle timeout"}`` and is closed.
+
+Most frames predict nothing, so a frame costs only what checking and buffering
+it costs until a window is due. A plain frame, a list of V lists of C finite
+JSON floats, is checked in Python and buffered as a flat tuple of its floats
+without touching numpy; numpy classifies every other input (integers,
+booleans, strings, null, ragged or mis-shaped lists, arrays) and buffers what
+it accepts in the same form. An emission builds the [C, T, V] window from the
+buffered tuples in one ``np.fromiter``.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import logging
 import math
@@ -60,6 +69,8 @@ MAX_LINE_BYTES = 64 * 1024
 MAX_SESSIONS = 64
 # seconds a TCP session may wait for its next bytes before it is closed
 IDLE_TIMEOUT_S = 60.0
+# json.loads without its BOM and trailing-data checks, which handle_line makes
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -229,6 +240,46 @@ def _holds_bool(value):
     return False
 
 
+def _plain_frame(joints):
+    """The coordinates of a list of V lists of C finite floats, as a flat
+    tuple, or None for any other input, which :func:`_numpy_frame` classifies."""
+    if type(joints) is not list or len(joints) != NUM_JOINTS:
+        return None
+    frame = []
+    for row in joints:
+        if type(row) is not list or len(row) != NUM_CHANNELS:
+            return None
+        frame += row
+    for v in frame:
+        if type(v) is not float or not math.isfinite(v):  # bool and int are not float
+            return None
+    return tuple(frame)
+
+
+def _numpy_frame(joints, scan_bools=True):
+    """The coordinates of a [V, C] array or nested lists as a flat tuple of
+    floats, or the error text that rejects them.
+
+    ``scan_bools`` looks for booleans among the numbers of nested lists
+    first, which numpy would read as 0/1.
+    """
+    if scan_bools and _holds_bool(joints):
+        return "non-numeric joint coordinate"
+    try:
+        joints = np.asarray(joints)
+    except ValueError:  # ragged or too deeply nested
+        return f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, got a ragged array"
+    if joints.dtype.kind not in "iuf":
+        return "non-numeric joint coordinate"
+    if joints.shape != (NUM_JOINTS, NUM_CHANNELS):
+        return (f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, "
+                f"got shape {list(joints.shape)}")
+    joints = joints.astype(np.float64, copy=False)
+    if not np.isfinite(joints).all():
+        return "non-finite joint coordinate"
+    return tuple(joints.ravel().tolist())
+
+
 class StreamSession:
     """One client's sliding window over arriving frames.
 
@@ -236,6 +287,11 @@ class StreamSession:
     ``stride_ms`` has elapsed (by frame timestamp) since the previous emission.
     A frame stamped earlier than the last accepted one is rejected, not
     buffered; equal timestamps are accepted.
+
+    ``buffer`` holds each accepted frame as a flat tuple of its V*C float
+    coordinates, whichever route checked it (see the module docstring): a
+    plain frame stays Python floats until a window is due, and both routes
+    give the same window and the same error texts.
     """
 
     def __init__(self, model, stride_ms=180.0, frame_hz=30.0):
@@ -255,13 +311,18 @@ class StreamSession:
         line = line.strip()
         if not line:
             return None
+        if line.startswith("\ufeff"):
+            return {"error": "malformed frame: Unexpected UTF-8 BOM "
+                             "(decode using utf-8-sig)"}
         try:
-            obj = json.loads(line)
+            obj, end = _raw_decode(line)
         except json.JSONDecodeError as e:
             return {"error": f"malformed frame: {e.msg}"}
         except (ValueError, RecursionError):
             # an integer past the digit limit, or nesting past the recursion limit
             return {"error": "malformed frame: unparseable JSON"}
+        if end != len(line):  # the line is stripped, so the rest is not all whitespace
+            return {"error": "malformed frame: Extra data"}
         if not isinstance(obj, dict) or "joints" not in obj:
             return {"error": "malformed frame: expected an object with 'joints'"}
         t = obj.get("t")
@@ -274,11 +335,10 @@ class StreamSession:
                 t = math.nan
             if not math.isfinite(t):
                 return {"error": "malformed frame: 't' must be a finite number"}
-        # numpy reads booleans mixed with numbers as 0/1; only a line that
-        # spells one out pays for the scan
-        if ("true" in line or "false" in line) and _holds_bool(obj["joints"]):
-            return {"error": "non-numeric joint coordinate", "t": t}
-        return self._accept(t, obj["joints"])
+        joints = obj["joints"]
+        # only a line that spells out a boolean pays for the scan
+        return self._accept(t, _plain_frame(joints) or _numpy_frame(
+            joints, "true" in line or "false" in line))
 
     def handle_frame(self, t_ms, joints):
         """Append one frame; returns a prediction object when one is due.
@@ -286,35 +346,27 @@ class StreamSession:
         ``joints`` is a [V, C] array or nested lists; booleans among the
         numbers of a list are rejected, not read as 0/1.
         """
-        if not isinstance(joints, np.ndarray) and _holds_bool(joints):
-            return {"error": "non-numeric joint coordinate", "t": t_ms}
-        return self._accept(t_ms, joints)
+        return self._accept(t_ms, _plain_frame(joints) or _numpy_frame(joints))
 
-    def _accept(self, t_ms, joints):
-        """:meth:`handle_frame` past the boolean scan, which the caller made."""
-        try:
-            joints = np.asarray(joints)
-        except ValueError:  # ragged or too deeply nested
-            return {"error": f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, "
-                             "got a ragged array", "t": t_ms}
-        if joints.dtype.kind not in "iuf":
-            return {"error": "non-numeric joint coordinate", "t": t_ms}
-        if joints.shape != (NUM_JOINTS, NUM_CHANNELS):
-            return {"error": f"expected {NUM_JOINTS}x{NUM_CHANNELS} joints, "
-                             f"got shape {list(joints.shape)}", "t": t_ms}
-        joints = joints.astype(np.float64, copy=False)
-        if not np.isfinite(joints).all():
-            return {"error": "non-finite joint coordinate", "t": t_ms}
+    def _accept(self, t_ms, frame):
+        """Buffer a checked frame (a flat coordinate tuple, or the error text
+        that rejected it) and predict when a window is due."""
+        if type(frame) is str:
+            return {"error": frame, "t": t_ms}
         if self.last_t is not None and t_ms < self.last_t:
             return {"error": "timestamp went backwards", "t": t_ms}
         self.last_t = t_ms
-        self.buffer.append(joints)
-        if len(self.buffer) < self.model.short_len:
+        self.buffer.append(frame)
+        length = self.model.short_len
+        if len(self.buffer) < length:
             return None
         if (self.last_emit_t is not None
                 and t_ms - self.last_emit_t < self.stride_ms - TIME_EPS_MS):
             return None
-        window = np.array(self.buffer).transpose(2, 0, 1)  # [T,V,C] -> [C,T,V]
+        window = np.fromiter(itertools.chain.from_iterable(self.buffer), np.float64,
+                             length * NUM_JOINTS * NUM_CHANNELS)
+        # [T, V, C] -> [C, T, V]
+        window = window.reshape(length, NUM_JOINTS, NUM_CHANNELS).transpose(2, 0, 1)
         debug = log.isEnabledFor(logging.DEBUG)
         started = time.perf_counter() if debug else 0.0
         try:
@@ -328,7 +380,7 @@ class StreamSession:
         self.last_emit_t = t_ms
         self.last_prediction = {"t": t_ms, "class": cls,
                                 "name": self.model.label_names[cls],
-                                "probs": [float(p) for p in probs]}
+                                "probs": probs.tolist()}
         return self.last_prediction
 
 

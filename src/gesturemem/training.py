@@ -238,8 +238,9 @@ def train_step(state, x_short, x_long, labels):
     adj = state.graph.normalized
     labels = np.asarray(labels)
 
-    feats_s, cache_s = enc.encode_forward(state.params_s, x_short, adj, enc_cfg,
-                                          want_cache=True)
+    # built once: the views loss runs the short encoder on the same operands
+    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks)
+    feats_s, cache_s = enc.encode_forward(ops_s, x_short, adj, enc_cfg, want_cache=True)
     feats_l, _ = enc.encode_forward(state.params_l, x_long, adj, enc_cfg)
 
     if cfg.use_recall:
@@ -270,8 +271,8 @@ def train_step(state, x_short, x_long, labels):
             views = _augment_views(x_short, state.rng, cfg.jitter_sigma,
                                    min_len=max(cfg.temporal_kernel, x_short.shape[2] - 2))
             view_labels = np.concatenate([labels, labels])
-            view_feats, aug_cache = enc.encode_forward(
-                state.params_s, views, adj, enc_cfg, want_cache=True)
+            view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
+                                                       want_cache=True)
             contrast, g_views = losses.supervised_contrastive_loss_with_grad(
                 view_feats, view_labels, loss_cfg)
             g_aug = loss_cfg.mal_weight * g_views

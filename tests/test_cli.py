@@ -122,13 +122,41 @@ def test_eval_windows_only_the_requested_subjects(monkeypatch):
                                              if subject in want_subjects]
 
 
-def test_infer_emits_ndjson(tmp_path, capsys):
-    synth = write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH)
-    traincfg = write_cfg(tmp_path / "train.cfg", DEMO_TRAIN)
+def generate_and_train(tmp_path):
+    """A demo data directory and a checkpoint trained on it."""
     data = str(tmp_path / "data")
     ckpt = str(tmp_path / "model.ckpt")
-    assert main(["generate", "--config", synth, "--out", data]) == 0
-    assert main(["train", "--config", traincfg, "--data", data, "--out", ckpt]) == 0
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", data]) == 0
+    assert main(["train", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+                 "--data", data, "--out", ckpt]) == 0
+    return data, ckpt
+
+
+def test_subjects_lists_are_stripped_and_checked(tmp_path, capsys):
+    data, ckpt = generate_and_train(tmp_path)
+    capsys.readouterr()
+    outs = []
+    for subjects in ("s03,s04", " s03 , s04 ", "s03, s04,"):
+        assert main(["eval", "--model", ckpt, "--data", data, "--subjects", subjects]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] and "over 60 windows" in outs[0], outs
+    assert main(["eval", "--model", ckpt, "--data", data, "--subjects", "s03"]) == 0
+    assert "over 30 windows" in capsys.readouterr().out
+    export = ["export-addressing", "--model", ckpt, "--data", data, "--n-slots", "4",
+              "--n-samples", "4", "--out", str(tmp_path / "addr.csv")]
+    for command in (["eval", "--model", ckpt, "--data", data], export):
+        for subjects, needle in (("s03, s99", "no subject s99 in the data"),
+                                 ("s3", "no subject s3 in the data"),
+                                 (" , ", "lists no subject")):
+            assert main(command + ["--subjects", subjects]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err, err
+    assert not (tmp_path / "addr.csv").exists()
+
+
+def test_infer_emits_ndjson(tmp_path, capsys):
+    data, ckpt = generate_and_train(tmp_path)
     capsys.readouterr()
     assert main(["infer", "--model", ckpt, "--data", data]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -138,12 +166,7 @@ def test_infer_emits_ndjson(tmp_path, capsys):
 
 
 def test_out_of_range_stride_and_n_slots_exit_2(tmp_path, capsys):
-    synth = write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH)
-    traincfg = write_cfg(tmp_path / "train.cfg", DEMO_TRAIN)
-    data = str(tmp_path / "data")
-    ckpt = str(tmp_path / "model.ckpt")
-    assert main(["generate", "--config", synth, "--out", data]) == 0
-    assert main(["train", "--config", traincfg, "--data", data, "--out", ckpt]) == 0
+    data, ckpt = generate_and_train(tmp_path)
     capsys.readouterr()
     for command in ("eval", "infer"):
         assert main([command, "--model", ckpt, "--data", data, "--stride", "0"]) == 2

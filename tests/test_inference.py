@@ -211,6 +211,51 @@ def test_folded_readout_bound_on_a_big_adversarial_queue(dtype, tol, slots):
         assert unfolded.max() - unfolded[cls] <= tol
 
 
+def softmax64(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# float32 rounds a probability by up to eps/2; the memory read's float32 sums
+# over 65536 slots may add a few eps more. Fixed before the run at 32 eps
+# (3.8e-6); a half-query, half-negation queue measured 9.6e-7.
+PAPER_SCALE_TOL = 32 * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("slots", ["random", "query_and_negation"])
+def test_predict_precision_on_a_paper_scale_float32_queue(slots):
+    """predict on a 65536-slot float32 queue stays within PAPER_SCALE_TOL of a
+    float64 evaluation of the same inputs: the float32 features and slots,
+    upcast, read with a max-subtracted softmax and decoded in float64."""
+    n = 65536
+    _, state = untrained_model(dtype="float32", center=True, input_scale=1000.0,
+                               queue_capacity=n)
+    rng = np.random.default_rng(23)
+    plain = FrozenModel.from_state(state)
+    labels = rng.integers(0, 3, size=n)
+    w64 = state.decoder["w"].astype(np.float64)
+    b64 = state.decoder["b"].astype(np.float64)
+    worst = 0.0
+    for window in rng.normal(size=(4, 3, 6, 3)):
+        f = window_features(plain, window[None])[0]  # the query predict makes
+        if slots == "random":
+            rows = random_unit_rows(rng, n, 8, dtype=np.float32)
+        else:
+            rows = np.r_[np.repeat(f[None], n // 2, axis=0),
+                         np.repeat(-f[None], n // 2, axis=0)]
+        state.queue.enqueue_batch(rows, labels)
+        model = FrozenModel.from_state(state)
+        assert model.queue.fill == n and model.keys.dtype == np.float32
+        _, probs = predict(model, window)
+        f64 = f.astype(np.float64)
+        mem64 = model.queue.filled_features.astype(np.float64)
+        recalled = softmax64(mem64 @ f64) @ mem64
+        exact = softmax64((f64 + recalled) @ w64.T + b64)
+        worst = max(worst, float(np.abs(probs - exact).max()))
+    assert PAPER_SCALE_TOL <= 4e-6
+    assert worst <= PAPER_SCALE_TOL, worst
+
+
 @pytest.mark.parametrize("fault", ["nan", "inf", "scaled", "zero"])
 def test_model_rejects_a_slot_off_unit_norm(fault):
     """Prediction's bounded logits need unit-norm slots, so a model is not
@@ -667,3 +712,114 @@ def test_handle_line_never_raises(lines):
     outs = [session.handle_line(json.dumps({"t": late, "joints": [[0.0] * 3] * 3}))
             for _ in range(model.short_len)]
     assert "class" in outs[-1]
+
+
+def assert_routes_agree(lines, dtype="float32"):
+    """Two sessions, one with the plain-float route off, answer every line
+    alike: the same error texts, the same probabilities bit for bit (repr
+    tells -0.0 from 0.0) and the same buffered coordinates. A line that
+    json.loads rejects gets json.loads's message."""
+    model, _ = untrained_model(dtype=dtype, input_scale=1000.0, center=True)
+    both, numpy_only = (StreamSession(model, stride_ms=0.0) for _ in range(2))
+    frames = np.random.default_rng(0).normal(size=(model.short_len - 1, 3, 3))
+    for session in (both, numpy_only):
+        for i, frame in enumerate(frames):  # the next valid frame predicts
+            session.handle_frame(-1e3 + i, frame)
+    for line in lines:
+        out = both.handle_line(line)
+        with pytest.MonkeyPatch.context() as mp:  # the plain-float route off
+            mp.setattr(inference, "_plain_frame", lambda joints: None)
+            expected = numpy_only.handle_line(line)
+        assert repr(out) == repr(expected), line
+        assert repr(list(both.buffer)) == repr(list(numpy_only.buffer)), line
+        try:
+            json.loads(line.strip() or "null")  # a blank line is skipped
+        except json.JSONDecodeError as e:
+            assert out == {"error": f"malformed frame: {e.msg}"}, line
+        except (ValueError, RecursionError):
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINES, min_size=1, max_size=8))
+def test_plain_and_numpy_routes_agree_on_any_line(lines):
+    assert_routes_agree(lines)
+
+
+# coordinate tokens as a line spells them: floats of every kind (json.dumps
+# writes NaN, Infinity and -Infinity), integers, and literals past the float
+# range or below the normal one
+TOKENS = (st.floats().map(json.dumps)
+          | st.integers(-10 ** 20, 10 ** 20).map(str)
+          | st.sampled_from(["1e400", "-1e400", "-0.0", "-0", "0.0", "5e-324",
+                             "-2.5e-320", "2.2250738585072014e-308", "1E2", "3.0"]))
+FLOAT_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(json.dumps)
+
+
+def token_line(tokens, t):
+    rows = ", ".join("[" + ", ".join(tokens[3 * i:3 * i + 3]) + "]" for i in range(3))
+    stamp = "" if t is None else f'"t": {t}, '
+    return "{" + stamp + '"joints": [' + rows + "]}"
+
+
+# coordinates near the float range overflow the model's arithmetic on both
+# routes alike; numpy warns, and the emission is an error object
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(FLOAT_TOKENS | TOKENS, min_size=9, max_size=9),
+                          st.none() | st.floats(-1e3, 1e3)),
+                min_size=1, max_size=8),
+       st.sampled_from(["float32", "float64"]))
+def test_plain_and_numpy_routes_agree_on_spelled_out_frames(frames, dtype):
+    assert_routes_agree([token_line(tokens, t) for tokens, t in frames], dtype)
+
+
+def test_plain_and_numpy_routes_agree_on_bom_and_trailing_data():
+    frame = token_line(["0.5", "-0.0", "5e-324", "1.0", "2.0", "3.0", "4.0", "5.0", "6.0"],
+                       None)
+    lines = [frame, "﻿" + frame, "﻿", " ﻿" + frame + " ",
+             frame + " x", frame + "{}", frame + " 1", frame + frame, frame + "]",
+             "[1] [2]", '{"joints": 1}  {', frame + "\t\n", frame]
+    assert_routes_agree(lines)
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=0.0)
+    assert session.handle_line("﻿" + frame) == {
+        "error": "malformed frame: Unexpected UTF-8 BOM (decode using utf-8-sig)"}
+    assert session.handle_line(frame + " x") == {"error": "malformed frame: Extra data"}
+    assert session.handle_line(frame + "\t\n") is None
+
+
+class AttributeRecorder:
+    """Stands in for a module and records each attribute looked up on it."""
+
+    def __init__(self, module):
+        self.module = module
+        self.looked_up = []
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        return getattr(self.module, name)
+
+
+def test_non_emitting_plain_frames_touch_no_numpy(monkeypatch):
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=100.0, frame_hz=20.0)
+    rng = np.random.default_rng(24)
+    recorder = AttributeRecorder(np)
+    monkeypatch.setattr(inference, "np", recorder)
+    lines = [frame_line(i * 50.0, rng.normal(size=(3, 3)))
+             for i in range(model.short_len)]
+    lines[1] = json.dumps({"joints": rng.normal(size=(3, 3)).tolist()})  # t omitted
+    for line in lines[:-1]:
+        assert session.handle_line(line) is None
+        assert recorder.looked_up == [], (line, recorder.looked_up)
+    out = session.handle_line(lines[-1])  # the window is full: it predicts
+    assert "class" in out and "fromiter" in recorder.looked_up
+    window = np.array([json.loads(line)["joints"] for line in lines]).transpose(2, 0, 1)
+    assert out["probs"] == predict(model, window)[1].tolist()
+    recorder.looked_up.clear()  # the next frame falls within the stride
+    assert session.handle_line(frame_line(300.0, rng.normal(size=(3, 3)))) is None
+    assert recorder.looked_up == []
+    out = session.handle_line(frame_line(350.0, rng.normal(size=(3, 3))))
+    assert "class" in out and "fromiter" in recorder.looked_up
