@@ -336,7 +336,9 @@ def mean_center(data):
     Removes static posture and subject-specific offsets from a [C, T, V] window
     (or a batch [B, C, T, V]), leaving only within-window motion.
     """
-    return data - data.mean(axis=-2, keepdims=True)
+    # the sum and divide that ndarray.mean runs on float32 and float64 input,
+    # without its Python-level set-up
+    return data - np.add.reduce(data, axis=-2, keepdims=True) / data.shape[-2]
 
 
 def preprocess(windows, center, input_scale, dtype):

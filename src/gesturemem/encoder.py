@@ -288,7 +288,13 @@ def _forward(ops, x, adj, cfg, want_cache):
     per_window = h.reshape(b, t * v, c)
     pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
     z = pooled @ params["proj.w"].T + params["proj.b"]
-    norm = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    # a finite input far past the dtype's range can overflow the squares or
+    # their sum; that is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    if not np.isfinite(norm).all():
+        raise NonFiniteError("non-finite encoder feature norm: the input "
+                             "overflows the model dtype")
     r = np.maximum(norm, NORM_EPS)
     f = z / r
     if not want_cache:
@@ -362,9 +368,11 @@ def classify(decoder, f, memory_logits=None):
     logits = f @ decoder["w"].T + decoder["b"]
     if memory_logits is not None:
         logits += memory_logits
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the max-subtracted softmax, in place on the fresh logits
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 def momentum_update(params_l, params_s, coef):

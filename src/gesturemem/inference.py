@@ -8,15 +8,21 @@ from, so the decoder folds into the memory once per model: recall's readout
 runs on ``W_dec @ memᵀ`` ([classes, fill]), not on the stored features.
 :func:`predict` is that path on one window.
 
-A prediction reads the memory once, in three operations: ``e = f @ keys``,
-``exp(e)`` in place and ``s = e @ readoutᵀ``. Every filled slot has unit norm
-within ``memory.NORM_TOL`` (the model checks this when it is built) and the
-encoder's features have norm at most 1, so every logit lies in [-1.001, 1.001]:
-exp cannot overflow and needs no max pass, and the softmax normalizer is at
-least ``fill * e^-1.001``. The readout's last row is all ones, so the same
-product gives the normalizer, and only the ``classes`` decoded numbers are
-divided by it (the online softmax's deferred rescale, Milakov & Gimelshein
-2018, arXiv:1805.02867; FlashAttention, Dao et al. 2022, arXiv:2205.14135).
+A prediction reads the memory once, in three operations: ``e = (f @ B) @
+keys``, ``exp(e)`` in place and ``s = e @ readoutᵀ``. Every query is
+``f = (proj.w @ pooled + proj.b) / r``, so it lies in the span of
+``[proj.w | proj.b]``, a subspace of dimension at most ``width + 1``; ``B`` is
+an orthonormal basis of it and ``keys = Bᵀ memᵀ`` the slots' coordinates in
+it, so each logit ``(Bᵀf)·(Bᵀm) = f·(BBᵀm) = f·m`` up to rounding, while the
+scan reads ``width + 1`` numbers per slot instead of ``feature_dim``. Every
+filled slot has unit norm within ``memory.NORM_TOL`` (the model checks this
+when it is built) and the encoder's features have norm at most 1; a
+projection makes neither longer, so every logit lies in [-1.001, 1.001]: exp
+cannot overflow and needs no max pass, and the softmax normalizer is at least
+``fill * e^-1.001``. The readout's last row is all ones, so the same product
+gives the normalizer, and only the ``classes`` decoded numbers are divided by
+it (the online softmax's deferred rescale, Milakov & Gimelshein 2018,
+arXiv:1805.02867; FlashAttention, Dao et al. 2022, arXiv:2205.14135).
 
 Input protocol: one JSON object per line, ``{"t": <ms>, "joints": [[x,y,z]*3]}``
 (``t`` optional; when absent, one ``--frame-hz`` period after the last accepted
@@ -80,13 +86,21 @@ class FrozenModel:
     A model is a read-only snapshot of the state it was made from. Construction
     copies the encoder parameters, the adjacency, the decoder and the memory
     queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
-    and builds from them, once, the encoder's GEMM operands, ``keys`` and
-    ``readout`` (``dataclasses.replace`` copies and builds again):
+    and builds from them, once, the encoder's GEMM operands, ``basis``,
+    ``keys`` and ``readout`` (``dataclasses.replace`` copies and builds
+    again):
 
-    - ``keys`` is ``memᵀ`` [feature_dim, fill], the filled slots made
-      slot-minor so that addressing streams them contiguously. It is a second
-      ``fill x feature_dim`` copy of the queue (8 MiB for 65536 float32 slots
-      of 32).
+    - ``basis``, ``B`` in the module docstring, [feature_dim, r] with
+      ``r = min(width + 1, feature_dim)``, has orthonormal columns spanning
+      ``[proj.w | proj.b]`` and so every query. It is the Q factor of a
+      float64 QR of that matrix, cast to the queue's dtype.
+    - ``keys`` is ``Bᵀ memᵀ`` [r, fill], computed in float64 and cast: the
+      filled slots' coordinates in the query's subspace, slot-minor so that
+      addressing streams them contiguously. For 65536 float32 slots this is
+      4.25 MiB at feature_dim 32 and width 16 (17 rows instead of 32, 8 MiB),
+      and 8.25 MiB at the paper's 128 and 32 (33 rows instead of 128, 32 MiB).
+      When ``width + 1 >= feature_dim``, ``basis`` is square and the scan
+      reads what ``memᵀ`` would.
     - ``readout`` is ``[W_dec @ memᵀ - readout_mean; 1ᵀ]`` [classes + 1,
       fill]: the decoder weight applied to every filled slot, less its mean
       over the slots (``readout_mean`` [classes], added back after the
@@ -97,8 +111,8 @@ class FrozenModel:
       in a collapsed memory, the decoded recall is exact.
 
     Every filled slot must be finite with norm within ``memory.NORM_TOL`` of 1,
-    else :class:`ContractError`; that bounds the logits (see the module
-    docstring).
+    else :class:`ContractError`; that bounds the logits, the projected slots'
+    as well (see the module docstring).
 
     Changing the state's encoder, decoder or queue afterwards, in place or by
     reassignment, does not reach the model, and writing into the model's own
@@ -118,6 +132,7 @@ class FrozenModel:
     input_scale: float
     dtype: type
     operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
     keys: np.ndarray = field(init=False, repr=False, compare=False)
     readout: np.ndarray = field(init=False, repr=False, compare=False)
     readout_mean: np.ndarray = field(init=False, repr=False, compare=False)
@@ -138,18 +153,22 @@ class FrozenModel:
         if bad.any():
             raise ContractError(f"memory slot {np.flatnonzero(bad)[0]} has norm "
                                 f"{norms[bad][0]:.6f}, not 1")
-        keys = np.ascontiguousarray(queue.filled_features.T)
+        mem_t = np.ascontiguousarray(queue.filled_features.T)
+        basis = np.linalg.qr(np.column_stack([params["proj.w"], params["proj.b"]])
+                             .astype(np.float64))[0]
+        keys = (basis.T @ mem_t).astype(mem_t.dtype)
+        basis = basis.astype(mem_t.dtype)
         # class-major, so the readout GEMM streams K x classes contiguously
-        folded = decoder["w"] @ keys
+        folded = decoder["w"] @ mem_t
         mean = folded.sum(axis=1, dtype=np.float64) / max(queue.fill, 1)
         mean = mean.astype(folded.dtype)
         readout = np.vstack([folded - mean[:, None], np.ones_like(folded[:1])])
-        for a in (keys, readout, mean):
+        for a in (basis, keys, readout, mean):
             a.flags.writeable = False
         for name, value in (("adjacency", adjacency), ("params", params),
                             ("operands", operands), ("decoder", decoder),
-                            ("queue", queue), ("keys", keys), ("readout", readout),
-                            ("readout_mean", mean)):
+                            ("queue", queue), ("basis", basis), ("keys", keys),
+                            ("readout", readout), ("readout_mean", mean)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -197,8 +216,9 @@ def predict_batch(model, windows):
     decoded through the model's folded readout and added to the logits:
     ``(f + w @ mem) @ W_decᵀ + b = f @ W_decᵀ + b + w @ (W_dec @ memᵀ)ᵀ``,
     which reads a [classes, fill] matrix in place of the [fill, feature_dim]
-    queue. The addressing softmax ``w = e / Σe`` with ``e = exp(f @ keys)``
-    is never formed: ``e @ readoutᵀ`` gives the decoded recall's
+    queue. The addressing softmax ``w = e / Σe`` with
+    ``e = exp((f @ basis) @ keys)``, the logits ``f·m`` read in the query's
+    subspace, is never formed: ``e @ readoutᵀ`` gives the decoded recall's
     ``e``-weighted sums, less the readout mean, and ``Σe`` (the ones row) at
     once; the first is divided by the second and the mean added back.
     An empty queue recalls nothing, so prediction reduces to the plain
@@ -207,7 +227,7 @@ def predict_batch(model, windows):
     f = window_features(model, windows)
     memory_logits = None
     if model.use_recall and model.queue.fill > 0:
-        e = f @ model.keys
+        e = (f @ model.basis) @ model.keys
         s = np.exp(e, out=e) @ model.readout.T
         memory_logits = s[:, :-1] / s[:, -1:] + model.readout_mean
     probs = enc.classify(model.decoder, f, memory_logits)

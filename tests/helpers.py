@@ -93,12 +93,22 @@ def insertion_order(queue):
     return queue.features[order].copy(), queue.labels[order].copy()
 
 
+def query_basis(params):
+    """A float64 orthonormal basis [feature_dim, min(width + 1, feature_dim)]
+    of the span of ``[proj.w | proj.b]``, which holds every encoder feature:
+    the Q factor of that matrix's QR."""
+    proj = np.column_stack([params["proj.w"], params["proj.b"]])
+    return np.linalg.qr(proj.astype(np.float64))[0]
+
+
 def oracle_predict(model, window):
     """One window's (class, probabilities) the long way: the input transform
     written out, ``encode_forward`` on the raw parameter dict (operands built
     for this call), the decoder logits, then, with recall on and a filled
-    queue, the memory read in the served order: the logits against the
-    slot-minor keys ``memᵀ``, exp with no max subtracted, the product with the
+    queue, the memory read in the served order: an orthonormal basis ``B`` of
+    the projection's span ``[proj.w | proj.b]`` from a float64 QR, the query's
+    coordinates ``f @ B`` against the slot-minor keys ``Bᵀ memᵀ`` (computed in
+    float64, then cast), exp with no max subtracted, the product with the
     decoder folded into the memory, less its slot mean, plus a ones row,
     ``[W_dec @ memᵀ - mean; 1ᵀ]``, and the decoded recall divided by the
     normalizer that row sums, plus the mean, added to the logits; then
@@ -113,12 +123,14 @@ def oracle_predict(model, window):
     w_dec = model.decoder["w"]
     logits = f @ w_dec.T + model.decoder["b"]
     if model.use_recall and model.queue.fill > 0:
-        keys = np.ascontiguousarray(model.queue.filled_features.T)
-        folded = w_dec @ keys
-        mean = (folded.sum(axis=1, dtype=np.float64) / keys.shape[1]).astype(folded.dtype)
+        mem_t = np.ascontiguousarray(model.queue.filled_features.T)
+        basis = query_basis(model.params)
+        keys = (basis.T @ mem_t).astype(mem_t.dtype)
+        folded = w_dec @ mem_t
+        mean = (folded.sum(axis=1, dtype=np.float64) / mem_t.shape[1]).astype(folded.dtype)
         readout = np.concatenate([folded - mean[:, None],
-                                  np.ones((1, keys.shape[1]), folded.dtype)])
-        e = np.exp(f[None] @ keys)
+                                  np.ones((1, mem_t.shape[1]), folded.dtype)])
+        e = np.exp((f[None] @ basis.astype(mem_t.dtype)) @ keys)
         s = (e @ readout.T)[0]
         logits = logits + (s[:-1] / s[-1] + mean)
     e = np.exp(logits - logits.max())

@@ -9,7 +9,9 @@ from gesturemem.encoder import (EncoderConfig, GemmOperands, classify,
                                 init_decoder_params, init_encoders,
                                 momentum_update, normalize_adjacency,
                                 skeleton_graph)
+from gesturemem.dataset import LabelMap, preprocess
 from gesturemem.errors import NonFiniteError, StructuralError
+from gesturemem.training import TrainConfig, init_state
 
 from helpers import (fd_grad, fd_param_grads, param_count, ref_encode_backward,
                      ref_encode_forward, rel_error, relu_preactivations)
@@ -80,6 +82,28 @@ def test_encode_input_validation():
                   (1, 4, 6, 3)):        # wrong C
         with pytest.raises(StructuralError):
             encode_forward(params, np.zeros(shape), GRAPH.normalized, TINY)
+
+
+@pytest.mark.parametrize("big", [7.657517846804133e18, 1e25, 1e30])
+def test_feature_norm_past_the_dtype_range_is_refused(big):
+    """A finite window whose features overflow float32 in the norm's squares
+    or their sum raises NonFiniteError, with no numpy warning (the suite turns
+    RuntimeWarnings into errors), where it used to give zero features."""
+    config = TrainConfig(short_len=6, window_scale=2, queue_capacity=16,
+                         feature_dim=8, width=4, batch_size=4, epochs=0, seed=0,
+                         dtype="float32", center=True, input_scale=1000.0)
+    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    cfg, adj = config.encoder_config(), state.graph.normalized
+    window = np.zeros((1, 3, 6, 3))
+    window[0, 2, 5, 2] = big  # the last frame's last joint, channel z
+    x = preprocess(window, True, 1000.0, np.float32)
+    assert np.isfinite(x).all()
+    with pytest.raises(NonFiniteError, match="feature norm"):
+        encode_forward(state.params_s, x, adj, cfg)
+    window[0, 2, 5, 2] = 1e12  # large, but its squares fit
+    f, _ = encode_forward(state.params_s, preprocess(window, True, 1000.0, np.float32),
+                          adj, cfg)
+    assert np.allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-6)
 
 
 def check_param_gradients(cfg):

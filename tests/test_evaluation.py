@@ -124,6 +124,27 @@ def test_evaluate_probs_are_predicts_rows_bitwise(dtype):
     assert res.accuracy == np.mean(res.probs.argmax(axis=1) == [s.label for s in samples])
 
 
+def test_evaluate_calls_predict_once_per_window_in_sample_order(monkeypatch):
+    """evaluate reaches single-window predict through ``evaluation.predict``,
+    once per sample and in sample order; the benchmark's evaluate check
+    records predictions through that name."""
+    model = biased_model(n_classes=3, favored=1)
+    samples = windows_with_labels([0, 1, 2, 1, 0])
+    calls = []
+
+    def recording_predict(m, window):
+        out = predict(m, window)
+        calls.append((m, window, out))
+        return out
+
+    monkeypatch.setattr(evaluation, "predict", recording_predict)
+    res = evaluate(model, samples)
+    assert len(calls) == len(samples)
+    for (m, window, (_, probs)), s, row in zip(calls, samples, res.probs):
+        assert m is model and window is s.data
+        assert np.array_equal(row, probs)
+
+
 def test_run_ablation_four_cells_and_baseline_delta_zero():
     recordings, label_map = small_dataset()
     result = run_ablation(small_config(), recordings, label_map, SPLIT)

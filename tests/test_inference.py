@@ -24,7 +24,7 @@ from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
                                   window_features)
 from gesturemem.training import TrainConfig, init_state, train
 
-from helpers import oracle_predict, random_unit_rows
+from helpers import oracle_predict, query_basis, random_unit_rows
 
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
 
@@ -256,6 +256,83 @@ def test_predict_precision_on_a_paper_scale_float32_queue(slots):
     assert worst <= PAPER_SCALE_TOL, worst
 
 
+def biased_projection_model(dtype, feature_dim=8, width=4, capacity=16):
+    """An untrained centering model, and its state, whose projection bias is
+    random, not zero, so that the queries span all of ``[proj.w | proj.b]``."""
+    _, state = untrained_model(dtype=dtype, feature_dim=feature_dim, width=width,
+                               queue_capacity=capacity, center=True,
+                               input_scale=1000.0)
+    rng = np.random.default_rng(31)
+    state.params_s["proj.b"] = rng.normal(size=feature_dim).astype(dtype)
+    return FrozenModel.from_state(state), state
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("feature_dim,width", [(8, 4), (5, 4), (4, 4)])
+def test_query_basis_is_orthonormal_and_holds_every_query(dtype, feature_dim, width):
+    """The model's basis has min(width + 1, feature_dim) orthonormal columns,
+    and projecting a feature onto their span gives it back within a few eps."""
+    model, _ = biased_projection_model(dtype, feature_dim, width)
+    r = min(width + 1, feature_dim)
+    eps = float(np.finfo(dtype).eps)
+    basis = model.basis.astype(np.float64)
+    assert basis.shape == (feature_dim, r) and model.basis.dtype == model.dtype
+    assert np.array_equal(model.basis, query_basis(model.params).astype(dtype))
+    assert np.abs(basis.T @ basis - np.eye(r)).max() <= 4 * eps
+    windows = np.random.default_rng(32).normal(size=(64, 3, 6, 3))
+    f = window_features(model, windows).astype(np.float64)
+    assert np.abs(f @ basis @ basis.T - f).max() <= 8 * eps
+
+
+def slots_off_the_query_span(rng, basis, n, inside_share):
+    """``n`` unit rows whose squared length inside span(basis) is ``inside_share``."""
+    d, r = basis.shape
+    complement = np.linalg.qr(basis, mode="complete")[0][:, r:]
+    rows = (np.sqrt(inside_share) * random_unit_rows(rng, n, r) @ basis.T
+            + np.sqrt(1.0 - inside_share) * random_unit_rows(rng, n, d - r) @ complement.T)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("feature_dim,slots", [(8, "orthogonal"), (8, "half_inside"),
+                                               (4, "random"), (4, "query_and_negation")])
+def test_subspace_read_keeps_the_logit_bound_and_precision(feature_dim, slots):
+    """Slots orthogonal to the query's subspace, or half inside it, keep every
+    logit the scan computes within [-1.001, 1.001], and predict within
+    PAPER_SCALE_TOL of a float64 evaluation of the unprojected read; so does
+    a model whose subspace is the whole feature space (width + 1 >= feature_dim)."""
+    n = 65536
+    plain, state = biased_projection_model("float32", feature_dim, width=4, capacity=n)
+    basis64 = query_basis(plain.params)
+    rng = np.random.default_rng(33)
+    labels = rng.integers(0, 3, size=n)
+    w64 = state.decoder["w"].astype(np.float64)
+    b64 = state.decoder["b"].astype(np.float64)
+    worst = 0.0
+    for window in rng.normal(size=(4, 3, 6, 3)):
+        f = window_features(plain, window[None])[0]
+        if slots == "orthogonal":
+            rows = slots_off_the_query_span(rng, basis64, n, 0.0)
+        elif slots == "half_inside":
+            rows = slots_off_the_query_span(rng, basis64, n, 0.5)
+        elif slots == "random":
+            rows = random_unit_rows(rng, n, feature_dim)
+        else:
+            rows = np.r_[np.repeat(f[None], n // 2, axis=0),
+                         np.repeat(-f[None], n // 2, axis=0)]
+        state.queue.enqueue_batch(rows.astype(np.float32), labels)
+        model = dataclasses.replace(plain, queue=state.queue)
+        assert model.keys.shape == (min(5, feature_dim), n)
+        logits = (f @ model.basis) @ model.keys
+        assert np.abs(logits).max() <= 1.001
+        _, probs = predict(model, window)
+        f64 = f.astype(np.float64)
+        mem64 = model.queue.filled_features.astype(np.float64)
+        recalled = softmax64(mem64 @ f64) @ mem64
+        exact = softmax64((f64 + recalled) @ w64.T + b64)
+        worst = max(worst, float(np.abs(probs - exact).max()))
+    assert worst <= PAPER_SCALE_TOL, worst
+
+
 @pytest.mark.parametrize("fault", ["nan", "inf", "scaled", "zero"])
 def test_model_rejects_a_slot_off_unit_norm(fault):
     """Prediction's bounded logits need unit-norm slots, so a model is not
@@ -348,15 +425,19 @@ def test_model_is_a_snapshot_of_the_state():
     assert not any(a.flags.writeable for a in arrays)
     assert model.readout.shape == (4, 10) and model.readout.flags.c_contiguous
     assert np.array_equal(model.readout[-1], np.ones(10))
-    assert model.keys.flags.c_contiguous
-    assert np.array_equal(model.keys, model.queue.filled_features.T)
+    # keys: the slots' coordinates Bᵀ memᵀ in the query's subspace, r = width + 1
+    basis = query_basis(model.params)
+    assert model.keys.shape == (5, 10) and model.keys.flags.c_contiguous
+    mem_t = np.ascontiguousarray(model.queue.filled_features.T)
+    assert np.array_equal(model.keys, basis.T @ mem_t)
+    assert np.array_equal(model.basis, basis) and not model.basis.flags.writeable
     # a queue swapped in by replace is snapshotted and folded again
     queue = filled_state(fill=16, seed=20).queue
     replaced = dataclasses.replace(model, queue=queue)
     unchanged = filled_state()  # the state as the model was made from it
     unchanged.queue = queue
     fresh = FrozenModel.from_state(unchanged)
-    assert replaced.readout.shape == (4, 16) and replaced.keys.shape == (8, 16)
+    assert replaced.readout.shape == (4, 16) and replaced.keys.shape == (5, 16)
     assert np.array_equal(predict(replaced, x)[1], predict(fresh, x)[1])
     assert not np.array_equal(predict(replaced, x)[1], before)
 
@@ -610,6 +691,25 @@ def test_non_finite_window_of_a_centering_model_is_rejected():
         # centering turns an inf into inf - inf, for which numpy warns
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
             window_features(model, bad)
+
+
+def test_window_overflowing_the_feature_norm_gets_an_error_object():
+    """A finite frame whose features overflow float32 in the norm answers
+    ``cannot predict``, not a uniform prediction, and lets no numpy warning
+    escape (the suite turns RuntimeWarnings into errors)."""
+    model, _ = untrained_model(center=True, input_scale=1000.0, dtype="float32")
+    session = StreamSession(model, stride_ms=0.0)
+    zeros = [[0.0] * 3] * 3
+    for i in range(model.short_len - 1):
+        assert session.handle_line(frame_line(i * 33.0, zeros)) is None
+    big = [[0.0] * 3, [0.0] * 3, [0.0, 0.0, 7.657517846804133e18]]
+    out = session.handle_line(frame_line(200.0, big))
+    assert out["error"].startswith("cannot predict: non-finite encoder feature norm")
+    assert out["t"] == 200.0 and session.last_prediction is None
+    # the session goes on: once the frame has left the window, it predicts
+    outs = [session.handle_line(frame_line(233.0 + i, zeros))
+            for i in range(model.short_len)]
+    assert all("error" in o for o in outs[:-1]) and "probs" in outs[-1]
 
 
 def offline_windows(recording, short_len):
