@@ -17,8 +17,7 @@ from .inference import (FrozenModel, StreamSession, latency_estimate, predict,
                         window_features)
 from .losses import LossConfig, total_loss
 from .memory import MemoryQueue, address, address_batch, recall, recall_for_query
-from .evaluation import (ConfusionMatrix, compare_losses, evaluate,
-                         export_addressing, run_ablation)
+from .evaluation import ConfusionMatrix, evaluate, export_addressing, run_grid
 from .training import (TrainConfig, TrainResult, TrainState, init_state,
                        load_checkpoint, save_checkpoint, train, train_step)
 

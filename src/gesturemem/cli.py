@@ -1,9 +1,9 @@
 """Command-line entry points tying the toolkit together.
 
-Subcommands: generate, train, eval, ablate, compare-losses, infer, serve,
-export-addressing. Every subcommand accepts ``--config <file>`` (flat
-``key = value`` text) plus repeated ``--set key=value`` overrides. Exit codes:
-0 success, 1 usage error, 2 runtime error.
+Subcommands: generate, train, eval, ablate, infer, serve, export-addressing.
+Every subcommand accepts ``--config <file>`` (flat ``key = value`` text) plus
+repeated ``--set key=value`` overrides. Exit codes: 0 success, 1 usage error,
+2 runtime error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .config import apply_overrides, coerce, dataclass_from_mapping, read_kv_fil
 from .dataset import (SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures,
                       window_dataset)
 from .errors import ConfigError, ToolkitError
-from .evaluation import (compare_losses, evaluate, export_addressing,
-                         format_ablation_table, format_loss_table, run_ablation)
+from .evaluation import evaluate, export_addressing, format_grid_table, run_grid
 from .inference import FrozenModel
 from .training import TrainConfig
 
@@ -75,8 +74,8 @@ def _train_config(mapping):
 def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
     """Windows of the recordings of ``subjects`` (of all when None).
 
-    An empty list, or one naming a subject the data lacks, is a
-    :class:`ConfigError`.
+    An empty list, one naming a subject the data lacks, or a window labelled
+    past the model's classes is a :class:`ConfigError`.
     """
     if subjects is not None:
         keep = set(subjects)
@@ -87,7 +86,12 @@ def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
             raise ConfigError(f"--subjects: no subject {', '.join(unknown)} in the data")
         recordings = [r for r in recordings if r.subject_id in keep]
     stride = stride if stride is not None else model.short_len
-    return window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
+    samples = window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
+    top = max((s.label for s in samples), default=-1)
+    if top >= model.num_classes:
+        raise ConfigError(f"the data has class {label_map.name(top)!r}, index {top}, "
+                          f"but the model has {model.num_classes} classes")
+    return samples
 
 
 def cmd_generate(args):
@@ -122,45 +126,43 @@ def cmd_eval(args):
     samples = _eval_windows(model, recordings, label_map, subjects, args.stride)
     result = evaluate(model, samples)
     print(f"accuracy: {result.accuracy:.4f} over {len(samples)} windows")
-    for i, recall in enumerate(result.per_class_recall):
+    for name, recall in zip(model.label_names, result.per_class_recall):
         shown = "undefined" if recall is None else f"{recall:.4f}"
-        print(f"recall[{label_map.name(i)}]: {shown}")
+        print(f"recall[{name}]: {shown}")
     if args.confusion_out:
         with open(args.confusion_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["true\\pred"] + list(label_map.names))
-            for i, row in enumerate(result.confusion.counts):
-                writer.writerow([label_map.name(i)] + [int(v) for v in row])
+            writer.writerow(["true\\pred"] + list(model.label_names))
+            for name, row in zip(model.label_names, result.confusion.counts):
+                writer.writerow([name] + [int(v) for v in row])
         print(f"confusion matrix: {args.confusion_out}")
     return 0
 
 
 def _parse_seeds(text):
-    return [int(s) for s in text.split(",") if s.strip()] if text else None
+    """The seeds of a comma-separated list, or None when it is not given."""
+    if text is None:
+        return None
+    try:
+        seeds = [int(s) for s in _names(text)]
+    except ValueError:
+        raise ConfigError(f"--seeds must list integers, got {text!r}") from None
+    if not seeds:
+        raise ConfigError("--seeds lists no seed")
+    return seeds
 
 
 def cmd_ablate(args):
     mapping = _load_mapping(args)
+    seeds = _parse_seeds(args.seeds)
     recordings, label_map = load_recordings(args.data)
     split = _resolve_split(mapping, recordings)
     config = _train_config(mapping)
-    result = run_ablation(config, recordings, label_map, split,
-                          seeds=_parse_seeds(args.seeds))
-    print(format_ablation_table(result))
+    result = run_grid(config, recordings, label_map, split, seeds=seeds)
+    print(format_grid_table(result))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump({k: v for k, v in result.items()}, fh, indent=2, sort_keys=True)
-    return 0
-
-
-def cmd_compare_losses(args):
-    mapping = _load_mapping(args)
-    recordings, label_map = load_recordings(args.data)
-    split = _resolve_split(mapping, recordings)
-    config = _train_config(mapping)
-    result = compare_losses(config, recordings, label_map, split,
-                            seeds=_parse_seeds(args.seeds))
-    print(format_loss_table(result))
+            json.dump(result, fh, indent=2, sort_keys=True)
     return 0
 
 
@@ -235,15 +237,11 @@ def build_parser():
     p.add_argument("--stride", type=int, help="window stride (default: window length)")
     p.add_argument("--confusion-out", help="write the confusion matrix as CSV")
 
-    p = add("ablate", cmd_ablate, "run the four-cell recall/loss ablation")
+    p = add("ablate", cmd_ablate,
+            "train the six-cell recall x contrast-loss grid")
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", help="comma-separated seeds (default: config seed)")
     p.add_argument("--json-out", help="write raw results as JSON")
-
-    p = add("compare-losses", cmd_compare_losses,
-            "train with the memory loss vs. the in-batch views loss")
-    p.add_argument("--data", required=True)
-    p.add_argument("--seeds", help="comma-separated seeds")
 
     p = add("infer", cmd_infer, "batch-predict windows of a dataset as NDJSON")
     p.add_argument("--model", required=True)

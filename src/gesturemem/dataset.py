@@ -344,13 +344,16 @@ def mean_center(data):
 def preprocess(windows, center, input_scale, dtype):
     """A model's input transform of a [C, T, V] window or [B, C, T, V] batch:
     optional :func:`mean_center` and scaling in float64, then a contiguous
-    cast to ``dtype``. A window gets the same bits alone as in a batch."""
+    cast to ``dtype``. A window gets the same bits alone as in a batch. A
+    finite value that the scaling or the cast takes past the float range
+    becomes inf without a warning; the encoder's input check rejects it."""
     x = np.asarray(windows, dtype=np.float64)
-    if center:
-        x = mean_center(x)
-    if input_scale != 1.0:  # in place when centering made x a fresh array
-        x = np.multiply(x, input_scale, out=x if center else None)
-    return np.ascontiguousarray(x, dtype=dtype)
+    with np.errstate(over="ignore"):
+        if center:
+            x = mean_center(x)
+        if input_scale != 1.0:  # in place when centering made x a fresh array
+            x = np.multiply(x, input_scale, out=x if center else None)
+        return np.ascontiguousarray(x, dtype=dtype)
 
 
 # --- synthetic gesture generator ------------------------------------------------

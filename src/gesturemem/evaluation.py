@@ -1,5 +1,5 @@
-"""Evaluation harness: confusion metrics, ablation grid, loss comparison, and
-addressing-matrix export for plotting."""
+"""Evaluation harness: confusion metrics, the recall x contrast-loss ablation
+grid with its table, and addressing-matrix export for plotting."""
 
 from __future__ import annotations
 
@@ -14,16 +14,16 @@ import numpy as np
 from . import memory as mem
 from .errors import ConfigError
 from .inference import FrozenModel, predict, window_features
-from .training import train
+from .training import CONTRAST_KINDS, train
 
 log = logging.getLogger(__name__)
 
-ABLATION_CELLS = (
-    ("baseline", False, False),
-    ("recall_only", True, False),
-    ("contrast_only", False, True),
-    ("full", True, True),
-)
+# (key, use_recall, use_mal, contrast_loss) of each run of a grid seed
+GRID = (("baseline", False, False, CONTRAST_KINDS[0]),
+        ("recall_only", True, False, CONTRAST_KINDS[0]),
+        *((f"{cell}/{kind}", use_recall, True, kind)
+          for cell, use_recall in (("contrast_only", False), ("full", True))
+          for kind in CONTRAST_KINDS))
 
 
 @dataclass
@@ -89,58 +89,32 @@ def evaluate(model, samples):
                       probs=np.stack(probs))
 
 
-def _train_and_score(config, recordings, label_map, split):
-    result = train(config, recordings, label_map, split)
-    model = FrozenModel.from_state(result.state)
-    return evaluate(model, result.test_samples).accuracy, result
+def run_grid(config, recordings, label_map, split, seeds=None):
+    """Train the recall x contrast-loss ablation grid; report test accuracies.
 
-
-def run_ablation(config, recordings, label_map, split, seeds=None):
-    """Train the four (use_recall, use_mal) cells and report test accuracies.
-
-    All cells share every config field but the two flags, and each seed is
-    applied to all four cells. Returns ``{"cells": {name: [acc...]}, "mean":
-    {...}, "delta": {...}}`` with deltas against the baseline mean.
+    Per seed, baseline and recall_only train once: with ``use_mal`` off,
+    training never reads ``contrast_loss``. contrast_only and full train once
+    per kind in :data:`~gesturemem.training.CONTRAST_KINDS`, keyed
+    ``"<cell>/<kind>"``. Runs differ from ``config`` only in ``use_recall``,
+    ``use_mal``, ``contrast_loss`` and ``seed``. Returns ``{"accuracies": {key:
+    [acc per seed]}, "mean": {...}, "delta": {...}, "seeds": [...]}``, deltas
+    against the baseline mean; with >= 2 seeds, adds the pooled two-tailed
+    t-test of ``full/memory`` against ``full/views``.
     """
     seeds = list(seeds) if seeds else [config.seed]
-    cells = {name: [] for name, _, _ in ABLATION_CELLS}
+    accuracies = {key: [] for key, *_ in GRID}
     for seed in seeds:
-        for name, use_recall, use_mal in ABLATION_CELLS:
-            cfg = dataclasses.replace(config, use_recall=use_recall,
-                                      use_mal=use_mal, seed=seed)
-            acc, _ = _train_and_score(cfg, recordings, label_map, split)
-            log.info("ablation seed %d cell %s: accuracy %.4f", seed, name, acc)
-            cells[name].append(acc)
-    mean = {name: float(np.mean(v)) for name, v in cells.items()}
-    delta = {name: mean[name] - mean["baseline"] for name in mean}
-    return {"cells": cells, "mean": mean, "delta": delta, "seeds": seeds}
-
-
-def format_ablation_table(result):
-    lines = [f"{'setting':<14} {'accuracy':>9} {'delta':>8}"]
-    for name, _, _ in ABLATION_CELLS:
-        lines.append(f"{name:<14} {result['mean'][name]:>9.4f} "
-                     f"{result['delta'][name]:>+8.4f}")
-    return "\n".join(lines)
-
-
-def compare_losses(config, recordings, label_map, split, seeds=None):
-    """Train with the memory contrastive loss vs. the in-batch views baseline.
-
-    Identical configs apart from ``contrast_loss``. With >= 2 seeds, adds a
-    pooled two-tailed t-test over the per-seed accuracies.
-    """
-    seeds = list(seeds) if seeds else [config.seed]
-    rows = {"memory": [], "views": []}
-    for seed in seeds:
-        for kind in rows:
-            cfg = dataclasses.replace(config, contrast_loss=kind, use_mal=True,
-                                      seed=seed)
-            acc, _ = _train_and_score(cfg, recordings, label_map, split)
-            log.info("loss comparison seed %d %s: accuracy %.4f", seed, kind, acc)
-            rows[kind].append(acc)
-    out = {"accuracies": rows,
-           "mean": {k: float(np.mean(v)) for k, v in rows.items()},
+        for key, use_recall, use_mal, kind in GRID:
+            cfg = dataclasses.replace(config, use_recall=use_recall, use_mal=use_mal,
+                                      contrast_loss=kind, seed=seed)
+            result = train(cfg, recordings, label_map, split)
+            acc = evaluate(FrozenModel.from_state(result.state),
+                           result.test_samples).accuracy
+            log.info("grid seed %d %s: accuracy %.4f", seed, key, acc)
+            accuracies[key].append(acc)
+    mean = {key: float(np.mean(v)) for key, v in accuracies.items()}
+    out = {"accuracies": accuracies, "mean": mean,
+           "delta": {key: mean[key] - mean["baseline"] for key in mean},
            "seeds": seeds}
     if len(seeds) >= 2:
         import warnings
@@ -149,22 +123,25 @@ def compare_losses(config, recordings, label_map, split, seeds=None):
 
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # identical groups -> moment warnings
-            t, p = stats.ttest_ind(rows["memory"], rows["views"], equal_var=True)
+            t, p = stats.ttest_ind(accuracies["full/memory"], accuracies["full/views"],
+                                   equal_var=True)
         # zero variance in both groups leaves the statistic undefined
         out["t_statistic"] = None if np.isnan(t) else float(t)
         out["p_value"] = None if np.isnan(p) else float(p)
     return out
 
 
-def format_loss_table(result):
-    lines = [f"{'loss':<8} {'accuracy':>9}"]
-    for kind in ("memory", "views"):
-        lines.append(f"{kind:<8} {result['mean'][kind]:>9.4f}")
+def format_grid_table(result):
+    lines = [f"{'setting':<20} {'accuracy':>9} {'delta':>8}"]
+    for key, *_ in GRID:
+        lines.append(f"{key:<20} {result['mean'][key]:>9.4f} "
+                     f"{result['delta'][key]:>+8.4f}")
     if "p_value" in result:
         if result["p_value"] is None:
-            lines.append("t-test undefined (no variance across runs)")
+            lines.append("full/memory vs full/views: t-test undefined "
+                         "(no variance across runs)")
         else:
-            lines.append(f"t = {result['t_statistic']:.3f}, "
+            lines.append(f"full/memory vs full/views: t = {result['t_statistic']:.3f}, "
                          f"p = {result['p_value']:.4f} "
                          f"(two-tailed, {len(result['seeds'])} runs each)")
     return "\n".join(lines)

@@ -62,7 +62,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from .dataset import NUM_CHANNELS, NUM_JOINTS, preprocess
-from .errors import ContractError, StructuralError, ToolkitError
+from .errors import ConfigError, ContractError, StructuralError, ToolkitError
 
 log = logging.getLogger(__name__)
 
@@ -300,6 +300,17 @@ def _numpy_frame(joints, scan_bools=True):
     return tuple(joints.ravel().tolist())
 
 
+def _session_timing(stride_ms, frame_hz):
+    """``(stride_ms, frame_hz)`` as floats; a :class:`ConfigError` unless the
+    stride is finite and >= 0 and the frame rate finite and > 0."""
+    stride_ms, frame_hz = float(stride_ms), float(frame_hz)
+    if not (math.isfinite(frame_hz) and frame_hz > 0):
+        raise ConfigError(f"frame_hz must be finite and > 0, got {frame_hz!r}")
+    if not (math.isfinite(stride_ms) and stride_ms >= 0):
+        raise ConfigError(f"stride_ms must be finite and >= 0, got {stride_ms!r}")
+    return stride_ms, frame_hz
+
+
 class StreamSession:
     """One client's sliding window over arriving frames.
 
@@ -316,8 +327,7 @@ class StreamSession:
 
     def __init__(self, model, stride_ms=180.0, frame_hz=30.0):
         self.model = model
-        self.stride_ms = float(stride_ms)
-        self.frame_hz = float(frame_hz)
+        self.stride_ms, self.frame_hz = _session_timing(stride_ms, frame_hz)
         self.buffer = deque(maxlen=model.short_len)
         self.last_t = None
         self.last_emit_t = None
@@ -467,8 +477,10 @@ def tcp_server(model, host, port, stride_ms=180.0, frame_hz=30.0):
     ``{"error": "server busy"}`` and closed, and so is one idle for
     ``IDLE_TIMEOUT_S``, with ``{"error": "idle timeout"}``, freeing its slot.
     Run it with ``serve_forever()`` and stop it with ``shutdown()`` and
-    ``server_close()``.
+    ``server_close()``. A stride or frame rate :class:`StreamSession` refuses
+    is refused here, before binding.
     """
+    _session_timing(stride_ms, frame_hz)
 
     class Handler(socketserver.StreamRequestHandler):
         timeout = IDLE_TIMEOUT_S

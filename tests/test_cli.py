@@ -1,5 +1,8 @@
+import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,7 +105,7 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
 
 def test_eval_windows_only_the_requested_subjects(monkeypatch):
     recordings, label_map = synthesize_recordings(SynthesisConfig(frames_per_class=30), 0)
-    model = SimpleNamespace(short_len=6)
+    model = SimpleNamespace(short_len=6, num_classes=5)
     windowed = []
 
     def spy(recs, *args, **kwargs):
@@ -153,6 +156,91 @@ def test_subjects_lists_are_stripped_and_checked(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and needle in err, err
     assert not (tmp_path / "addr.csv").exists()
+
+
+FIVE_CLASSES = DEMO_SYNTH.replace("standing,walking,jumping",
+                                  "standing,walking,jogging,jumping,squatting")
+
+
+def test_eval_data_and_model_class_counts_differ(tmp_path, capsys):
+    data3, ckpt3 = generate_and_train(tmp_path)
+    data5, ckpt5 = str(tmp_path / "data5"), str(tmp_path / "model5.ckpt")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth5.cfg", FIVE_CLASSES),
+                 "--out", data5]) == 0
+    capsys.readouterr()
+    for command in ("eval", "infer"):
+        assert main([command, "--model", ckpt3, "--data", data5]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "the model has 3 classes" in err, err
+    assert main(["train", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+                 "--data", data5, "--out", ckpt5]) == 0
+    capsys.readouterr()
+    confusion = tmp_path / "confusion.csv"
+    assert main(["eval", "--model", ckpt5, "--data", data3,
+                 "--confusion-out", str(confusion)]) == 0
+    names = ["standing", "walking", "jogging", "jumping", "squatting"]
+    recalls = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("recall[")]
+    assert [line.split("]")[0][len("recall["):] for line in recalls] == names
+    assert all(line.endswith("undefined") for line in recalls[3:])
+    with open(confusion, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["true\\pred"] + names
+    assert [row[0] for row in rows[1:]] == names
+
+
+def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", data]) == 0
+    ablate = ["ablate", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+              "--data", data]
+    capsys.readouterr()
+    for seeds, needle in (("1,x", "--seeds must list integers"),
+                          (",", "--seeds lists no seed"), ("", "--seeds lists no seed")):
+        assert main(ablate + ["--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+    out = tmp_path / "grid.json"
+    assert main(ablate + ["--seeds", " 0, 1", "--json-out", str(out)]) == 0
+    table = capsys.readouterr().out
+    result = json.loads(out.read_text())
+    assert result["seeds"] == [0, 1]
+    assert set(result["accuracies"]) == {
+        "baseline", "recall_only", "contrast_only/memory", "contrast_only/views",
+        "full/memory", "full/views"}
+    assert all(key in table for key in result["accuracies"])
+    assert "full/memory vs full/views" in table
+
+
+def test_serve_refuses_bad_frame_rate_before_reading(tmp_path, capsys, monkeypatch):
+    _, ckpt = generate_and_train(tmp_path)
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("read a line")
+
+    def bind(*args):
+        raise AssertionError("bound a server")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    monkeypatch.setattr(cli.inference, "_SessionServer", bind)
+    capsys.readouterr()
+    for flags, needle in ((["--frame-hz", "0"], "frame_hz"),
+                          (["--frame-hz", "nan"], "frame_hz"),
+                          (["--stride-ms", "-5"], "stride_ms"),
+                          (["--port", "0", "--frame-hz", "-1"], "frame_hz"),
+                          (["--port", "0", "--stride-ms", "inf"], "stride_ms")):
+        assert main(["serve", "--model", ckpt] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+
+
+def test_docstring_names_every_subcommand():
+    listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.S).group(1)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert [name.strip() for name in listed.split(",")] == list(subparsers.choices)
 
 
 def test_infer_emits_ndjson(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from gesturemem.dataset import (LabelMap, ShortTermSample, SplitSpec,
                                 SynthesisConfig, synthesize_recordings,
                                 window_dataset)
 from gesturemem.errors import ConfigError
-from gesturemem.evaluation import (ConfusionMatrix, compare_losses, evaluate,
-                                   export_addressing, format_ablation_table,
-                                   run_ablation)
+from gesturemem.evaluation import (ConfusionMatrix, evaluate, export_addressing,
+                                   format_grid_table, run_grid)
 from gesturemem.inference import FrozenModel, predict, window_features
 from gesturemem.memory import MemoryQueue, address
-from gesturemem.training import TrainConfig, init_state, train
+from gesturemem.training import CONTRAST_KINDS, TrainConfig, init_state, train
 
 from helpers import random_unit_rows
 
@@ -145,40 +145,95 @@ def test_evaluate_calls_predict_once_per_window_in_sample_order(monkeypatch):
         assert np.array_equal(row, probs)
 
 
-def test_run_ablation_four_cells_and_baseline_delta_zero():
+GRID_KEYS = {"baseline", "recall_only", "contrast_only/memory", "contrast_only/views",
+             "full/memory", "full/views"}
+
+
+def test_grid_six_keys_and_baseline_delta_zero():
     recordings, label_map = small_dataset()
-    result = run_ablation(small_config(), recordings, label_map, SPLIT)
-    assert set(result["cells"]) == {"baseline", "recall_only", "contrast_only", "full"}
-    assert all(len(v) == 1 for v in result["cells"].values())
+    result = run_grid(small_config(), recordings, label_map, SPLIT)
+    assert set(result["accuracies"]) == set(result["mean"]) == GRID_KEYS
+    assert all(len(v) == 1 for v in result["accuracies"].values())
     assert result["delta"]["baseline"] == 0.0
-    table = format_ablation_table(result)
-    assert "baseline" in table and "full" in table
+    assert "p_value" not in result  # one seed: no t-test
+    table = format_grid_table(result)
+    assert all(key in table for key in GRID_KEYS)
 
 
-def test_run_ablation_is_reproducible():
+def test_grid_rows_and_ttest():
     recordings, label_map = small_dataset()
-    r1 = run_ablation(small_config(), recordings, label_map, SPLIT)
-    r2 = run_ablation(small_config(), recordings, label_map, SPLIT)
-    assert r1["cells"] == r2["cells"]
-
-
-def test_compare_losses_rows_and_ttest():
-    recordings, label_map = small_dataset()
-    result = compare_losses(small_config(epochs=3, learning_rate=0.05),
-                            recordings, label_map, SPLIT, seeds=[0, 1, 2])
-    for kind in ("memory", "views"):
-        assert len(result["accuracies"][kind]) == 3
-        assert all(0.0 <= a <= 1.0 for a in result["accuracies"][kind])
-    assert "p_value" in result
+    result = run_grid(small_config(epochs=3, learning_rate=0.05),
+                      recordings, label_map, SPLIT, seeds=[0, 1, 2])
+    assert result["seeds"] == [0, 1, 2]
+    for key in GRID_KEYS:
+        assert len(result["accuracies"][key]) == 3
+        assert all(0.0 <= a <= 1.0 for a in result["accuracies"][key])
+        assert result["delta"][key] == result["mean"][key] - result["mean"]["baseline"]
+    assert "p_value" in result and "t_statistic" in result
     if result["p_value"] is not None:  # undefined when all runs coincide
         assert 0.0 <= result["p_value"] <= 1.0
+    assert "full/memory vs full/views" in format_grid_table(result)
 
 
-def test_compare_losses_reproducible():
+def test_grid_ttest_compares_full_memory_with_full_views(monkeypatch):
+    """With stand-in runs whose accuracy encodes their config, each key gets
+    its own runs, and the t-test is scipy's pooled test of full/memory
+    against full/views."""
+    from scipy import stats
+
+    def fake_accuracy(cfg):
+        return (0.1 * cfg.use_recall + 0.2 * cfg.use_mal
+                + 0.3 * (cfg.use_mal and cfg.contrast_loss == "views")
+                + 0.01 * cfg.seed ** 2)
+
+    monkeypatch.setattr(evaluation, "train", lambda cfg, *args: types.SimpleNamespace(
+        state=cfg, test_samples=[]))
+    monkeypatch.setattr(evaluation.FrozenModel, "from_state", staticmethod(lambda cfg: cfg))
+    monkeypatch.setattr(evaluation, "evaluate", lambda cfg, samples: types.SimpleNamespace(
+        accuracy=fake_accuracy(cfg)))
+    seeds = [0, 1, 3]
+    result = run_grid(small_config(), [], None, SPLIT, seeds=seeds)
+    want = {"baseline": (False, False, "memory"), "recall_only": (True, False, "memory"),
+            "contrast_only/memory": (False, True, "memory"),
+            "contrast_only/views": (False, True, "views"),
+            "full/memory": (True, True, "memory"), "full/views": (True, True, "views")}
+    for key, (use_recall, use_mal, kind) in want.items():
+        assert result["accuracies"][key] == [
+            fake_accuracy(small_config(use_recall=use_recall, use_mal=use_mal,
+                                       contrast_loss=kind, seed=seed)) for seed in seeds]
+    t, p = stats.ttest_ind(result["accuracies"]["full/memory"],
+                           result["accuracies"]["full/views"], equal_var=True)
+    assert (result["t_statistic"], result["p_value"]) == (float(t), float(p))
+    assert 0.0 < result["p_value"] < 1.0
+
+
+def test_grid_is_reproducible():
     recordings, label_map = small_dataset()
-    r1 = compare_losses(small_config(), recordings, label_map, SPLIT)
-    r2 = compare_losses(small_config(), recordings, label_map, SPLIT)
-    assert r1["accuracies"] == r2["accuracies"]
+    r1 = run_grid(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
+    r2 = run_grid(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
+    assert r1 == r2
+
+
+@pytest.mark.parametrize("use_recall", [False, True])
+def test_cells_without_the_contrast_loss_ignore_its_kind(use_recall):
+    """The grid trains baseline and recall_only once per seed: with use_mal
+    off, the contrast kind changes no metric, parameter or queue bit."""
+    recordings, label_map = small_dataset()
+    runs = [train(small_config(epochs=2, eval_every=1, use_recall=use_recall,
+                               use_mal=False, contrast_loss=kind),
+                  recordings, label_map, SPLIT) for kind in CONTRAST_KINDS]
+    first, *others = runs
+    assert any(m["split"] == "test" for m in first.metrics)
+    for other in others:
+        assert other.metrics == first.metrics
+        for name in ("params_s", "params_l", "decoder"):
+            mine, theirs = getattr(first.state, name), getattr(other.state, name)
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[k], theirs[k]) for k in mine)
+        q, ref = other.state.queue, first.state.queue
+        assert (q.fill, q.head) == (ref.fill, ref.head)
+        assert q.features.tobytes() == ref.features.tobytes()
+        assert q.labels.tobytes() == ref.labels.tobytes()
 
 
 def test_each_cell_windows_its_data_once(monkeypatch):
@@ -192,13 +247,14 @@ def test_each_cell_windows_its_data_once(monkeypatch):
     monkeypatch.setattr(training, "prepare_data", spy)
     monkeypatch.setattr(evaluation, "prepare_data", spy, raising=False)
     recordings, label_map = small_dataset()
-    run_ablation(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
-    assert len(calls) == 4 * 2
-    assert {(c.use_recall, c.use_mal) for c in calls} == {
-        (False, False), (True, False), (False, True), (True, True)}
-    calls.clear()
-    compare_losses(small_config(), recordings, label_map, SPLIT, seeds=[0])
-    assert [c.contrast_loss for c in calls] == ["memory", "views"]
+    run_grid(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
+    assert len(calls) == 6 * 2
+    runs = [(c.use_recall, c.use_mal, c.contrast_loss, c.seed) for c in calls]
+    assert sorted(runs) == sorted(
+        [(False, False, "memory", seed) for seed in (0, 1)]
+        + [(True, False, "memory", seed) for seed in (0, 1)]
+        + [(use_recall, True, kind, seed) for use_recall in (False, True)
+           for kind in CONTRAST_KINDS for seed in (0, 1)])
 
 
 def test_export_addressing_shapes_and_row_mass(tmp_path):

@@ -17,7 +17,7 @@ from gesturemem import encoder as enc
 from gesturemem import inference
 from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
-from gesturemem.errors import ContractError, NonFiniteError, StructuralError
+from gesturemem.errors import ConfigError, ContractError, NonFiniteError, StructuralError
 from gesturemem.memory import recall_for_query
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
                                   predict, predict_batch, serve_stream,
@@ -749,7 +749,6 @@ def test_serve_stream_over_text_pipes():
     assert all(set(o) == {"t", "class", "name", "probs"} for o in outs)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 def test_stream_error_when_window_overflows_model_dtype():
     model, _ = untrained_model(dtype="float32", input_scale=1000.0)
     session = StreamSession(model, stride_ms=0.0)
@@ -757,6 +756,40 @@ def test_stream_error_when_window_overflows_model_dtype():
             for i in range(model.short_len)]
     assert outs[:-1] == [None] * (model.short_len - 1)
     assert "error" in outs[-1]
+
+
+@pytest.mark.parametrize("big", [1e36, 1e306])
+def test_handle_line_answers_a_coordinate_past_the_float_range(big):
+    """A finite coordinate that the float32 cast (1e36) or the float64
+    scaling (1e306 * 1000) takes past the float range gets an error object,
+    with no numpy warning escaping (the suite turns RuntimeWarning into an
+    error)."""
+    model, _ = untrained_model(dtype="float32", input_scale=1000.0, center=True)
+    session = StreamSession(model, stride_ms=0.0)
+    zeros = [[0, 0, 0]] * 3
+    for i in range(model.short_len - 1):
+        assert session.handle_line(json.dumps({"t": i * 33.0, "joints": zeros})) is None
+    out = session.handle_line(json.dumps(
+        {"t": 1000.0, "joints": [[0, 0, 0], [0, 0, 0], [0, 0, big]]}))
+    assert out == {"error": "cannot predict: non-finite value in encoder input",
+                   "t": 1000.0}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("frame_hz", 0.0), ("frame_hz", -30.0), ("frame_hz", float("nan")),
+    ("frame_hz", float("inf")), ("stride_ms", -1.0), ("stride_ms", float("nan")),
+    ("stride_ms", float("inf"))])
+def test_session_refuses_bad_frame_rate_and_stride(monkeypatch, name, value):
+    model, _ = untrained_model()
+    with pytest.raises(ConfigError, match=name):
+        StreamSession(model, **{name: value})
+
+    def bind(*args):
+        raise AssertionError("bound a server for a session it refuses")
+
+    monkeypatch.setattr(inference, "_SessionServer", bind)
+    with pytest.raises(ConfigError, match=name):
+        inference.tcp_server(model, "127.0.0.1", 0, **{name: value})
 
 
 def test_stream_emit_logs_and_times_only_at_debug(monkeypatch, caplog):
