@@ -207,10 +207,25 @@ def test_grid_ttest_compares_full_memory_with_full_views(monkeypatch):
     assert 0.0 < result["p_value"] < 1.0
 
 
-def test_grid_is_reproducible():
+def test_run_ablation_is_reproducible():
+    """The recall x contrast-loss ablation (every grid key, the config's own
+    seed) repeats exactly."""
+    recordings, label_map = small_dataset()
+    r1 = run_grid(small_config(), recordings, label_map, SPLIT)
+    r2 = run_grid(small_config(), recordings, label_map, SPLIT)
+    assert set(r1["accuracies"]) == GRID_KEYS
+    assert r1 == r2
+
+
+def test_compare_losses_reproducible():
+    """The contrast-loss comparison (full/memory against full/views and their
+    t-test over two seeds) repeats exactly."""
     recordings, label_map = small_dataset()
     r1 = run_grid(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
     r2 = run_grid(small_config(), recordings, label_map, SPLIT, seeds=[0, 1])
+    for key in ("full/memory", "full/views"):
+        assert r1["accuracies"][key] == r2["accuracies"][key]
+    assert "p_value" in r1 and "t_statistic" in r1
     assert r1 == r2
 
 
