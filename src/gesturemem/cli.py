@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -19,7 +20,8 @@ from .config import apply_overrides, coerce, dataclass_from_mapping, read_kv_fil
 from .dataset import (SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures,
                       window_dataset)
 from .errors import ConfigError, ToolkitError
-from .evaluation import evaluate, export_addressing, format_grid_table, run_grid
+from .evaluation import (check_distinct_seeds, evaluate, export_addressing,
+                         format_grid_table, run_grid)
 from .inference import FrozenModel
 from .training import TrainConfig
 
@@ -72,10 +74,11 @@ def _train_config(mapping):
 
 
 def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
-    """Windows of the recordings of ``subjects`` (of all when None).
+    """Windows of the recordings of ``subjects`` (of all when None), each
+    labelled with the model's index of its data class, matched by name.
 
-    An empty list, one naming a subject the data lacks, or a window labelled
-    past the model's classes is a :class:`ConfigError`.
+    An empty list, one naming a subject the data lacks, or a window of a
+    class the model lacks is a :class:`ConfigError`.
     """
     if subjects is not None:
         keep = set(subjects)
@@ -87,11 +90,15 @@ def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
         recordings = [r for r in recordings if r.subject_id in keep]
     stride = stride if stride is not None else model.short_len
     samples = window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
-    top = max((s.label for s in samples), default=-1)
-    if top >= model.num_classes:
-        raise ConfigError(f"the data has class {label_map.name(top)!r}, index {top}, "
-                          f"but the model has {model.num_classes} classes")
-    return samples
+    to_model = {}
+    for label in sorted({s.label for s in samples}):
+        name = label_map.name(label)
+        if name not in model.label_names:
+            raise ConfigError(f"the data has class {name!r}, but the model has "
+                              f"{model.num_classes} classes: "
+                              f"{', '.join(model.label_names)}")
+        to_model[label] = model.label_names.index(name)
+    return [dataclasses.replace(s, label=to_model[s.label]) for s in samples]
 
 
 def cmd_generate(args):
@@ -149,6 +156,7 @@ def _parse_seeds(text):
         raise ConfigError(f"--seeds must list integers, got {text!r}") from None
     if not seeds:
         raise ConfigError("--seeds lists no seed")
+    check_distinct_seeds(seeds)
     return seeds
 
 

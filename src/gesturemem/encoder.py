@@ -23,6 +23,14 @@ side by side, channels innermost.
   arXiv:1709.03395), with the taps ``w_t`` as a [k, C_in, C_out] array: no
   im2col matrix, no k copies of the input. Blocks write only the interior,
   so one buffer serves every block of an uncached pass.
+- Biases: each is added over whole windows. A bias tiled T*V times is a
+  [T*V, C] block like a window's, so numpy adds it as B runs of T*V*C
+  contiguous values instead of B*T*V runs of C. :class:`GemmOperands`
+  holds these bias rows for one window length: a served model builds its
+  ``short_len`` rows once; training builds the short windows' rows each
+  step with the operands, and the long windows' rows with each call. Any
+  length the operands hold no rows for builds them per call, so operands
+  shared between sessions are never written to.
 - Pooling: a ones-vector product over each window's T*V rows.
 
 Without a cache, :func:`encode_forward` runs a batch in tiles of whole windows
@@ -41,17 +49,20 @@ cached (training) forward is never tiled: its batches fit anyway, and
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows
 after each window, so each tap's weight and input gradient is one GEMM over
-the rows of the whole batch. Forward and backward passes are written out
-explicitly so every gradient path can be verified against finite differences.
+the rows of the whole batch; the spatial weight gradient contracts the joint
+pairs against ``adj`` in one more product. Forward and backward passes are
+written out explicitly so every gradient path can be verified against finite
+differences.
 
 Parameters live in plain dicts of numpy arrays keyed like ``block0.spatial.w``;
 the short-term and long-term encoders hold structurally identical dicts. They
 keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k]),
 so checkpoints, the momentum update and SGD do not depend on the activation
 layout. :meth:`GemmOperands.build` rearranges them into the kernel's operands.
-Training changes its parameters every step and lets :func:`encode_forward`
-build the operands on each call; a served model, whose parameters never
-change, builds them once and passes them in place of the dict.
+Training changes its parameters every step and builds the operands on each
+call (the long encoder's inside :func:`encode_forward`); a served model,
+whose parameters never change, builds them once and passes them in place of
+the dict.
 """
 
 from __future__ import annotations
@@ -196,29 +207,35 @@ class GemmOperands:
     """An encoder's parameters as the operands of :func:`encode_forward`'s GEMMs.
 
     Built for one adjacency array and one activation dtype. ``blocks`` holds,
-    per block, the spatial weight ``kron(adj, w_s.T)``, the spatial bias tiled
-    over the joints, the temporal taps (``w_t`` as a [k, C_in, C_out] array)
-    and the temporal bias; the projection is read from ``params``, the dict
-    they were built from.
+    per block, the spatial weight ``kron(adj, w_s.T)`` and the temporal taps
+    (``w_t`` as a [k, C_in, C_out] array); the biases and the projection are
+    read from ``params``, the dict they were built from. ``bias_rows`` holds,
+    per block, the spatial and the temporal bias tiled over every frame and
+    joint of a ``window_len``-frame window (see :meth:`bias_rows_for`).
     """
 
     params: dict
     adj: np.ndarray
     dtype: np.dtype
     blocks: tuple
+    window_len: int | None = None
+    bias_rows: tuple = ()
 
     @classmethod
-    def build(cls, params, adj, dtype, n_blocks):
+    def build(cls, params, adj, dtype, n_blocks, window_len=None):
+        """Operands of ``params``, with bias rows for ``window_len``-frame
+        windows when it is given."""
         dtype = np.dtype(dtype)
         adj_d = adj.astype(dtype, copy=False)
-        v = adj.shape[0]
         blocks = tuple(
             (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
-             np.tile(params[f"block{i}.spatial.b"], v),
-             np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)),
-             params[f"block{i}.temporal.b"])
+             np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)))
             for i in range(n_blocks))
-        return cls(params=params, adj=adj, dtype=dtype, blocks=blocks)
+        rows = ()
+        if window_len is not None:
+            rows = _bias_rows(params, n_blocks, window_len * adj.shape[0])
+        return cls(params=params, adj=adj, dtype=dtype, blocks=blocks,
+                   window_len=window_len, bias_rows=rows)
 
     @classmethod
     def for_call(cls, params, adj, dtype, n_blocks):
@@ -237,6 +254,28 @@ class GemmOperands:
             params = params.params
         return cls.build(params, adj, dtype, n_blocks)
 
+    def bias_rows_for(self, window_len):
+        """Per block, (spatial, temporal) bias rows of a ``window_len``-frame
+        window: the ones built with the operands for their length, else built
+        for this call only, so operands shared between threads never change."""
+        if window_len == self.window_len:
+            return self.bias_rows
+        return _bias_rows(self.params, len(self.blocks), window_len * self.adj.shape[0])
+
+
+def _bias_rows(params, n_blocks, rows):
+    """Per block, its spatial and temporal bias, each tiled into a [rows, C]
+    array: the bias of a whole window's [rows, C] block."""
+    out = []
+    for i in range(n_blocks):
+        pair = []
+        for bias in (params[f"block{i}.spatial.b"], params[f"block{i}.temporal.b"]):
+            row = np.empty((rows, bias.shape[0]), bias.dtype)
+            row[...] = bias
+            pair.append(row)
+        out.append(tuple(pair))
+    return tuple(out)
+
 
 def encode_forward(params, x, adj, cfg, want_cache=False):
     """Batched forward pass. x: [B, C, T, V] -> unit-norm features [B, feature_dim].
@@ -249,38 +288,40 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     _check_input(x, cfg)
     ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks)
     b, _, t, v = x.shape
+    rows = ops.bias_rows_for(t)
     window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
     per_tile = max(1, TILE_BYTES // window_bytes)
     if want_cache or per_tile >= b:
-        return _forward(ops, x, adj, cfg, want_cache)
-    tiles = [_forward(ops, x[lo:lo + per_tile], adj, cfg, False)[0]
+        return _forward(ops, x, adj, cfg, want_cache, rows)
+    tiles = [_forward(ops, x[lo:lo + per_tile], adj, cfg, False, rows)[0]
              for lo in range(0, b, per_tile)]
     return np.concatenate(tiles), None
 
 
-def _forward(ops, x, adj, cfg, want_cache):
-    """The forward kernel of :func:`encode_forward` on checked input and operands."""
+def _forward(ops, x, adj, cfg, want_cache, bias_rows):
+    """The forward kernel of :func:`encode_forward` on checked input and
+    operands, with the bias rows of the input's window length."""
     params = ops.params
     b, c_in, t, v = x.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
-    # explicit sizes, never -1: an empty batch must reshape too
-    h = x.transpose(0, 2, 3, 1).reshape(b * t, v * c_in)   # [(B*T), V*C_in]
+    # explicit sizes, never -1: an empty batch must reshape too. [(B*T), V*C_in]
+    h = x.reshape(b, c_in, t * v).swapaxes(1, 2).reshape(b * t, v * c_in)
     block_caches = []
     xp = None
-    for k_s, b_s, taps, b_t in ops.blocks:
+    for (k_s, taps), (row_s, row_t) in zip(ops.blocks, bias_rows):
         c = k_s.shape[1] // v
-        pre_s = h @ k_s                                     # [(B*T), V*C]
-        pre_s += b_s
+        pre_s = (h @ k_s).reshape(b, t * v, c)              # [B, T*V, C]
+        pre_s += row_s                                      # [T*V, C], whole windows
         if xp is None or want_cache:
             xp = np.zeros((b, (t + k - 1) * v, c), dtype=pre_s.dtype)
             # tap kk of output frame t reads padded frame t + kk
             shifted = [xp[:, kk * v:(kk + t) * v] for kk in range(k)]
-        np.maximum(pre_s.reshape(b, t * v, c), 0.0, out=shifted[pad_l])
+        np.maximum(pre_s, 0.0, out=shifted[pad_l])
         act_t = shifted[0] @ taps[0]                        # [B, T*V, C]
         for kk in range(1, k):
             act_t += shifted[kk] @ taps[kk]
-        act_t += b_t
+        act_t += row_t
         np.maximum(act_t, 0.0, out=act_t)
         if want_cache:
             block_caches.append((h, k_s, xp, taps, act_t))
@@ -352,9 +393,11 @@ def encode_backward(cache, grad_f):
         grads[f"block{i}.spatial.b"] = _column_sums(g_s.reshape(-1, c))
         # d kron(adj, w_s.T) -> d w_s: contract the joint pairs against adj
         g_ks = (h.T @ g_s).reshape(v, -1, v, c)
-        g_ws = np.tensordot(adj, g_ks, axes=([0, 1], [0, 2]))  # [C_in, C_out]
+        # the one product np.tensordot(adj, g_ks, axes=([0, 1], [0, 2])) runs
+        pairs = g_ks.transpose(0, 2, 1, 3).reshape(v * v, -1)   # [V*V, C_in*C_out]
+        g_ws = np.dot(adj.reshape(1, v * v), pairs).reshape(-1, c)
         grads[f"block{i}.spatial.w"] = np.ascontiguousarray(g_ws.T)
-        g_h = (g_s @ k_s.T).reshape(b, t * v, -1)
+        g_h = (g_s @ k_s.T).reshape(b, t * v, k_s.shape[0] // v)  # sized: B may be 0
     grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
     return grads, np.ascontiguousarray(grad_x)
 
@@ -392,5 +435,8 @@ def momentum_update(params_l, params_s, coef):
         if tl.shape != ts.shape:
             raise StructuralError(
                 f"shape mismatch for {name}: {tl.shape} vs {ts.shape}")
-        out[name] = ts + coef * (tl - ts)
+        gap = tl - ts
+        gap *= coef
+        gap += ts   # ts + coef * (tl - ts), in one fresh array
+        out[name] = gap
     return out

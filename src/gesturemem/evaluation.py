@@ -99,9 +99,11 @@ def run_grid(config, recordings, label_map, split, seeds=None):
     ``use_mal``, ``contrast_loss`` and ``seed``. Returns ``{"accuracies": {key:
     [acc per seed]}, "mean": {...}, "delta": {...}, "seeds": [...]}``, deltas
     against the baseline mean; with >= 2 seeds, adds the pooled two-tailed
-    t-test of ``full/memory`` against ``full/views``.
+    t-test of ``full/memory`` against ``full/views``. A seed listed twice
+    is a :class:`ConfigError`.
     """
     seeds = list(seeds) if seeds else [config.seed]
+    check_distinct_seeds(seeds)
     accuracies = {key: [] for key, *_ in GRID}
     for seed in seeds:
         for key, use_recall, use_mal, kind in GRID:
@@ -129,6 +131,14 @@ def run_grid(config, recordings, label_map, split, seeds=None):
         out["t_statistic"] = None if np.isnan(t) else float(t)
         out["p_value"] = None if np.isnan(p) else float(p)
     return out
+
+
+def check_distinct_seeds(seeds):
+    """:class:`ConfigError` naming a seed listed twice: its runs would repeat
+    one training and count it as two samples in the t-test."""
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"seed {seed} is listed twice")
 
 
 def format_grid_table(result):

@@ -86,9 +86,9 @@ class FrozenModel:
     A model is a read-only snapshot of the state it was made from. Construction
     copies the encoder parameters, the adjacency, the decoder and the memory
     queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
-    and builds from them, once, the encoder's GEMM operands, ``basis``,
-    ``keys`` and ``readout`` (``dataclasses.replace`` copies and builds
-    again):
+    and builds from them, once, the encoder's GEMM operands with the bias
+    rows of ``short_len``-frame windows, ``basis``, ``keys`` and ``readout``
+    (``dataclasses.replace`` copies and builds again):
 
     - ``basis``, ``B`` in the module docstring, [feature_dim, r] with
       ``r = min(width + 1, feature_dim)``, has orthonormal columns spanning
@@ -141,8 +141,8 @@ class FrozenModel:
         adjacency = _read_only_copy(self.adjacency)
         params = {name: _read_only_copy(p) for name, p in self.params.items()}
         operands = enc.GemmOperands.build(params, adjacency, self.dtype,
-                                          self.encoder_cfg.blocks)
-        for block in operands.blocks:
+                                          self.encoder_cfg.blocks, self.short_len)
+        for block in operands.blocks + operands.bias_rows:
             for a in block:
                 a.flags.writeable = False
         decoder = {name: _read_only_copy(p) for name, p in self.decoder.items()}

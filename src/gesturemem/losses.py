@@ -7,6 +7,13 @@ different-class slots, so the loss is not bounded below by zero. The
 batch-views supervised contrastive loss is the in-batch baseline over two
 augmented views per sample. Both reduce by summation over anchors; the
 cross-entropy term averages over the batch.
+
+An anchor counts when it has a positive and a non-empty denominator. A
+training step against a filled memory of every class has only such anchors;
+then both losses work on the whole [B, K] similarity arrays, with the softmax
+exponentiated and normalized in place, and gather nothing. Otherwise they
+work on a gather of the anchors that count, with the same arithmetic, so a
+row's loss and gradient do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -45,14 +52,13 @@ def softmax_cross_entropy_batch(logits, labels):
     """
     labels = np.asarray(labels)
     n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    loss = float(-logp[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+    loss = float(-(np.add.reduce(logp[rows, labels]) / n))   # .mean()'s sum and divide
     probs = np.exp(logp)
     grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad, probs
 
@@ -71,24 +77,39 @@ def _anchor_loss_and_coeff(sims, pos_mask, den_mask):
     no positives or an empty denominator contribute zero loss and gradient.
     Returns (loss_rows [B], coeff [B, K]) with coeff rows zeroed for skipped
     anchors; the feature gradient of anchor i is ``coeff[i] @ contrast / tau``.
+    When every anchor counts, as in a training step against a filled memory,
+    the whole arrays go straight to :func:`_valid_anchor_loss_and_coeff`;
+    otherwise only a gather of the valid anchors does.
     """
-    b, k = sims.shape
-    pos_cnt = pos_mask.sum(axis=1)
-    valid = (pos_cnt > 0) & den_mask.any(axis=1)
+    b = sims.shape[0]
+    pos_cnt = np.add.reduce(pos_mask, axis=1)
+    valid = (pos_cnt > 0) & np.logical_or.reduce(den_mask, axis=1)
+    if b and valid.all():
+        return _valid_anchor_loss_and_coeff(sims, pos_mask, den_mask, pos_cnt)
     loss_rows = np.zeros(b, dtype=np.float64)
     coeff = np.zeros_like(sims)
-    if not valid.any():
-        return loss_rows, coeff
-    v = np.flatnonzero(valid)
-    masked = np.where(den_mask[v], sims[v], -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    denom = e.sum(axis=1, keepdims=True)
-    lse = (m + np.log(denom))[:, 0]
-    mean_pos = (sims[v] * pos_mask[v]).sum(axis=1) / pos_cnt[v]
-    loss_rows[v] = lse - mean_pos
-    coeff[v] = e / denom - pos_mask[v] / pos_cnt[v][:, None]
+    if valid.any():
+        v = np.flatnonzero(valid)
+        loss_rows[v], coeff[v] = _valid_anchor_loss_and_coeff(
+            sims[v], pos_mask[v], den_mask[v], pos_cnt[v])
     return loss_rows, coeff
+
+
+def _valid_anchor_loss_and_coeff(sims, pos_mask, den_mask, pos_cnt):
+    """:func:`_anchor_loss_and_coeff` of anchors that all have a positive and
+    a non-empty denominator; ``pos_cnt`` counts each row's positives. The
+    softmax is exponentiated and normalized in place in one fresh array,
+    which becomes ``coeff``."""
+    e = np.where(den_mask, sims, -np.inf)
+    m = np.maximum.reduce(e, axis=1, keepdims=True)
+    e -= m
+    np.exp(e, out=e)
+    denom = np.add.reduce(e, axis=1, keepdims=True)
+    lse = (m + np.log(denom))[:, 0]
+    mean_pos = np.add.reduce(sims * pos_mask, axis=1) / pos_cnt
+    e /= denom
+    e -= pos_mask * (1.0 / pos_cnt)[:, None]    # pos_mask / pos_cnt, in float64
+    return lse - mean_pos, e
 
 
 def memory_augmented_loss_with_grad(features, labels, queue, cfg):
@@ -106,14 +127,16 @@ def memory_augmented_loss_with_grad(features, labels, queue, cfg):
     _check_normalized(features, "anchor features")
     mem = queue.filled_features.astype(features.dtype, copy=False)
     mem_labels = queue.filled_labels
-    sims = features @ mem.T / cfg.temperature
+    sims = features @ mem.T
+    sims /= cfg.temperature
     pos_mask = mem_labels[None, :] == labels[:, None]
     if cfg.denominator_mode == "negatives":
         den_mask = ~pos_mask
     else:
         den_mask = np.ones_like(pos_mask)
     loss_rows, coeff = _anchor_loss_and_coeff(sims, pos_mask, den_mask)
-    grad = (coeff @ mem) / cfg.temperature
+    grad = coeff @ mem
+    grad /= cfg.temperature
     return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
 
 

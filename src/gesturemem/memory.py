@@ -87,7 +87,7 @@ class MemoryQueue:
 def off_unit_norm(rows):
     """(mask of the rows whose L2 norm is off 1 by more than ``NORM_TOL``,
     the norms). A NaN or infinite norm is off too."""
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))   # np.linalg.norm's sum
     return ~(np.abs(norms - 1.0) <= NORM_TOL), norms
 
 
@@ -152,5 +152,6 @@ def recall_batch_backward(cache, grad_recalled):
         return np.zeros_like(grad_recalled)
     weights, mem = cache["weights"], cache["mem"]
     s = grad_recalled @ mem.T                       # dL/d(weights)
-    g_logits = weights * (s - (weights * s).sum(axis=1, keepdims=True))
-    return g_logits @ mem
+    s -= (weights * s).sum(axis=1, keepdims=True)
+    s *= weights                                    # dL/d(logits)
+    return s @ mem

@@ -239,7 +239,8 @@ def train_step(state, x_short, x_long, labels):
     labels = np.asarray(labels)
 
     # built once: the views loss runs the short encoder on the same operands
-    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks)
+    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
+                                   x_short.shape[2])
     feats_s, cache_s = enc.encode_forward(ops_s, x_short, adj, enc_cfg, want_cache=True)
     feats_l, _ = enc.encode_forward(state.params_l, x_long, adj, enc_cfg)
 
@@ -255,9 +256,9 @@ def train_step(state, x_short, x_long, labels):
     accuracy = float((probs.argmax(axis=1) == labels).mean())
 
     g_combined = g_logits @ state.decoder["w"]
-    g_feats = g_combined.copy()
+    g_feats = g_combined
     if cfg.use_recall:
-        g_feats += mem.recall_batch_backward(recall_cache, g_combined)
+        g_feats = g_combined + mem.recall_batch_backward(recall_cache, g_combined)
 
     contrast = 0.0
     aug_cache = None

@@ -1,9 +1,11 @@
-"""Shared test utilities: finite-difference oracles, a reference encoder, a
-single-window prediction oracle, reference windowing and training data, queue
-inspection and parameter flattening."""
+"""Shared test utilities: finite-difference oracles, a reference encoder,
+bitwise oracles of the encoder and contrastive-loss kernels, a single-window
+prediction oracle, reference windowing and training data, queue inspection and
+parameter flattening."""
 
 import numpy as np
 
+from gesturemem import encoder as enc
 from gesturemem.dataset import (SampleSet, ShortTermSample, preprocess,
                                 split_subjects)
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
@@ -75,6 +77,13 @@ def relu_preactivations(params, x, adj, cfg):
     _, cache = ref_encode_forward(params, x, adj, cfg)
     return np.concatenate([a.ravel() for _, pre_s, _, pre_t in cache["blocks"]
                            for a in (pre_s, pre_t)])
+
+
+def assert_same_bits(a, b, what):
+    """Equal dtype, shape and bytes: the same floats, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
 
 
 def param_count(params):
@@ -210,6 +219,170 @@ def ref_encode_backward(cache, grad_f):
         g_xa = np.einsum("oi,botv->bitv", w_s, g_s)
         g_h = np.einsum("bitv,uv->bitu", g_xa, adj)
     return grads, g_h
+
+
+# --- bitwise oracles ---------------------------------------------------------
+# The GEMM encoder and the contrastive-loss core in their plainest layout: the
+# biases added by broadcasting over each [rows, C] block, the temporal taps
+# and weights as np.tile and np.tensordot give them, and every anchor's loss
+# computed on a gather of the valid anchors. The fast paths in
+# gesturemem.encoder and gesturemem.losses must reproduce these bit for bit.
+
+def oracle_gemm_blocks(params, adj, dtype, n_blocks):
+    """Per block: ``kron(adj, w_s.T)``, the spatial bias tiled over the
+    joints, the taps as [k, C_in, C_out] and the temporal bias."""
+    dtype = np.dtype(dtype)
+    adj_d = adj.astype(dtype, copy=False)
+    v = adj.shape[0]
+    return tuple(
+        (enc._spatial_weight(params[f"block{i}.spatial.w"], adj_d),
+         np.tile(params[f"block{i}.spatial.b"], v),
+         np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)),
+         params[f"block{i}.temporal.b"])
+        for i in range(n_blocks))
+
+
+def oracle_encode_forward(params, x, adj, cfg, want_cache=False):
+    """``encode_forward`` on a parameter dict: the same tiles of whole windows
+    (``enc.TILE_BYTES`` read at call time), each run by
+    :func:`oracle_forward_tile`."""
+    _check_input(x, cfg)
+    blocks = oracle_gemm_blocks(params, adj, x.dtype, cfg.blocks)
+    b, _, t, v = x.shape
+    window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
+    per_tile = max(1, enc.TILE_BYTES // window_bytes)
+    if want_cache or per_tile >= b:
+        return oracle_forward_tile(params, blocks, x, adj, cfg, want_cache)
+    tiles = [oracle_forward_tile(params, blocks, x[lo:lo + per_tile], adj, cfg, False)[0]
+             for lo in range(0, b, per_tile)]
+    return np.concatenate(tiles), None
+
+
+def oracle_forward_tile(params, blocks, x, adj, cfg, want_cache):
+    """One tile of :func:`oracle_encode_forward`; its cache has the layout
+    ``encode_backward`` reads."""
+    b, c_in, t, v = x.shape
+    k = cfg.temporal_kernel
+    pad_l = (k - 1) // 2
+    h = x.transpose(0, 2, 3, 1).reshape(b * t, v * c_in)
+    block_caches = []
+    xp = None
+    for k_s, b_s, taps, b_t in blocks:
+        c = k_s.shape[1] // v
+        pre_s = h @ k_s
+        pre_s += b_s
+        if xp is None or want_cache:
+            xp = np.zeros((b, (t + k - 1) * v, c), dtype=pre_s.dtype)
+            shifted = [xp[:, kk * v:(kk + t) * v] for kk in range(k)]
+        np.maximum(pre_s.reshape(b, t * v, c), 0.0, out=shifted[pad_l])
+        act_t = shifted[0] @ taps[0]
+        for kk in range(1, k):
+            act_t += shifted[kk] @ taps[kk]
+        act_t += b_t
+        np.maximum(act_t, 0.0, out=act_t)
+        if want_cache:
+            block_caches.append((h, k_s, xp, taps, act_t))
+        h = act_t.reshape(b * t, v * c)
+    per_window = h.reshape(b, t * v, c)
+    pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
+    z = pooled @ params["proj.w"].T + params["proj.b"]
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    r = np.maximum(norm, NORM_EPS)
+    f = z / r
+    if not want_cache:
+        return f, None
+    cache = {
+        "params": params, "adj": adj.astype(x.dtype, copy=False), "cfg": cfg,
+        "shape": x.shape, "blocks": block_caches, "pooled": pooled, "f": f, "r": r,
+    }
+    return f, cache
+
+
+def oracle_encode_backward(cache, grad_f):
+    """``encode_backward`` with the spatial weight gradient by np.tensordot."""
+    params = cache["params"]
+    adj = cache["adj"]
+    cfg = cache["cfg"]
+    f, r = cache["f"], cache["r"]
+    b, c_in, t, v = cache["shape"]
+    k = cfg.temporal_kernel
+    pad_l = (k - 1) // 2
+    grads = {}
+    g = (grad_f - f * (f * grad_f).sum(axis=1, keepdims=True)) / r
+    grads["proj.w"] = g.T @ cache["pooled"]
+    grads["proj.b"] = g.sum(axis=0)
+    g_pooled = g @ params["proj.w"]
+    g_h = (g_pooled / (t * v))[:, None, :]
+    for i in reversed(range(cfg.blocks)):
+        h, k_s, xp, taps, act_t = cache["blocks"][i]
+        c = act_t.shape[2]
+        g_pad = np.zeros_like(xp)
+        np.multiply(g_h, act_t > 0, out=g_pad[:, :t * v])
+        g_rows = g_pad.reshape(-1, c)[:b * (t + k - 1) * v - (k - 1) * v]
+        grads[f"block{i}.temporal.b"] = enc._column_sums(g_rows)
+        x_rows = xp.reshape(-1, c)
+        g_xp = np.zeros_like(xp)
+        g_x_rows = g_xp.reshape(-1, c)
+        g_taps = np.empty_like(taps)
+        for kk in range(k):
+            tap_rows = slice(kk * v, kk * v + len(g_rows))
+            g_taps[kk] = x_rows[tap_rows].T @ g_rows
+            g_x_rows[tap_rows] += g_rows @ taps[kk].T
+        grads[f"block{i}.temporal.w"] = np.ascontiguousarray(g_taps.transpose(2, 1, 0))
+        interior = slice(pad_l * v, (pad_l + t) * v)
+        g_s = (g_xp[:, interior] * (xp[:, interior] > 0)).reshape(b * t, v * c)
+        grads[f"block{i}.spatial.b"] = enc._column_sums(g_s.reshape(-1, c))
+        g_ks = (h.T @ g_s).reshape(v, -1, v, c)
+        g_ws = np.tensordot(adj, g_ks, axes=([0, 1], [0, 2]))
+        grads[f"block{i}.spatial.w"] = np.ascontiguousarray(g_ws.T)
+        g_h = (g_s @ k_s.T).reshape(b, t * v, k_s.shape[0] // v)
+    grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
+    return grads, np.ascontiguousarray(grad_x)
+
+
+def oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask):
+    """(loss rows [B], coeff [B, K]) of the valid anchors, gathered; skipped
+    anchors keep zero rows."""
+    b, k = sims.shape
+    pos_cnt = pos_mask.sum(axis=1)
+    valid = (pos_cnt > 0) & den_mask.any(axis=1)
+    loss_rows = np.zeros(b, dtype=np.float64)
+    coeff = np.zeros_like(sims)
+    if not valid.any():
+        return loss_rows, coeff
+    v = np.flatnonzero(valid)
+    masked = np.where(den_mask[v], sims[v], -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    e = np.exp(masked - m)
+    denom = e.sum(axis=1, keepdims=True)
+    lse = (m + np.log(denom))[:, 0]
+    mean_pos = (sims[v] * pos_mask[v]).sum(axis=1) / pos_cnt[v]
+    loss_rows[v] = lse - mean_pos
+    coeff[v] = e / denom - pos_mask[v] / pos_cnt[v][:, None]
+    return loss_rows, coeff
+
+
+def oracle_memory_augmented_loss(features, labels, queue, cfg):
+    """``memory_augmented_loss_with_grad`` on :func:`oracle_anchor_loss_and_coeff`."""
+    mem = queue.filled_features.astype(features.dtype, copy=False)
+    sims = features @ mem.T / cfg.temperature
+    pos_mask = queue.filled_labels[None, :] == labels[:, None]
+    den_mask = ~pos_mask if cfg.denominator_mode == "negatives" else np.ones_like(pos_mask)
+    loss_rows, coeff = oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    grad = (coeff @ mem) / cfg.temperature
+    return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
+
+
+def oracle_supervised_contrastive_loss(features, labels, cfg):
+    """``supervised_contrastive_loss_with_grad`` on :func:`oracle_anchor_loss_and_coeff`."""
+    n = features.shape[0]
+    sims = features @ features.T / cfg.temperature
+    not_self = ~np.eye(n, dtype=bool)
+    pos_mask = (labels[None, :] == labels[:, None]) & not_self
+    loss_rows, coeff = oracle_anchor_loss_and_coeff(sims, pos_mask, not_self)
+    grad = ((coeff + coeff.T) @ features) / cfg.temperature
+    return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
 
 
 # --- reference windowing -------------------------------------------------------

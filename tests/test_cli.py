@@ -105,7 +105,7 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
 
 def test_eval_windows_only_the_requested_subjects(monkeypatch):
     recordings, label_map = synthesize_recordings(SynthesisConfig(frames_per_class=30), 0)
-    model = SimpleNamespace(short_len=6, num_classes=5)
+    model = SimpleNamespace(short_len=6, num_classes=5, label_names=list(label_map.names))
     windowed = []
 
     def spy(recs, *args, **kwargs):
@@ -182,11 +182,19 @@ def test_eval_data_and_model_class_counts_differ(tmp_path, capsys):
     recalls = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("recall[")]
     assert [line.split("]")[0][len("recall["):] for line in recalls] == names
-    assert all(line.endswith("undefined") for line in recalls[3:])
+    # the data's classes (standing, walking, jumping) are matched by name:
+    # only the model's jogging and squatting see no window
+    assert [line.endswith("undefined") for line in recalls] == [
+        False, False, True, False, True]
     with open(confusion, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["true\\pred"] + names
     assert [row[0] for row in rows[1:]] == names
+    row_totals = [sum(int(v) for v in row[1:]) for row in rows[1:]]
+    assert [total > 0 for total in row_totals] == [True, True, False, True, False]
+    assert main(["infer", "--model", ckpt5, "--data", data3]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {line["true"] for line in lines} == {0, 1, 3}
 
 
 def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
@@ -197,7 +205,9 @@ def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
               "--data", data]
     capsys.readouterr()
     for seeds, needle in (("1,x", "--seeds must list integers"),
-                          (",", "--seeds lists no seed"), ("", "--seeds lists no seed")):
+                          (",", "--seeds lists no seed"), ("", "--seeds lists no seed"),
+                          ("0,0", "seed 0 is listed twice"),
+                          ("3, 1,2,1", "seed 1 is listed twice")):
         assert main(ablate + ["--seeds", seeds]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err, err

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from gesturemem.dataset import LabelMap, preprocess
 from gesturemem.errors import NonFiniteError, StructuralError
 from gesturemem.training import TrainConfig, init_state
 
-from helpers import (fd_grad, fd_param_grads, param_count, ref_encode_backward,
+from helpers import (assert_same_bits, fd_grad, fd_param_grads,
+                     oracle_encode_backward, oracle_encode_forward,
+                     oracle_gemm_blocks, param_count, ref_encode_backward,
                      ref_encode_forward, rel_error, relu_preactivations)
 
 TINY = EncoderConfig(width=4, feature_dim=4, blocks=2, temporal_kernel=3)
@@ -280,12 +284,102 @@ def test_momentum_update_scalar_case():
     assert out["p"][0] == pytest.approx(0.99, abs=0)
 
 
+# --- bitwise agreement with the plain-layout oracles ----------------------------
+
+
+@st.composite
+def encoder_cases(draw):
+    """(config, parameters with every bias non-zero, input, dtype) over
+    kernels 1-5, widths 1-8, 1-3 blocks, T from the kernel to 70, B 0-24."""
+    k = draw(st.integers(1, 5))
+    cfg = EncoderConfig(width=draw(st.integers(1, 8)), feature_dim=draw(st.integers(1, 8)),
+                        blocks=draw(st.integers(1, 3)), temporal_kernel=k)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params, _, _ = init_encoders(cfg, 3, rng, dtype)
+    for p in params.values():
+        p[...] = rng.normal(scale=0.5, size=p.shape)
+    x = rng.normal(size=(draw(st.integers(0, 24)), 3, draw(st.integers(k, 70)), 3))
+    return cfg, params, x.astype(dtype), dtype
+
+
+@given(encoder_cases())
+@settings(max_examples=60, deadline=None)
+def test_gemm_operands_match_the_oracle_bitwise(case):
+    cfg, params, x, dtype = case
+    t, v = x.shape[2], x.shape[3]
+    ops = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t)
+    oracle = oracle_gemm_blocks(params, GRAPH.normalized, dtype, cfg.blocks)
+    assert ops.window_len == t and len(ops.bias_rows) == cfg.blocks
+    per_call = ops.bias_rows_for(t + 1)
+    other = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t + 1)
+    for i, ((k_s, taps), (row_s, row_t), (k_o, b_s, taps_o, b_t)) in enumerate(
+            zip(ops.blocks, ops.bias_rows, oracle)):
+        assert_same_bits(k_s, k_o, ("spatial weight", i))
+        assert_same_bits(taps, taps_o, ("taps", i))
+        # the spatial bias, tiled over the joints, once per frame
+        assert_same_bits(row_s.ravel(), np.tile(b_s, t), ("spatial row", i))
+        assert_same_bits(row_t.ravel(), np.tile(b_t, t * v), ("temporal row", i))
+        for rows in (per_call[i], other.bias_rows[i]):
+            assert_same_bits(rows[0].ravel(), np.tile(b_s, t + 1), ("spatial row t+1", i))
+            assert_same_bits(rows[1].ravel(), np.tile(b_t, (t + 1) * v),
+                             ("temporal row t+1", i))
+    assert ops.bias_rows_for(t) is ops.bias_rows
+    assert ops.window_len == t  # building rows for another length kept none
+
+
+@given(encoder_cases(), st.integers(1, 30), st.sampled_from(["dict", "rows", "no rows"]))
+@settings(max_examples=120, deadline=None)
+def test_forward_and_backward_match_the_oracle_bitwise(case, per_tile, source):
+    """Uncached forwards over one or several tiles, and cached forwards with
+    their backward, from a dict, from operands holding this length's bias
+    rows, and from operands that build them per call."""
+    cfg, params, x, dtype = case
+    adj = GRAPH.normalized
+    b, _, t, v = x.shape
+    encoder_in = {"dict": params,
+                  "rows": GemmOperands.build(params, adj, dtype, cfg.blocks, t),
+                  "no rows": GemmOperands.build(params, adj, dtype, cfg.blocks)}[source]
+    window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
+    with mock.patch.object(enc, "TILE_BYTES", per_tile * window_bytes):
+        f, cache = encode_forward(encoder_in, x, adj, cfg)
+        f_o, _ = oracle_encode_forward(params, x, adj, cfg)
+    assert cache is None
+    assert_same_bits(f, f_o, "uncached features")
+
+    f, cache = encode_forward(encoder_in, x, adj, cfg, want_cache=True)
+    f_o, cache_o = oracle_encode_forward(params, x, adj, cfg, want_cache=True)
+    assert_same_bits(f, f_o, "cached features")
+    for key in ("pooled", "f", "r", "adj"):
+        assert_same_bits(cache[key], cache_o[key], key)
+    for i, (blk, blk_o) in enumerate(zip(cache["blocks"], cache_o["blocks"], strict=True)):
+        for name, a, a_o in zip(("h", "k_s", "xp", "taps", "act_t"), blk, blk_o):
+            assert_same_bits(a, a_o, (i, name))
+    grad_f = np.random.default_rng(t * 31 + b).normal(size=f.shape).astype(dtype)
+    grads, g_x = encode_backward(cache, grad_f)
+    grads_o, g_x_o = oracle_encode_backward(cache_o, grad_f)
+    assert set(grads) == set(grads_o) == set(params)
+    for name in params:
+        assert_same_bits(grads[name], grads_o[name], name)
+    assert_same_bits(g_x, g_x_o, "input gradient")
+
+
 def test_momentum_update_matches_convex_combination():
     s, l, _ = init_encoders(TINY, 3, np.random.default_rng(4))
     l = {k: v + np.random.default_rng(5).normal(size=v.shape) for k, v in l.items()}
     out = momentum_update(l, s, 0.7)
     for k in s:
         assert np.allclose(out[k], 0.7 * l[k] + 0.3 * s[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_momentum_update_is_its_formula_bitwise(dtype):
+    s, l, _ = init_encoders(TINY, 3, np.random.default_rng(4), dtype)
+    rng = np.random.default_rng(5)
+    l = {k: (v + rng.normal(size=v.shape)).astype(dtype) for k, v in l.items()}
+    out = momentum_update(l, s, 0.37)
+    for k in s:
+        assert_same_bits(out[k], s[k] + 0.37 * (l[k] - s[k]), k)
 
 
 @given(st.floats(min_value=0.0, max_value=0.999), st.integers(0, 2**31 - 1))

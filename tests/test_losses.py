@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gesturemem import losses
 from gesturemem.errors import ConfigError, ContractError
 from gesturemem.losses import (LossConfig, memory_augmented_loss_with_grad,
                                softmax_cross_entropy_batch,
@@ -10,7 +13,9 @@ from gesturemem.losses import (LossConfig, memory_augmented_loss_with_grad,
                                total_loss)
 from gesturemem.memory import MemoryQueue
 
-from helpers import fd_grad, rel_error, random_unit_rows
+from helpers import (assert_same_bits, fd_grad, oracle_anchor_loss_and_coeff,
+                     oracle_memory_augmented_loss,
+                     oracle_supervised_contrastive_loss, rel_error, random_unit_rows)
 
 CFG = LossConfig(temperature=0.07)
 
@@ -69,6 +74,21 @@ def test_cross_entropy_closed_forms():
     logits = np.log([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
     loss, _, _ = softmax_cross_entropy_batch(logits, [0, 1])
     assert loss == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_is_its_formula_bitwise(dtype):
+    rng = np.random.default_rng(8)
+    logits = (rng.normal(size=(16, 5)) * 4).astype(dtype)
+    labels = rng.integers(0, 5, size=16)
+    loss, grad, probs = softmax_cross_entropy_batch(logits, labels)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert loss == float(-logp[np.arange(16), labels].mean())
+    assert_same_bits(probs, np.exp(logp), "probabilities")
+    want = np.exp(logp)
+    want[np.arange(16), labels] -= 1.0
+    assert_same_bits(grad, want / 16, "gradient")
 
 
 def test_softmax_cross_entropy_grad_matches_fd():
@@ -243,3 +263,64 @@ def test_loss_config_validation():
         LossConfig(mal_weight=-1.0)
     with pytest.raises(ConfigError):
         LossConfig(denominator_mode="sometimes")
+
+
+# --- bitwise agreement with the gathered-anchor oracle --------------------------
+
+
+@st.composite
+def contrast_cases(draw):
+    """Unit anchors, their labels and a filled queue where all, some or none of
+    the anchors have a positive slot (and, under "negatives", a negative one)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    validity = draw(st.sampled_from(["all", "some", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.integers(0, 24))
+    k = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 8))
+    if validity == "all":        # slots of classes 0-2; anchors of classes 0-2
+        slot_labels = np.r_[0, 1, 2, rng.integers(0, 3, size=k)]
+        labels = rng.integers(0, 3, size=b)
+    elif validity == "some":     # slots of classes 0-1; anchors of 0-3
+        slot_labels = rng.integers(0, 2, size=k)
+        labels = rng.integers(0, 4, size=b)
+    else:                        # no anchor class among the slots
+        slot_labels = rng.integers(0, 2, size=k)
+        labels = rng.integers(2, 5, size=b)
+    queue = MemoryQueue(len(slot_labels), dim, dtype=dtype)
+    queue.enqueue_batch(random_unit_rows(rng, len(slot_labels), dim, dtype), slot_labels)
+    features = random_unit_rows(rng, b, dim, dtype)
+    cfg = LossConfig(temperature=draw(st.sampled_from([0.07, 0.5, 1.0])),
+                     denominator_mode=draw(st.sampled_from(["negatives", "all"])))
+    return features, labels, queue, cfg, validity
+
+
+@given(contrast_cases())
+@settings(max_examples=200, deadline=None)
+def test_contrastive_losses_match_the_oracle_bitwise(case):
+    features, labels, queue, cfg, validity = case
+    loss, grad = memory_augmented_loss_with_grad(features, labels, queue, cfg)
+    loss_o, grad_o = oracle_memory_augmented_loss(features, labels, queue, cfg)
+    assert_same_bits(loss, loss_o, "MAL loss")
+    assert_same_bits(grad, grad_o, "MAL gradient")
+
+    # the core itself, on the MAL's masks and on SupCon's
+    sims = features @ queue.filled_features.T / cfg.temperature
+    pos_mask = queue.filled_labels[None, :] == labels[:, None]
+    den_mask = ~pos_mask if cfg.denominator_mode == "negatives" else np.ones_like(pos_mask)
+    out = losses._anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    out_o = oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    for a, a_o, what in zip(out, out_o, ("loss rows", "coeff")):
+        assert_same_bits(a, a_o, what)
+    if validity == "none" and len(labels):
+        assert not out[1].any()
+
+    # SupCon over the anchors and the slots as one batch: every anchor of a
+    # repeated class is valid, a singleton is not
+    batch = np.concatenate([features, queue.filled_features])
+    batch_labels = np.concatenate([labels, queue.filled_labels])
+    if len(batch) >= 2:
+        loss, grad = supervised_contrastive_loss_with_grad(batch, batch_labels, cfg)
+        loss_o, grad_o = oracle_supervised_contrastive_loss(batch, batch_labels, cfg)
+        assert_same_bits(loss, loss_o, "SupCon loss")
+        assert_same_bits(grad, grad_o, "SupCon gradient")

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from gesturemem.errors import (ContractError, EmptyMemoryError,
                                StructuralError)
-from gesturemem.memory import (MemoryQueue, address, address_batch, recall,
-                               recall_batch_backward, recall_batch_with_grad,
+from gesturemem.memory import (MemoryQueue, address, address_batch, off_unit_norm,
+                               recall, recall_batch_backward, recall_batch_with_grad,
                                recall_for_query)
 
-from helpers import fd_grad, insertion_order, rel_error, random_unit_rows
+from helpers import (assert_same_bits, fd_grad, insertion_order, rel_error,
+                     random_unit_rows)
 
 
 def unit(v):
@@ -321,3 +322,20 @@ def test_address_batch_matches_single():
     batch = address_batch(q, queries)
     for i, query in enumerate(queries):
         assert np.allclose(batch[i], address(q, query), atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norm_check_and_recall_backward_are_their_formulas_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(40, 8)).astype(dtype)
+    bad, norms = off_unit_norm(rows)
+    assert_same_bits(norms, np.linalg.norm(rows, axis=1), "norms")
+    queue = MemoryQueue(64, 8, dtype=dtype)
+    queue.enqueue_batch(random_unit_rows(rng, 50, 8, dtype), rng.integers(0, 3, size=50))
+    queries = random_unit_rows(rng, 16, 8, dtype)
+    _, cache = recall_batch_with_grad(queue, queries)
+    g = rng.normal(size=(16, 8)).astype(dtype)
+    weights, mem = cache["weights"], cache["mem"]
+    s = g @ mem.T
+    want = (weights * (s - (weights * s).sum(axis=1, keepdims=True))) @ mem
+    assert_same_bits(recall_batch_backward(cache, g), want, "query gradient")
