@@ -57,12 +57,12 @@ differences.
 Parameters live in plain dicts of numpy arrays keyed like ``block0.spatial.w``;
 the short-term and long-term encoders hold structurally identical dicts. They
 keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k]),
-so checkpoints, the momentum update and SGD do not depend on the activation
-layout. :meth:`GemmOperands.build` rearranges them into the kernel's operands.
-Training changes its parameters every step and builds the operands on each
-call (the long encoder's inside :func:`encode_forward`); a served model,
-whose parameters never change, builds them once and passes them in place of
-the dict.
+so checkpoints and training's flat parameter buffers do not depend on the
+activation layout. :meth:`GemmOperands.build` rearranges them into the
+kernel's operands. Training changes its parameters every step and builds the
+operands on each call (the long encoder's inside :func:`encode_forward`); a
+served model, whose parameters never change, builds them once and passes them
+in place of the dict.
 """
 
 from __future__ import annotations
@@ -348,16 +348,14 @@ def _forward(ops, x, adj, cfg, want_cache, bias_rows):
 
 
 def encode_backward(cache, grad_f):
-    """Backward pass for :func:`encode_forward`.
-
-    Returns ``(grads, grad_x)`` where ``grads`` mirrors the parameter dict and
-    ``grad_x`` is [B, C, T, V] like the input.
-    """
+    """Backward pass for :func:`encode_forward`: the parameter gradients, a
+    dict that mirrors the parameter dict. Training never needs the gradient
+    of the input, so it is not formed."""
     params = cache["params"]
     adj = cache["adj"]
     cfg = cache["cfg"]
     f, r = cache["f"], cache["r"]
-    b, c_in, t, v = cache["shape"]
+    b, _, t, v = cache["shape"]
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
 
@@ -385,7 +383,7 @@ def encode_backward(cache, grad_f):
         g_taps = np.empty_like(taps)                        # [tap, C_in, C_out]
         for kk in range(k):
             tap_rows = slice(kk * v, kk * v + len(g_rows))
-            g_taps[kk] = x_rows[tap_rows].T @ g_rows
+            np.matmul(x_rows[tap_rows].T, g_rows, out=g_taps[kk])
             g_x_rows[tap_rows] += g_rows @ taps[kk].T
         grads[f"block{i}.temporal.w"] = np.ascontiguousarray(g_taps.transpose(2, 1, 0))
         interior = slice(pad_l * v, (pad_l + t) * v)
@@ -397,9 +395,9 @@ def encode_backward(cache, grad_f):
         pairs = g_ks.transpose(0, 2, 1, 3).reshape(v * v, -1)   # [V*V, C_in*C_out]
         g_ws = np.dot(adj.reshape(1, v * v), pairs).reshape(-1, c)
         grads[f"block{i}.spatial.w"] = np.ascontiguousarray(g_ws.T)
-        g_h = (g_s @ k_s.T).reshape(b, t * v, k_s.shape[0] // v)  # sized: B may be 0
-    grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
-    return grads, np.ascontiguousarray(grad_x)
+        if i:
+            g_h = (g_s @ k_s.T).reshape(b, t * v, k_s.shape[0] // v)  # sized: B may be 0
+    return grads
 
 
 def classify(decoder, f, memory_logits=None):
@@ -418,25 +416,21 @@ def classify(decoder, f, memory_logits=None):
     return logits
 
 
-def momentum_update(params_l, params_s, coef):
-    """Exponential-moving-average update of the long-term encoder.
+def momentum_update(theta_l, theta_s, coef):
+    """Exponential-moving-average update of the long-term encoder, in place.
 
-    Computed as ``theta_S + coef * (theta_L - theta_S)``, algebraically
-    ``coef*theta_L + (1-coef)*theta_S`` but exact at coef=0 and at
-    ``theta_L == theta_S``, and with exactly geometric gap decay.
+    ``theta_l`` and ``theta_s`` are arrays of one shape that hold the two
+    encoders' parameters in one layout; training passes its flat parameter
+    buffers. ``theta_l`` becomes ``theta_s + coef * (theta_l - theta_s)``,
+    algebraically ``coef*theta_L + (1-coef)*theta_S`` but exact at coef=0 and
+    at ``theta_L == theta_S``, and with exactly geometric gap decay. Returns
+    ``theta_l``.
     """
     if not (0.0 <= coef < 1.0):
         raise ConfigError(f"momentum coefficient must be in [0, 1), got {coef}")
-    if set(params_l) != set(params_s):
-        raise StructuralError("encoder parameter sets differ in structure")
-    out = {}
-    for name, tl in params_l.items():
-        ts = params_s[name]
-        if tl.shape != ts.shape:
-            raise StructuralError(
-                f"shape mismatch for {name}: {tl.shape} vs {ts.shape}")
-        gap = tl - ts
-        gap *= coef
-        gap += ts   # ts + coef * (tl - ts), in one fresh array
-        out[name] = gap
-    return out
+    if theta_l.shape != theta_s.shape:
+        raise StructuralError(f"shape mismatch: {theta_l.shape} vs {theta_s.shape}")
+    theta_l -= theta_s
+    theta_l *= coef
+    theta_l += theta_s
+    return theta_l

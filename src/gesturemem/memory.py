@@ -112,8 +112,8 @@ def address_batch(queue, queries):
     if queue.fill == 0:
         raise EmptyMemoryError("cannot address an empty memory queue")
     w = queries @ queue.filled_features.T
-    w -= w.max(axis=1, keepdims=True)
-    w /= np.exp(w, out=w).sum(axis=1, keepdims=True)
+    w -= np.maximum.reduce(w, axis=1, keepdims=True)
+    w /= np.add.reduce(np.exp(w, out=w), axis=1, keepdims=True)
     return w
 
 
@@ -152,6 +152,6 @@ def recall_batch_backward(cache, grad_recalled):
         return np.zeros_like(grad_recalled)
     weights, mem = cache["weights"], cache["mem"]
     s = grad_recalled @ mem.T                       # dL/d(weights)
-    s -= (weights * s).sum(axis=1, keepdims=True)
+    s -= np.add.reduce(weights * s, axis=1, keepdims=True)
     s *= weights                                    # dL/d(logits)
     return s @ mem

@@ -8,6 +8,14 @@ cross-entropy with the configured contrastive term; apply SGD with weight decay
 to the short-term encoder and decoder only; momentum-update the long-term
 encoder; then enqueue the batch's long-term features. Only the enqueue mutates
 the queue, so a sample never recalls features produced by its own batch.
+
+The parameters a step changes live in flat buffers (:class:`FlatParams`): the
+short encoder and the decoder in one, their SGD velocities in a twin, the long
+encoder in a third. The state's parameter dicts hold views into them, so
+checkpoints, :class:`FrozenModel` and the encoder read plain dicts, while the
+update is a handful of whole-buffer operations that change the arrays in
+place: an array held across a step sees the step's update. Each float goes
+through the same elementwise operations as a per-tensor update would.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from . import encoder as enc
 from . import memory as mem
 from . import losses
 from .dataset import LabelMap, split_subjects, window_dataset, window_starts
-from .errors import CheckpointError, ConfigError, NonFiniteError
+from .errors import CheckpointError, ConfigError, NonFiniteError, StructuralError
 from .inference import FrozenModel, predict_batch
 
 log = logging.getLogger(__name__)
@@ -150,7 +158,13 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Everything a training run mutates, plus what checkpoints persist."""
+    """Everything a training run mutates, plus what checkpoints persist.
+
+    ``params_s``, ``params_l``, ``decoder`` and ``velocities`` are dicts of
+    arrays. After a step their arrays are views into ``flat``'s buffers,
+    which each step updates in place; assigning a dict or an entry is safe,
+    as the next step packs the buffers anew (see :func:`flat_params`).
+    """
 
     config: TrainConfig
     label_map: LabelMap
@@ -163,6 +177,7 @@ class TrainState:
     rng: np.random.Generator
     epoch: int = 0
     step: int = 0
+    flat: FlatParams | None = field(default=None, repr=False, compare=False)
 
 
 def init_state(config, label_map):
@@ -187,43 +202,106 @@ def init_state(config, label_map):
 
 
 def _augment_views(x, rng, jitter_sigma, min_len):
-    """Two augmented views per sample: random temporal crop-and-pad plus jitter."""
+    """Two augmented views per sample: random temporal crop-and-pad plus jitter.
+
+    View ``n`` (sample ``n % B``) crops ``length`` frames from ``start``, both
+    drawn per view, and pads with its last frame: its frame ``j`` is the
+    sample's frame ``start + min(j, length - 1)``. All 2B views are one gather.
+    """
     b, c, t, v = x.shape
-    views = np.empty((2 * b, c, t, v), dtype=x.dtype)
-    for view in range(2):
-        for i in range(b):
-            length = int(rng.integers(min_len, t + 1))
-            start = int(rng.integers(0, t - length + 1))
-            crop = x[i, :, start:start + length, :]
-            if length < t:
-                pad = np.repeat(crop[:, -1:, :], t - length, axis=1)
-                crop = np.concatenate([crop, pad], axis=1)
-            views[view * b + i] = crop
+    bounds = np.empty((2 * b, 2), dtype=np.int64)
+    for n in range(2 * b):
+        length = int(rng.integers(min_len, t + 1))
+        bounds[n] = int(rng.integers(0, t - length + 1)), length - 1
+    frames = bounds[:, :1] + np.minimum(np.arange(t), bounds[:, 1:])     # [2B, T]
+    sample = np.tile(np.arange(b), 2)
+    views = x[sample[:, None, None], np.arange(c)[:, None], frames[:, None, :]]
     if jitter_sigma > 0:
         views += rng.normal(0.0, jitter_sigma, size=views.shape).astype(x.dtype)
     return views
 
 
-def _sgd_apply(state, grads):
-    """SGD with coupled weight decay over the short-term encoder and decoder.
+def _pack(entries, dtype):
+    """One new buffer holding the arrays ``d[k]`` of the (dict, key)
+    ``entries`` back to back, in ``dtype``; each ``d[k]`` becomes its view."""
+    arrays = [d[k] for d, k in entries]
+    buf = np.concatenate(arrays, axis=None, dtype=dtype)
+    lo = 0
+    for (d, k), a in zip(entries, arrays):
+        d[k] = buf[lo:lo + a.size].reshape(a.shape)
+        lo += a.size
+    return buf
 
-    ``grads`` keys are prefixed parameter names (``encoder_s/...``,
-    ``decoder/...``). With zero data gradient a parameter contracts by exactly
-    (1 - lr * weight_decay) per step.
+
+@dataclass
+class FlatParams:
+    """A state's training parameters as contiguous buffers of the config dtype.
+
+    ``trained`` holds the short encoder (``encoder``, a view of its head) and
+    then the decoder, in the order of ``encoder_keys`` and ``decoder_keys``;
+    ``velocity`` holds their SGD velocities in the same layout (None without
+    SGD momentum), and ``long`` the long encoder in the short encoder's. The
+    state's ``params_s``, ``decoder``, ``velocities`` and ``params_l`` hold
+    views into these buffers.
     """
-    cfg = state.config
-    lr, wd, momentum = cfg.learning_rate, cfg.weight_decay, cfg.sgd_momentum
-    for name, g in grads.items():
-        group, key = name.split("/", 1)
-        params = state.params_s if group == "encoder_s" else state.decoder
-        p = params[key]
-        step_dir = g + wd * p
-        if momentum > 0:
-            vel = state.velocities[name]
-            vel *= momentum
-            vel += step_dir
-            step_dir = vel
-        params[key] = p - lr * step_dir
+
+    trained: np.ndarray
+    encoder: np.ndarray
+    velocity: np.ndarray | None
+    long: np.ndarray
+    encoder_keys: tuple
+    decoder_keys: tuple
+
+    @classmethod
+    def pack(cls, state):
+        """Copy ``state``'s parameters into new buffers and make its dict
+        entries views into them."""
+        params_s, params_l, vel = state.params_s, state.params_l, state.velocities
+        if ({k: v.shape for k, v in params_l.items()}
+                != {k: v.shape for k, v in params_s.items()}):
+            raise StructuralError("the long and short encoders differ in structure")
+        enc_keys, dec_keys = tuple(params_s), tuple(state.decoder)
+        dtype = state.config.np_dtype
+        trained = _pack([(params_s, k) for k in enc_keys]
+                        + [(state.decoder, k) for k in dec_keys], dtype)
+        velocity = None if vel is None else _pack(
+            [(vel, f"encoder_s/{k}") for k in enc_keys]
+            + [(vel, f"decoder/{k}") for k in dec_keys], dtype)
+        long = _pack([(params_l, k) for k in enc_keys], dtype)
+        return cls(trained=trained, encoder=trained[:long.size], velocity=velocity,
+                   long=long, encoder_keys=enc_keys, decoder_keys=dec_keys)
+
+    def holds(self, state):
+        """Whether every parameter array of ``state`` is a view into these buffers."""
+        groups = [(state.params_s, self.trained), (state.decoder, self.trained),
+                  (state.params_l, self.long)]
+        if (state.velocities is None) != (self.velocity is None):
+            return False
+        if self.velocity is not None:
+            groups.append((state.velocities, self.velocity))
+        return all(v.base is buf for d, buf in groups for v in d.values())
+
+
+def flat_params(state):
+    """``state.flat``, packed anew first unless every parameter array of the
+    state is a view into it: a fresh or loaded state, a deep copy (whose
+    arrays are copies) and a state whose dict or dict entry was assigned all
+    pack on their next step."""
+    if state.flat is None or not state.flat.holds(state):
+        state.flat = FlatParams.pack(state)
+    return state.flat
+
+
+def _sgd_update(flat, grad, cfg):
+    """SGD with coupled weight decay, in place on ``flat.trained``, from the
+    gradient ``grad`` in its layout (which it overwrites). With zero data
+    gradient a parameter contracts by exactly (1 - lr * weight_decay)."""
+    grad += cfg.weight_decay * flat.trained
+    if cfg.sgd_momentum > 0:
+        flat.velocity *= cfg.sgd_momentum
+        flat.velocity += grad
+        grad = flat.velocity
+    flat.trained -= cfg.learning_rate * grad
 
 
 def train_step(state, x_short, x_long, labels):
@@ -237,6 +315,7 @@ def train_step(state, x_short, x_long, labels):
     loss_cfg = cfg.loss_config()
     adj = state.graph.normalized
     labels = np.asarray(labels)
+    flat = flat_params(state)
 
     # built once: the views loss runs the short encoder on the same operands
     ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
@@ -253,7 +332,7 @@ def train_step(state, x_short, x_long, labels):
 
     logits = combined @ state.decoder["w"].T + state.decoder["b"]
     ce, g_logits, probs = losses.softmax_cross_entropy_batch(logits, labels)
-    accuracy = float((probs.argmax(axis=1) == labels).mean())
+    accuracy = np.count_nonzero(probs.argmax(axis=1) == labels) / len(labels)
 
     g_combined = g_logits @ state.decoder["w"]
     g_feats = g_combined
@@ -283,19 +362,17 @@ def train_step(state, x_short, x_long, labels):
         raise NonFiniteError(
             f"non-finite loss at step {state.step}: ce={ce!r} contrast={contrast!r}")
 
-    param_grads, _ = enc.encode_backward(cache_s, g_feats)
+    param_grads = enc.encode_backward(cache_s, g_feats)
+    dec_grads = {"w": g_logits.T @ combined, "b": g_logits.sum(axis=0)}
+    grad = np.concatenate([param_grads[k] for k in flat.encoder_keys]
+                          + [dec_grads[k] for k in flat.decoder_keys], axis=None)
     if g_aug is not None:
-        aug_grads, _ = enc.encode_backward(aug_cache, g_aug)
-        for k, v in aug_grads.items():
-            param_grads[k] = param_grads[k] + v
+        aug_grads = enc.encode_backward(aug_cache, g_aug)
+        grad[:flat.encoder.size] += np.concatenate(
+            [aug_grads[k] for k in flat.encoder_keys], axis=None)
 
-    grads = {f"encoder_s/{k}": v for k, v in param_grads.items()}
-    grads["decoder/w"] = g_logits.T @ combined
-    grads["decoder/b"] = g_logits.sum(axis=0)
-
-    _sgd_apply(state, grads)
-    state.params_l = enc.momentum_update(state.params_l, state.params_s,
-                                         cfg.momentum_coef)
+    _sgd_update(flat, grad, cfg)
+    enc.momentum_update(flat.long, flat.encoder, cfg.momentum_coef)
     state.queue.enqueue_batch(feats_l, labels)
     state.step += 1
     return {"loss": float(total), "ce": float(ce), "contrast": float(contrast),

@@ -1,11 +1,14 @@
 """Shared test utilities: finite-difference oracles, a reference encoder,
-bitwise oracles of the encoder and contrastive-loss kernels, a single-window
-prediction oracle, reference windowing and training data, queue inspection and
-parameter flattening."""
+bitwise oracles of the encoder and contrastive-loss kernels and of the
+training step's per-tensor update, a single-window prediction oracle,
+reference windowing and training data, queue inspection and parameter
+flattening."""
 
 import numpy as np
 
 from gesturemem import encoder as enc
+from gesturemem import losses
+from gesturemem import memory as mem
 from gesturemem.dataset import (SampleSet, ShortTermSample, preprocess,
                                 split_subjects)
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
@@ -188,7 +191,7 @@ def ref_encode_forward(params, x, adj, cfg):
 
 
 def ref_encode_backward(cache, grad_f):
-    """Reference backward pass: returns (grads, grad_x [B, C, T, V])."""
+    """Reference backward pass: returns the parameter gradients."""
     params, adj, cfg = cache["params"], cache["adj"], cache["cfg"]
     f, r = cache["f"], cache["r"]
     k = cfg.temporal_kernel
@@ -218,7 +221,7 @@ def ref_encode_backward(cache, grad_f):
         grads[f"block{i}.spatial.w"] = np.einsum("botv,bitv->oi", g_s, xa)
         g_xa = np.einsum("oi,botv->bitv", w_s, g_s)
         g_h = np.einsum("bitv,uv->bitu", g_xa, adj)
-    return grads, g_h
+    return grads
 
 
 # --- bitwise oracles ---------------------------------------------------------
@@ -305,7 +308,7 @@ def oracle_encode_backward(cache, grad_f):
     adj = cache["adj"]
     cfg = cache["cfg"]
     f, r = cache["f"], cache["r"]
-    b, c_in, t, v = cache["shape"]
+    b, _, t, v = cache["shape"]
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
     grads = {}
@@ -337,8 +340,7 @@ def oracle_encode_backward(cache, grad_f):
         g_ws = np.tensordot(adj, g_ks, axes=([0, 1], [0, 2]))
         grads[f"block{i}.spatial.w"] = np.ascontiguousarray(g_ws.T)
         g_h = (g_s @ k_s.T).reshape(b, t * v, k_s.shape[0] // v)
-    grad_x = g_h.reshape(b, t, v, c_in).transpose(0, 3, 1, 2)
-    return grads, np.ascontiguousarray(grad_x)
+    return grads
 
 
 def oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask):
@@ -383,6 +385,118 @@ def oracle_supervised_contrastive_loss(features, labels, cfg):
     loss_rows, coeff = oracle_anchor_loss_and_coeff(sims, pos_mask, not_self)
     grad = ((coeff + coeff.T) @ features) / cfg.temperature
     return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
+
+
+# --- per-tensor training update ----------------------------------------------
+# The training step with SGD and the momentum update written per tensor, and
+# the augmented views cropped one sample at a time: the plainest form of what
+# gesturemem.training does on flat buffers and with one gather, which must
+# reproduce it bit for bit.
+
+def oracle_sgd_apply(state, grads):
+    """SGD with coupled weight decay over the short-term encoder and decoder;
+    ``grads`` keys are prefixed parameter names (``encoder_s/...``,
+    ``decoder/...``)."""
+    cfg = state.config
+    lr, wd, momentum = cfg.learning_rate, cfg.weight_decay, cfg.sgd_momentum
+    for name, g in grads.items():
+        group, key = name.split("/", 1)
+        params = state.params_s if group == "encoder_s" else state.decoder
+        p = params[key]
+        step_dir = g + wd * p
+        if momentum > 0:
+            vel = state.velocities[name]
+            vel *= momentum
+            vel += step_dir
+            step_dir = vel
+        params[key] = p - lr * step_dir
+
+
+def oracle_momentum_update(params_l, params_s, coef):
+    """A new dict: ``theta_S + coef * (theta_L - theta_S)`` per tensor."""
+    out = {}
+    for name, tl in params_l.items():
+        ts = params_s[name]
+        gap = tl - ts
+        gap *= coef
+        gap += ts
+        out[name] = gap
+    return out
+
+
+def oracle_augment_views(x, rng, jitter_sigma, min_len):
+    """``training._augment_views`` one sample at a time: slice, repeat the
+    last frame, concatenate."""
+    b, c, t, v = x.shape
+    views = np.empty((2 * b, c, t, v), dtype=x.dtype)
+    for view in range(2):
+        for i in range(b):
+            length = int(rng.integers(min_len, t + 1))
+            start = int(rng.integers(0, t - length + 1))
+            crop = x[i, :, start:start + length, :]
+            if length < t:
+                pad = np.repeat(crop[:, -1:, :], t - length, axis=1)
+                crop = np.concatenate([crop, pad], axis=1)
+            views[view * b + i] = crop
+    if jitter_sigma > 0:
+        views += rng.normal(0.0, jitter_sigma, size=views.shape).astype(x.dtype)
+    return views
+
+
+def oracle_train_step(state, x_short, x_long, labels):
+    """``training.train_step`` with the per-tensor update: the gradients
+    summed and applied one tensor at a time, the long encoder replaced by a
+    new dict, the views cropped by :func:`oracle_augment_views`."""
+    cfg = state.config
+    enc_cfg = cfg.encoder_config()
+    loss_cfg = cfg.loss_config()
+    adj = state.graph.normalized
+    labels = np.asarray(labels)
+    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
+                                   x_short.shape[2])
+    feats_s, cache_s = enc.encode_forward(ops_s, x_short, adj, enc_cfg, want_cache=True)
+    feats_l, _ = enc.encode_forward(state.params_l, x_long, adj, enc_cfg)
+    combined, recall_cache = feats_s, None
+    if cfg.use_recall:
+        recalled, recall_cache = mem.recall_batch_with_grad(state.queue, feats_s)
+        combined = feats_s + recalled
+    logits = combined @ state.decoder["w"].T + state.decoder["b"]
+    ce, g_logits, probs = losses.softmax_cross_entropy_batch(logits, labels)
+    accuracy = float((probs.argmax(axis=1) == labels).mean())
+    g_combined = g_logits @ state.decoder["w"]
+    g_feats = g_combined
+    if cfg.use_recall:
+        g_feats = g_combined + mem.recall_batch_backward(recall_cache, g_combined)
+    contrast, g_aug = 0.0, None
+    if cfg.use_mal:
+        if cfg.contrast_loss == "memory":
+            contrast, g_con = losses.memory_augmented_loss_with_grad(
+                feats_s, labels, state.queue, loss_cfg)
+            g_feats += loss_cfg.mal_weight * g_con
+        else:
+            views = oracle_augment_views(x_short, state.rng, cfg.jitter_sigma,
+                                         min_len=max(cfg.temporal_kernel,
+                                                     x_short.shape[2] - 2))
+            view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
+                                                       want_cache=True)
+            contrast, g_views = losses.supervised_contrastive_loss_with_grad(
+                view_feats, np.concatenate([labels, labels]), loss_cfg)
+            g_aug = loss_cfg.mal_weight * g_views
+    total = losses.total_loss(ce, contrast, loss_cfg)
+    param_grads = enc.encode_backward(cache_s, g_feats)
+    if g_aug is not None:
+        for k, v in enc.encode_backward(aug_cache, g_aug).items():
+            param_grads[k] = param_grads[k] + v
+    grads = {f"encoder_s/{k}": v for k, v in param_grads.items()}
+    grads["decoder/w"] = g_logits.T @ combined
+    grads["decoder/b"] = g_logits.sum(axis=0)
+    oracle_sgd_apply(state, grads)
+    state.params_l = oracle_momentum_update(state.params_l, state.params_s,
+                                            cfg.momentum_coef)
+    state.queue.enqueue_batch(feats_l, labels)
+    state.step += 1
+    return {"loss": float(total), "ce": float(ce), "contrast": float(contrast),
+            "accuracy": accuracy}
 
 
 # --- reference windowing -------------------------------------------------------

@@ -15,7 +15,7 @@ from gesturemem.dataset import LabelMap, preprocess
 from gesturemem.errors import NonFiniteError, StructuralError
 from gesturemem.training import TrainConfig, init_state
 
-from helpers import (assert_same_bits, fd_grad, fd_param_grads,
+from helpers import (assert_same_bits, fd_param_grads,
                      oracle_encode_backward, oracle_encode_forward,
                      oracle_gemm_blocks, param_count, ref_encode_backward,
                      ref_encode_forward, rel_error, relu_preactivations)
@@ -126,37 +126,14 @@ def check_param_gradients(cfg):
         return relu_preactivations(p, x, GRAPH.normalized, cfg)[at_kink]
 
     f, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
-    grads, _ = encode_backward(cache, probe)
+    grads = encode_backward(cache, probe)
     fd = fd_param_grads(lambda p: loss(p), params, kinks=kinks)
     for name in params:
         assert rel_error(grads[name], fd[name]) < 1e-4, name
 
 
-def check_input_gradient(cfg):
-    params, _, _, x = tiny_setup(seed=3, cfg=cfg)
-    probe = np.random.default_rng(11).normal(size=(x.shape[0], cfg.feature_dim))
-
-    def loss(xv):
-        f, _ = encode_forward(params, xv, GRAPH.normalized, cfg)
-        return float((probe * f).sum())
-
-    at_kink = relu_preactivations(params, x, GRAPH.normalized, cfg) == 0
-
-    def kinks(xv):
-        return relu_preactivations(params, xv, GRAPH.normalized, cfg)[at_kink]
-
-    _, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
-    _, g_x = encode_backward(cache, probe)
-    fd = fd_grad(loss, x, kinks=kinks)
-    assert rel_error(g_x, fd) < 1e-4
-
-
 def test_encoder_param_gradients_match_finite_differences():
     check_param_gradients(TINY)
-
-
-def test_encoder_input_gradient_matches_finite_differences():
-    check_input_gradient(TINY)
 
 
 # an even kernel pads asymmetrically (no frame on the left, one on the right),
@@ -169,7 +146,6 @@ def test_encoder_input_gradient_matches_finite_differences():
 ], ids=["k2", "blocks3"])
 def test_encoder_gradients_match_finite_differences_beyond_tiny(cfg):
     check_param_gradients(cfg)
-    check_input_gradient(cfg)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
@@ -185,17 +161,15 @@ def test_gemm_kernels_match_per_tap_reference(blocks, k, dtype, tol):
             x = rng.normal(size=(b, 3, t, 3)).astype(dtype)
             grad_f = rng.normal(size=(b, cfg.feature_dim)).astype(dtype)
             f, cache = encode_forward(params, x, GRAPH.normalized, cfg, want_cache=True)
-            grads, g_x = encode_backward(cache, grad_f)
+            grads = encode_backward(cache, grad_f)
             f_ref, cache_ref = ref_encode_forward(params, x, GRAPH.normalized, cfg)
-            grads_ref, g_x_ref = ref_encode_backward(cache_ref, grad_f)
+            grads_ref = ref_encode_backward(cache_ref, grad_f)
             case = f"T={t} B={b}"
-            assert f.dtype == dtype and g_x.dtype == dtype, case
-            assert g_x.shape == x.shape, case
+            assert f.dtype == dtype, case
             assert rel_error(f, f_ref) < tol, case
             # the uncached pass shares one padded buffer among its blocks
             f_uncached, _ = encode_forward(params, x, GRAPH.normalized, cfg)
             assert rel_error(f_uncached, f_ref) < tol, case
-            assert rel_error(g_x, g_x_ref) < tol, case
             assert set(grads) == set(params), case
             for name, p in params.items():
                 assert grads[name].shape == p.shape, (case, name)
@@ -264,24 +238,27 @@ def test_init_long_term_is_exact_copy_and_seed_determinism():
     assert any(not np.array_equal(s1[k], s3[k]) for k in s1)
 
 
+def flat(params):
+    """A parameter dict as one new flat array, the form training updates."""
+    return np.concatenate(list(params.values()), axis=None)
+
+
 def test_momentum_update_copy_identity_at_zero():
     s, l, _ = init_encoders(TINY, 3, np.random.default_rng(1))
-    out = momentum_update({k: v + 1.0 for k, v in l.items()}, s, 0.0)
-    for k in s:
-        assert np.array_equal(out[k], s[k])
+    out = momentum_update(flat(l) + 1.0, flat(s), 0.0)
+    assert np.array_equal(out, flat(s))
 
 
 def test_momentum_update_fixed_point():
     s, l, _ = init_encoders(TINY, 3, np.random.default_rng(2))
     for coef in (0.0, 0.5, 0.99):
-        out = momentum_update(l, s, coef)
-        for k in s:
-            assert np.array_equal(out[k], s[k])  # theta_L == theta_S initially
+        out = momentum_update(flat(l), flat(s), coef)
+        assert np.array_equal(out, flat(s))  # theta_L == theta_S initially
 
 
 def test_momentum_update_scalar_case():
-    out = momentum_update({"p": np.array([1.0])}, {"p": np.array([0.0])}, 0.99)
-    assert out["p"][0] == pytest.approx(0.99, abs=0)
+    out = momentum_update(np.array([1.0]), np.array([0.0]), 0.99)
+    assert out[0] == pytest.approx(0.99, abs=0)
 
 
 # --- bitwise agreement with the plain-layout oracles ----------------------------
@@ -356,20 +333,18 @@ def test_forward_and_backward_match_the_oracle_bitwise(case, per_tile, source):
         for name, a, a_o in zip(("h", "k_s", "xp", "taps", "act_t"), blk, blk_o):
             assert_same_bits(a, a_o, (i, name))
     grad_f = np.random.default_rng(t * 31 + b).normal(size=f.shape).astype(dtype)
-    grads, g_x = encode_backward(cache, grad_f)
-    grads_o, g_x_o = oracle_encode_backward(cache_o, grad_f)
+    grads = encode_backward(cache, grad_f)
+    grads_o = oracle_encode_backward(cache_o, grad_f)
     assert set(grads) == set(grads_o) == set(params)
     for name in params:
         assert_same_bits(grads[name], grads_o[name], name)
-    assert_same_bits(g_x, g_x_o, "input gradient")
 
 
 def test_momentum_update_matches_convex_combination():
     s, l, _ = init_encoders(TINY, 3, np.random.default_rng(4))
     l = {k: v + np.random.default_rng(5).normal(size=v.shape) for k, v in l.items()}
-    out = momentum_update(l, s, 0.7)
-    for k in s:
-        assert np.allclose(out[k], 0.7 * l[k] + 0.3 * s[k], atol=1e-12)
+    out = momentum_update(flat(l), flat(s), 0.7)
+    assert np.allclose(out, 0.7 * flat(l) + 0.3 * flat(s), atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -377,21 +352,22 @@ def test_momentum_update_is_its_formula_bitwise(dtype):
     s, l, _ = init_encoders(TINY, 3, np.random.default_rng(4), dtype)
     rng = np.random.default_rng(5)
     l = {k: (v + rng.normal(size=v.shape)).astype(dtype) for k, v in l.items()}
-    out = momentum_update(l, s, 0.37)
-    for k in s:
-        assert_same_bits(out[k], s[k] + 0.37 * (l[k] - s[k]), k)
+    theta_l = flat(l)
+    out = momentum_update(theta_l, flat(s), 0.37)
+    assert out is theta_l  # updated in place
+    assert_same_bits(out, flat(s) + 0.37 * (flat(l) - flat(s)), "update")
 
 
 @given(st.floats(min_value=0.0, max_value=0.999), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_momentum_gap_decays_geometrically(coef, seed):
     rng = np.random.default_rng(seed)
-    s = {"p": rng.normal(size=7)}
-    l = {"p": rng.normal(size=7)}
-    gap = np.linalg.norm(l["p"] - s["p"])
+    s = rng.normal(size=7)
+    l = rng.normal(size=7)
+    gap = np.linalg.norm(l - s)
     for _ in range(4):
         l = momentum_update(l, s, coef)
-        new_gap = np.linalg.norm(l["p"] - s["p"])
+        new_gap = np.linalg.norm(l - s)
         # exact up to float rounding: one rounding per element plus the
         # absorption of coef*(l-s) into s and the norm accumulation
         assert new_gap == pytest.approx(coef * gap, rel=1e-9, abs=5e-15)
@@ -400,9 +376,9 @@ def test_momentum_gap_decays_geometrically(coef, seed):
 
 def test_momentum_update_shape_mismatch():
     with pytest.raises(StructuralError):
-        momentum_update({"p": np.zeros(3)}, {"p": np.zeros(4)}, 0.5)
-    with pytest.raises(StructuralError):
-        momentum_update({"p": np.zeros(3)}, {"q": np.zeros(3)}, 0.5)
+        momentum_update(np.zeros(3), np.zeros(4), 0.5)
+    with pytest.raises(StructuralError):  # numpy alone would broadcast these
+        momentum_update(np.zeros((1, 3)), np.zeros(3), 0.5)
 
 
 def test_classify_uniform_with_zero_decoder():

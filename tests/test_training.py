@@ -13,16 +13,17 @@ from gesturemem import losses
 from gesturemem import memory as mem
 from gesturemem.dataset import (LabelMap, Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
-from gesturemem.errors import CheckpointError, ConfigError
+from gesturemem.errors import CheckpointError, ConfigError, StructuralError
 from gesturemem.evaluation import evaluate
 from gesturemem.inference import FrozenModel
-from gesturemem.training import (TrainConfig, _sgd_apply, init_state,
-                                 load_checkpoint, prepare_data,
-                                 save_checkpoint, train, train_step,
-                                 write_metrics)
+from gesturemem.training import (TrainConfig, _augment_views, _sgd_update,
+                                 flat_params, init_state, load_checkpoint,
+                                 prepare_data, save_checkpoint, train,
+                                 train_step, write_metrics)
 
-from helpers import (fd_param_grads, random_unit_rows, ref_prepare_data,
-                     rel_error, relu_preactivations)
+from helpers import (assert_same_bits, fd_param_grads, oracle_augment_views,
+                     oracle_momentum_update, oracle_train_step, random_unit_rows,
+                     ref_prepare_data, rel_error, relu_preactivations)
 
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
 
@@ -137,8 +138,8 @@ def test_train_step_never_backpropagates_into_long_encoder_or_slots():
     # pre-existing slots only change by FIFO eviction, never by gradients
     assert np.array_equal(state.queue.features[:10], slots_before)
     # the long-term encoder moved exactly along the momentum recursion
-    expected = enc.momentum_update(params_l_before, state.params_s,
-                                   config.momentum_coef)
+    expected = oracle_momentum_update(params_l_before, state.params_s,
+                                      config.momentum_coef)
     for k in expected:
         assert np.array_equal(state.params_l[k], expected[k])
 
@@ -149,10 +150,8 @@ def test_weight_decay_contracts_with_zero_gradient():
 
     state = init_state(config, LabelMap(names=["a", "b"]))
     before = copy.deepcopy(state.params_s)
-    zero_grads = {f"encoder_s/{k}": np.zeros_like(v) for k, v in state.params_s.items()}
-    zero_grads.update({f"decoder/{k}": np.zeros_like(v)
-                       for k, v in state.decoder.items()})
-    _sgd_apply(state, zero_grads)
+    flat = flat_params(state)
+    _sgd_update(flat, np.zeros_like(flat.trained), config)
     factor = 1.0 - config.learning_rate * config.weight_decay
     for k in before:
         assert np.allclose(state.params_s[k], factor * before[k], rtol=0, atol=1e-18)
@@ -178,9 +177,122 @@ def test_long_encoder_follows_exact_recursion_over_steps():
     replay = copy.deepcopy(state.params_l)
     for _ in range(4):
         train_step(state, *make_batch(config, rng))
-        replay = enc.momentum_update(replay, state.params_s, config.momentum_coef)
+        replay = oracle_momentum_update(replay, state.params_s, config.momentum_coef)
     for k in replay:
         assert np.array_equal(replay[k], state.params_l[k])
+
+
+# --- flat parameter buffers -------------------------------------------------------
+
+def assert_same_state(got, want):
+    """Every parameter, velocity, queue slot and cursor, and the RNG, bit for bit."""
+    for name in ("params_s", "params_l", "decoder", "velocities"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        assert set(g or {}) == set(w or {}), name
+        for k in w or {}:
+            assert_same_bits(g[k], w[k], (name, k))
+    assert_same_bits(got.queue.features, want.queue.features, "queue features")
+    assert_same_bits(got.queue.labels, want.queue.labels, "queue labels")
+    assert (got.queue.fill, got.queue.head) == (want.queue.fill, want.queue.head)
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+def assert_packed(state):
+    """Every parameter array of ``state`` is a view into its own flat buffers."""
+    flat = state.flat
+    groups = [(state.params_s, flat.trained), (state.decoder, flat.trained),
+              (state.params_l, flat.long)]
+    if state.velocities is not None:
+        groups.append((state.velocities, flat.velocity))
+    for params, buf in groups:
+        for k, v in params.items():
+            assert v.base is buf, k
+
+
+def packed_pair(config, seed=0):
+    """Two identical states with the queue half filled, and three batches."""
+    states = []
+    for _ in range(2):
+        state = init_state(config, LabelMap(names=["a", "b", "c"]))
+        prefill_queue(state, np.random.default_rng(seed), 16)
+        states.append(state)
+    rng = np.random.default_rng(seed + 1)
+    return states, [make_batch(config, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("contrast_loss", ["memory", "views"])
+@pytest.mark.parametrize("sgd_momentum", [0.0, 0.9])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_step_matches_the_per_tensor_update_bitwise(dtype, sgd_momentum,
+                                                          contrast_loss):
+    config = tiny_config(dtype=dtype, sgd_momentum=sgd_momentum,
+                         contrast_loss=contrast_loss, momentum_coef=0.9)
+    (state, oracle), batches = packed_pair(config)
+    for batch in batches:
+        assert train_step(state, *batch) == oracle_train_step(oracle, *batch)
+        assert_same_state(state, oracle)
+        assert_packed(state)
+
+
+def test_a_step_packs_the_buffers_anew_when_an_array_is_not_their_view(tmp_path):
+    config = tiny_config(dtype="float32", sgd_momentum=0.9, momentum_coef=0.9)
+    (state, oracle), batches = packed_pair(config, seed=3)
+    train_step(state, *batches[0])
+    oracle_train_step(oracle, *batches[0])
+    # (a) a deep copy holds copies, not views: it packs its own buffers
+    twin = copy.deepcopy(state)
+    # (b) an assigned entry and an assigned dict are trained with their values
+    bias = np.linspace(-1, 1, config.feature_dim).astype(np.float32)
+    for st in (state, oracle):
+        st.params_s["proj.b"] = bias.copy()
+        st.decoder = {k: v + 0.5 for k, v in st.decoder.items()}
+    twin.params_s["proj.b"] = bias.copy()
+    twin.decoder = {k: v + 0.5 for k, v in twin.decoder.items()}
+    held = state.params_s["block0.spatial.w"]
+    for st in (state, twin):
+        train_step(st, *batches[1])
+    oracle_train_step(oracle, *batches[1])
+    assert_same_state(state, oracle)
+    assert_same_state(twin, oracle)
+    assert_packed(state)
+    assert_packed(twin)
+    assert twin.flat.trained is not state.flat.trained
+    assert held.base is not state.flat.trained  # re-packing copied it
+    held = state.params_s["block0.spatial.w"]
+    train_step(state, *batches[2])
+    assert held is state.params_s["block0.spatial.w"]  # updated in place
+    # (c) a saved and loaded state steps like the one it was saved from
+    path = save_checkpoint(state, tmp_path / "mid.ckpt")
+    loaded = load_checkpoint(path)
+    for st in (state, loaded):
+        train_step(st, *batches[0])
+    assert_same_state(loaded, state)
+    assert_packed(loaded)
+
+
+def test_a_long_encoder_unlike_the_short_one_is_refused():
+    config = tiny_config()
+    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    batch = make_batch(config, np.random.default_rng(0))
+    state.params_l = {k: v for k, v in state.params_l.items() if k != "proj.b"}
+    with pytest.raises(StructuralError):
+        train_step(state, *batch)
+    state.params_l = {k: v.T for k, v in state.params_s.items()}
+    with pytest.raises(StructuralError):
+        train_step(state, *batch)
+
+
+@pytest.mark.parametrize("jitter_sigma", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_augment_views_matches_the_per_sample_crops(dtype, jitter_sigma):
+    x = np.random.default_rng(9).normal(size=(7, 3, 10, 3)).astype(dtype)
+    for min_len in (3, 8, 10):
+        rng, rng_o = np.random.default_rng(min_len), np.random.default_rng(min_len)
+        views = _augment_views(x, rng, jitter_sigma, min_len)
+        assert_same_bits(views, oracle_augment_views(x, rng_o, jitter_sigma, min_len),
+                         min_len)
+        assert rng.bit_generator.state == rng_o.bit_generator.state
 
 
 # --- full runs --------------------------------------------------------------------
