@@ -52,8 +52,7 @@ def apply_overrides(mapping, assignments):
 def coerce(value, target, key):
     """``value``, a string, as the field type ``target``; a value that does not
     parse as that type is a :class:`ConfigError` naming ``key``."""
-    if isinstance(target, (types.UnionType, typing._SpecialForm)) or \
-            typing.get_origin(target) in (typing.Union, types.UnionType):
+    if typing.get_origin(target) in (typing.Union, types.UnionType):
         args = [a for a in typing.get_args(target) if a is not type(None)]
         if value.lower() in ("none", ""):
             return None

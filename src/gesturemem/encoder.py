@@ -38,13 +38,11 @@ Without a cache, :func:`encode_forward` runs a batch in tiles of whole windows
 encoder pass). A window counts ``T*V*k*width*itemsize`` bytes, k activations
 of one block: for k = 3 about what a block holds at once (the padded buffer,
 a tap product and the output). A tile's count stays within ``TILE_BYTES``, so
-its working set stays in a 2 MiB per-core L2. Measured on a 2-vCPU Xeon host
-with one BLAS thread, per window at T=60, width 16: 27 us at B=16, 57 us at
-B=1024 untiled, and 27-30 us at B=1024 for any tile from 512 KiB to 4 MiB
-(width 32: 56-65 us tiled, 125 us untiled). The plateau is wide, so the
-constant is not tuned per host. A batch that fits runs as one tile. The
-cached (training) forward is never tiled: its batches fit anyway, and
-:func:`encode_backward` reads whole-batch intermediates.
+its working set stays in a 2 MiB per-core L2. The cost per window plateaus
+over a wide range of tile sizes, so the constant is not tuned per host. A
+batch that fits runs as one tile. The cached (training) forward is never
+tiled: its batches fit anyway, and :func:`encode_backward` reads whole-batch
+intermediates.
 
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows

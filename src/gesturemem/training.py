@@ -148,13 +148,6 @@ class TrainConfig:
     def np_dtype(self):
         return DTYPES[self.dtype]
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class TrainState:
@@ -501,7 +494,9 @@ def write_metrics(path, metrics):
 # One JSON header line (version, config, epoch/step counters, RNG state, queue
 # cursors, label names, tensor manifest with shapes/offsets, payload SHA-256),
 # then raw little-endian tensor payloads in manifest order, in the configured
-# dtype (``<f4`` for float32, ``<f8`` for float64).
+# dtype (``<f4`` for float32, ``<f8`` for float64). The config and the label
+# count fix the manifest: :func:`_layout` names and shapes every tensor, and
+# :func:`_manifest` lays them back to back in name order.
 
 
 def _wire_dtype(config):
@@ -524,24 +519,40 @@ def _state_tensors(state):
     return tensors
 
 
+def _layout(config, n_classes):
+    """Sorted (name, shape) of every tensor a checkpoint of ``config`` holds."""
+    params = enc.param_shapes(config.encoder_config())
+    shapes = {"decoder/w": (n_classes, config.feature_dim), "decoder/b": (n_classes,)}
+    shapes.update({f"encoder_s/{k}": v for k, v in params.items()})
+    if config.sgd_momentum > 0:
+        shapes.update({f"velocity/{k}": v for k, v in shapes.items()})
+    shapes.update({f"encoder_l/{k}": v for k, v in params.items()})
+    shapes["memory/features"] = (config.queue_capacity, config.feature_dim)
+    shapes["memory/labels"] = (config.queue_capacity,)
+    return sorted(shapes.items())
+
+
+def _manifest(layout, wire):
+    """Manifest entries for ``layout``'s tensors laid back to back in the
+    ``wire`` dtype, and the payload length in bytes."""
+    entries, offset = [], 0
+    for name, shape in layout:
+        nbytes = wire.itemsize * math.prod(shape)
+        entries.append({"name": name, "shape": list(shape), "offset": offset,
+                        "nbytes": nbytes})
+        offset += nbytes
+    return entries, offset
+
+
 def save_checkpoint(state, path):
     """Serialize a training state; the byte stream round-trips exactly."""
-    tensors = _state_tensors(state)
+    tensors = sorted(_state_tensors(state).items())
     wire = _wire_dtype(state.config)
-    manifest = []
-    chunks = []
-    offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name]).astype(wire)
-        raw = arr.tobytes()
-        manifest.append({"name": name, "shape": list(tensors[name].shape),
-                         "offset": offset, "nbytes": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
+    manifest, _ = _manifest([(name, a.shape) for name, a in tensors], wire)
+    payload = b"".join(a.astype(wire).tobytes() for _, a in tensors)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": state.config.to_dict(),
+        "config": dataclasses.asdict(state.config),
         "epoch": state.epoch,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
@@ -566,50 +577,15 @@ def _is_count(v):
     return type(v) is int and v >= 0
 
 
-def _read_tensors(manifest, payload, wire):
-    """Tensor name -> array of the ``wire`` dtype for every manifest entry."""
-    if not isinstance(manifest, list):
-        raise CheckpointError("checkpoint tensor manifest is not a list")
-    arrays = {}
-    for i, entry in enumerate(manifest):
-        try:
-            name, shape = entry["name"], entry["shape"]
-            lo, nbytes = entry["offset"], entry["nbytes"]
-        except (TypeError, KeyError):
-            raise CheckpointError(f"manifest entry {i} lacks name, shape, offset "
-                                  "or nbytes") from None
-        if not (isinstance(name, str) and name not in arrays and _is_count(lo)
-                and _is_count(nbytes) and isinstance(shape, list)
-                and all(_is_count(d) for d in shape)):
-            raise CheckpointError(f"malformed manifest entry {i}")
-        if lo + nbytes > len(payload):
-            raise CheckpointError(f"tensor {name} overruns the payload")
-        if nbytes != wire.itemsize * math.prod(shape):
-            raise CheckpointError(f"tensor {name}: {nbytes} bytes do not hold "
-                                  f"shape {shape}")
-        arrays[name] = np.frombuffer(payload[lo:lo + nbytes], dtype=wire).reshape(shape)
-    return arrays
-
-
-def _expected_shapes(config, n_classes):
-    """Name -> shape of every tensor a checkpoint of ``config`` holds."""
-    params = enc.param_shapes(config.encoder_config())
-    shapes = {"decoder/w": (n_classes, config.feature_dim), "decoder/b": (n_classes,)}
-    shapes.update({f"encoder_s/{k}": v for k, v in params.items()})
-    if config.sgd_momentum > 0:
-        shapes.update({f"velocity/{k}": v for k, v in shapes.items()})
-    shapes.update({f"encoder_l/{k}": v for k, v in params.items()})
-    shapes["memory/features"] = (config.queue_capacity, config.feature_dim)
-    shapes["memory/labels"] = (config.queue_capacity,)
-    return shapes
-
-
 def load_checkpoint(path):
     """Rebuild a TrainState from :func:`save_checkpoint` output.
 
-    A header, manifest or payload that is not what :func:`save_checkpoint`
-    writes for the stored configuration raises :class:`CheckpointError`, and
-    so does a payload no training state holds: a non-finite tensor, a filled
+    A header or payload that is not what :func:`save_checkpoint` writes for
+    the stored configuration raises :class:`CheckpointError`. The manifest
+    must equal the one the config and labels give, entry for entry and type
+    for type (``12.0`` is not ``12``), and the payload must be exactly its
+    length; each tensor is read at the offset that manifest gives. A payload
+    no training state holds raises it too: a non-finite tensor, a filled
     memory slot off unit norm (``memory.NORM_TOL``), or a memory label that
     is not a class index.
     """
@@ -637,8 +613,9 @@ def load_checkpoint(path):
     if not (isinstance(labels, list) and all(isinstance(n, str) for n in labels)):
         raise CheckpointError("checkpoint labels are not a list of names")
     try:
-        config = TrainConfig.from_dict(header["config"])
-        expected = _expected_shapes(config, len(labels))
+        config = TrainConfig(**header["config"])
+        wire = _wire_dtype(config)
+        manifest, size = _manifest(_layout(config, len(labels)), wire)
     except (TypeError, ValueError, ConfigError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
     if header["has_velocities"] is not (config.sgd_momentum > 0):
@@ -650,13 +627,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"invalid memory cursors {memory!r}")
     if not (_is_count(header["epoch"]) and _is_count(header["step"])):
         raise CheckpointError("epoch and step must be non-negative integers")
-    arrays = _read_tensors(header["tensors"], payload, _wire_dtype(config))
-    shapes = {name: a.shape for name, a in arrays.items()}
-    if shapes != expected:
-        wrong = sorted(set(shapes) ^ set(expected)
-                       | {n for n in set(shapes) & set(expected) if shapes[n] != expected[n]})
-        raise CheckpointError(f"tensors missing, unexpected or misshapen for the "
-                              f"config: {', '.join(wrong)}")
+    if json.dumps(header["tensors"], sort_keys=True) != json.dumps(manifest, sort_keys=True):
+        raise CheckpointError("the tensor manifest is not the layout of the config")
+    if len(payload) != size:
+        raise CheckpointError(f"the payload holds {len(payload)} bytes, not the "
+                              f"manifest's {size}")
+    arrays = {e["name"]: np.frombuffer(payload[e["offset"]:e["offset"] + e["nbytes"]],
+                                       dtype=wire).reshape(e["shape"])
+              for e in manifest}
     bad = [name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()]
     if bad:
         raise CheckpointError(f"non-finite values in {', '.join(bad)}")

@@ -470,6 +470,16 @@ def _manifest(mutate_entries):
     return lambda header: mutate_entries(header["tensors"])
 
 
+def _proj_bias_offsets(edit):
+    """A fault that sets the offsets of ``encoder_s/proj.b`` and
+    ``encoder_l/proj.b``, tensors of one shape, to ``edit(short, long)``."""
+    def mutate(header):
+        s, l = (next(e for e in header["tensors"] if e["name"] == f"encoder_{k}/proj.b")
+                for k in "sl")
+        s["offset"], l["offset"] = edit(s["offset"], l["offset"])
+    return mutate
+
+
 HEADER_FAULTS = {
     **{f"no_{key}": (lambda key: lambda h: h.pop(key))(key)
        for key in ("payload_sha256", "tensors", "memory", "labels", "config",
@@ -505,6 +515,9 @@ HEADER_FAULTS = {
     "entry_dropped": _manifest(lambda t: t.pop(0)),
     "entry_transposed": _manifest(
         lambda t: next(e for e in t if e["name"] == "decoder/w")["shape"].reverse()),
+    # every entry well formed, but not where save_checkpoint puts its tensor
+    "entry_offsets_swapped": _proj_bias_offsets(lambda s, l: (l, s)),
+    "entry_offsets_aliased": _proj_bias_offsets(lambda s, l: (s, s)),
 }
 
 
@@ -521,13 +534,51 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
         FrozenModel.from_state(load_checkpoint(path))
 
 
-def _filled_checkpoint(path, fill=10):
-    """A checkpoint of a fresh state whose queue holds ``fill`` unit slots."""
-    state = init_state(tiny_config(), LabelMap(names=["a", "b", "c"]))
+def _filled_checkpoint(path, fill=10, **overrides):
+    """A checkpoint of a fresh state (``tiny_config(**overrides)``) whose
+    queue holds ``fill`` unit slots."""
+    state = init_state(tiny_config(**overrides), LabelMap(names=["a", "b", "c"]))
     rng = np.random.default_rng(7)
-    state.queue.enqueue_batch(random_unit_rows(rng, fill, 8, dtype=np.float32),
+    state.queue.enqueue_batch(random_unit_rows(rng, fill, 8, dtype=state.config.np_dtype),
                               rng.integers(0, 3, size=fill))
     save_checkpoint(state, path)
+
+
+# SHA-256 of _filled_checkpoint files, by (dtype, sgd_momentum), in the
+# version-1 format. A change that moves one changes the format, and so bumps
+# CHECKPOINT_VERSION.
+GOLDEN_CHECKPOINTS = {
+    ("float32", 0.0): "ade5d9bd133b7edb5fe04516782adc163eedea7c953854358fccd8fbf133fa16",
+    ("float32", 0.5): "d10c5ca2014296ece4dfe552df76f360541862a8c273e6dfe95488f9dd4ed95d",
+    ("float64", 0.0): "60baf35c7382a88e4470716d9fda70da780a3b3899dc29f45a4774f66d5fc2dd",
+    ("float64", 0.5): "6d0bf6014b4db355904c8dc0957f138933c142e803ef0eb9fafd0451ccd322aa",
+}
+
+
+@pytest.mark.parametrize("dtype,sgd_momentum", sorted(GOLDEN_CHECKPOINTS))
+def test_checkpoint_bytes_are_pinned(tmp_path, dtype, sgd_momentum):
+    path = tmp_path / "g.ckpt"
+    _filled_checkpoint(path, dtype=dtype, sgd_momentum=sgd_momentum)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CHECKPOINTS[dtype, sgd_momentum]
+    assert load_checkpoint(path).config.dtype == dtype
+
+
+PAYLOAD_RESIZES = {"longer": lambda p: p + bytes(64), "shorter": lambda p: p[:-4]}
+
+
+@pytest.mark.parametrize("resize", sorted(PAYLOAD_RESIZES))
+def test_checkpoint_payload_unlike_its_manifest_is_checkpoint_error(tmp_path, resize):
+    """A re-signed payload longer or shorter than its manifest is refused."""
+    path = tmp_path / "p.ckpt"
+    _filled_checkpoint(path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    payload = PAYLOAD_RESIZES[resize](payload)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="payload holds"):
+        load_checkpoint(path)
 
 
 def _rewrite_tensor(path, name, edit):
