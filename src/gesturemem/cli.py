@@ -196,8 +196,8 @@ def cmd_serve(args):
         inference.serve_tcp(model, args.host, args.port,
                             stride_ms=args.stride_ms, frame_hz=args.frame_hz)
     else:
-        inference.serve_stream(model, sys.stdin, sys.stdout,
-                               stride_ms=args.stride_ms, frame_hz=args.frame_hz)
+        inference.serve_connection(model, sys.stdin.buffer, sys.stdout.buffer,
+                                   stride_ms=args.stride_ms, frame_hz=args.frame_hz)
     return 0
 
 
@@ -258,9 +258,10 @@ def build_parser():
 
     p = add("serve", cmd_serve, "stream NDJSON frames to predictions")
     p.add_argument("--model", required=True)
-    p.add_argument("--stdin", action="store_true",
-                   help="serve a single session over stdin/stdout (default)")
-    p.add_argument("--port", type=int, help="serve NDJSON sessions over TCP")
+    transport = p.add_mutually_exclusive_group()
+    transport.add_argument("--stdin", action="store_true",
+                           help="serve a single session over stdin/stdout (default)")
+    transport.add_argument("--port", type=int, help="serve NDJSON sessions over TCP")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--stride-ms", type=float, default=180.0)
     p.add_argument("--frame-hz", type=float, default=30.0)

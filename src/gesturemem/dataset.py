@@ -388,10 +388,7 @@ class SynthesisConfig:
     subject_prefix: str = "s"
 
     def __post_init__(self):
-        if isinstance(self.classes, str):
-            self.classes = tuple(c.strip() for c in self.classes.split(",") if c.strip())
-        else:
-            self.classes = tuple(self.classes)
+        self.classes = tuple(self.classes)
         unknown = [c for c in self.classes if c not in GESTURE_CLASSES]
         if unknown:
             raise ConfigError(f"unknown gesture class(es) {unknown}; "

@@ -29,8 +29,8 @@ Input protocol: one JSON object per line, ``{"t": <ms>, "joints": [[x,y,z]*3]}``
 frame's, or 0 for a session's first frame). Output:
 ``{"t": <ms>, "class": <id>, "name": <gesture>, "probs": [...]}`` once the
 window buffer holds T frames, at most once per ``stride_ms``. Malformed input,
-a ``t`` earlier than the last accepted frame's, and over TCP a line longer
-than ``MAX_LINE_BYTES``, yield an ``{"error": ...}`` object and the session
+a ``t`` earlier than the last accepted frame's, and a line longer than
+``MAX_LINE_BYTES`` yield an ``{"error": ...}`` object and the session
 continues. A TCP connection beyond ``MAX_SESSIONS`` open sessions gets
 ``{"error": "server busy"}`` and is closed, and one that sends nothing for
 ``IDLE_TIMEOUT_S`` seconds gets ``{"error": "idle timeout"}`` and is closed.
@@ -414,19 +414,11 @@ class StreamSession:
         return self.last_prediction
 
 
-def serve_stream(model, source, sink, stride_ms=180.0, frame_hz=30.0):
-    """Run one session over text streams (used for --stdin serving and tests)."""
-    session = StreamSession(model, stride_ms=stride_ms, frame_hz=frame_hz)
-    for line in source:
-        out = session.handle_line(line)
-        if out is not None:
-            sink.write(json.dumps(out) + "\n")
-            sink.flush()
-    return session
-
-
 def serve_connection(model, rfile, wfile, stride_ms=180.0, frame_hz=30.0):
-    """Run one session over binary streams until ``rfile`` ends.
+    """Run one session over binary streams until ``rfile`` ends, flushing
+    ``wfile`` after each output line; ``serve --stdin`` and each TCP
+    connection run one. Bytes that are not UTF-8 decode to U+FFFD, so they
+    reach the frame checks and never end the session.
 
     A line longer than ``MAX_LINE_BYTES`` is never held whole: it gets
     ``{"error": "line too long"}``, the rest of it is read and dropped, and
@@ -442,6 +434,7 @@ def serve_connection(model, rfile, wfile, stride_ms=180.0, frame_hz=30.0):
             out = session.handle_line(raw.decode("utf-8", errors="replace"))
         if out is not None:
             wfile.write((json.dumps(out) + "\n").encode())
+            wfile.flush()
     return session
 
 

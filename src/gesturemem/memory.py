@@ -86,8 +86,10 @@ class MemoryQueue:
 
 def off_unit_norm(rows):
     """(mask of the rows whose L2 norm is off 1 by more than ``NORM_TOL``,
-    the norms). A NaN or infinite norm is off too."""
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))   # np.linalg.norm's sum
+    the norms). A NaN or infinite norm is off too, and so is a row too large
+    to square, whose norm overflows to inf without a warning."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))   # np.linalg.norm's sum
     return ~(np.abs(norms - 1.0) <= NORM_TOL), norms
 
 

@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 1
 DTYPES = {"float32": np.float32, "float64": np.float64}
 CONTRAST_KINDS = ("memory", "views")
+DENOMINATOR_MODES = ("negatives", "all")
 # Python types a TrainConfig field accepts, by its annotation (a string under
 # ``from __future__ import annotations``); booleans only where it says bool.
 FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
@@ -117,7 +118,14 @@ class TrainConfig:
             raise ConfigError("sgd_momentum must be in [0, 1)")
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
-        self.loss_config()  # validates temperature / weight / mode
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if self.mal_weight < 0:
+            raise ConfigError(f"mal_weight must be >= 0, got {self.mal_weight}")
+        if self.denominator_mode not in DENOMINATOR_MODES:
+            raise ConfigError(
+                f"denominator_mode must be one of {DENOMINATOR_MODES}, "
+                f"got {self.denominator_mode!r}")
 
     @classmethod
     def desk_profile(cls, **overrides):
@@ -138,11 +146,6 @@ class TrainConfig:
         return enc.EncoderConfig(blocks=self.blocks, width=self.width,
                                  temporal_kernel=self.temporal_kernel,
                                  feature_dim=self.feature_dim)
-
-    def loss_config(self):
-        return losses.LossConfig(temperature=self.temperature,
-                                 mal_weight=self.mal_weight,
-                                 denominator_mode=self.denominator_mode)
 
     @property
     def np_dtype(self):
@@ -305,7 +308,6 @@ def train_step(state, x_short, x_long, labels):
     """
     cfg = state.config
     enc_cfg = cfg.encoder_config()
-    loss_cfg = cfg.loss_config()
     adj = state.graph.normalized
     labels = np.asarray(labels)
     flat = flat_params(state)
@@ -338,8 +340,8 @@ def train_step(state, x_short, x_long, labels):
     if cfg.use_mal:
         if cfg.contrast_loss == "memory":
             contrast, g_con = losses.memory_augmented_loss_with_grad(
-                feats_s, labels, state.queue, loss_cfg)
-            g_feats += loss_cfg.mal_weight * g_con
+                feats_s, labels, state.queue, cfg)
+            g_feats += cfg.mal_weight * g_con
         else:
             views = _augment_views(x_short, state.rng, cfg.jitter_sigma,
                                    min_len=max(cfg.temporal_kernel, x_short.shape[2] - 2))
@@ -347,10 +349,10 @@ def train_step(state, x_short, x_long, labels):
             view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
                                                        want_cache=True)
             contrast, g_views = losses.supervised_contrastive_loss_with_grad(
-                view_feats, view_labels, loss_cfg)
-            g_aug = loss_cfg.mal_weight * g_views
+                view_feats, view_labels, cfg)
+            g_aug = cfg.mal_weight * g_views
 
-    total = losses.total_loss(ce, contrast, loss_cfg)
+    total = ce + cfg.mal_weight * contrast
     if not np.isfinite(total):
         raise NonFiniteError(
             f"non-finite loss at step {state.step}: ce={ce!r} contrast={contrast!r}")
@@ -638,9 +640,7 @@ def load_checkpoint(path):
     bad = [name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()]
     if bad:
         raise CheckpointError(f"non-finite values in {', '.join(bad)}")
-    with np.errstate(over="ignore"):  # a slot too large to square is off too
-        off = mem.off_unit_norm(arrays["memory/features"][:memory["fill"]])[0]
-    if off.any():
+    if mem.off_unit_norm(arrays["memory/features"][:memory["fill"]])[0].any():
         raise CheckpointError("a filled memory slot is off unit norm")
     slot_labels = arrays["memory/labels"]
     if not ((slot_labels == np.rint(slot_labels)) & (slot_labels >= 0)

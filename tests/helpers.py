@@ -449,7 +449,6 @@ def oracle_train_step(state, x_short, x_long, labels):
     new dict, the views cropped by :func:`oracle_augment_views`."""
     cfg = state.config
     enc_cfg = cfg.encoder_config()
-    loss_cfg = cfg.loss_config()
     adj = state.graph.normalized
     labels = np.asarray(labels)
     ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
@@ -471,8 +470,8 @@ def oracle_train_step(state, x_short, x_long, labels):
     if cfg.use_mal:
         if cfg.contrast_loss == "memory":
             contrast, g_con = losses.memory_augmented_loss_with_grad(
-                feats_s, labels, state.queue, loss_cfg)
-            g_feats += loss_cfg.mal_weight * g_con
+                feats_s, labels, state.queue, cfg)
+            g_feats += cfg.mal_weight * g_con
         else:
             views = oracle_augment_views(x_short, state.rng, cfg.jitter_sigma,
                                          min_len=max(cfg.temporal_kernel,
@@ -480,9 +479,9 @@ def oracle_train_step(state, x_short, x_long, labels):
             view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
                                                        want_cache=True)
             contrast, g_views = losses.supervised_contrastive_loss_with_grad(
-                view_feats, np.concatenate([labels, labels]), loss_cfg)
-            g_aug = loss_cfg.mal_weight * g_views
-    total = losses.total_loss(ce, contrast, loss_cfg)
+                view_feats, np.concatenate([labels, labels]), cfg)
+            g_aug = cfg.mal_weight * g_views
+    total = ce + cfg.mal_weight * contrast
     param_grads = enc.encode_backward(cache_s, g_feats)
     if g_aug is not None:
         for k, v in enc.encode_backward(aug_cache, g_aug).items():

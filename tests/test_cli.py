@@ -227,8 +227,16 @@ def test_serve_refuses_bad_frame_rate_before_reading(tmp_path, capsys, monkeypat
     _, ckpt = generate_and_train(tmp_path)
 
     class Unread:
-        def __iter__(self):
+        """stdin and its byte buffer, failing on any read."""
+
+        def read(self, *args):
             raise AssertionError("read a line")
+
+        readline = __iter__ = read
+
+        @property
+        def buffer(self):
+            return self
 
     def bind(*args):
         raise AssertionError("bound a server")
@@ -278,32 +286,49 @@ def test_out_of_range_stride_and_n_slots_exit_2(tmp_path, capsys):
     assert main(export + ["--n-slots", "4", "--out", str(tmp_path / "addr.csv")]) == 0
 
 
-def test_serve_stdin_subprocess_round_trip(tmp_path):
-    synth = write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH)
-    traincfg = write_cfg(tmp_path / "train.cfg", DEMO_TRAIN)
-    data = str(tmp_path / "data")
-    ckpt = str(tmp_path / "model.ckpt")
-    assert main(["generate", "--config", synth, "--out", data]) == 0
-    assert main(["train", "--config", traincfg, "--data", data, "--out", ckpt]) == 0
-
-    rng = np.random.default_rng(0)
-    lines = []
-    for i in range(8):
-        lines.append(json.dumps({"t": i * 33.0,
-                                 "joints": rng.normal(size=(3, 3)).tolist()}))
+def serve_stdin(ckpt, data, **env):
+    """``serve --stdin`` of the bytes ``data`` in a child process."""
     # the child imports the same package as this process, however it was found
     src = os.path.dirname(os.path.dirname(gesturemem.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run(
         [sys.executable, "-m", "gesturemem.cli", "serve", "--model", ckpt,
          "--stdin", "--stride-ms", "0"],
-        input="\n".join(lines) + "\n", text=True, capture_output=True, timeout=120,
-        env=env)
+        input=data, capture_output=True, timeout=120, env=env)
+
+
+def frame_lines(n):
+    rng = np.random.default_rng(0)
+    return [json.dumps({"t": i * 33.0, "joints": rng.normal(size=(3, 3)).tolist()})
+            for i in range(n)]
+
+
+def test_serve_stdin_subprocess_round_trip(tmp_path):
+    _, ckpt = generate_and_train(tmp_path)
+    proc = serve_stdin(ckpt, ("\n".join(frame_lines(8)) + "\n").encode())
     assert proc.returncode == 0, proc.stderr
     outs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(outs) == 3
     assert all("class" in o for o in outs)
+
+
+def test_serve_stdin_answers_a_line_that_is_not_utf8(tmp_path):
+    # a strict UTF-8 stdin (PYTHONIOENCODING) must not end the session
+    _, ckpt = generate_and_train(tmp_path)
+    lines = [line.encode() for line in frame_lines(8)]
+    data = b"\n".join(lines[:2] + [b"\xff"] + lines[2:]) + b"\n"
+    proc = serve_stdin(ckpt, data, PYTHONIOENCODING="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    outs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(outs) == 4 and set(outs[0]) == {"error"}
+    assert all("class" in o for o in outs[1:])
+
+
+def test_serve_refuses_stdin_and_port_together(tmp_path, capsys):
+    assert main(["serve", "--model", str(tmp_path / "absent.ckpt"),
+                 "--stdin", "--port", "0"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_read_kv_file_and_overrides(tmp_path):

@@ -20,7 +20,7 @@ from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
 from gesturemem.errors import ConfigError, ContractError, NonFiniteError, StructuralError
 from gesturemem.memory import recall_for_query
 from gesturemem.inference import (FrozenModel, StreamSession, latency_estimate,
-                                  predict, predict_batch, serve_stream,
+                                  predict, predict_batch, serve_connection,
                                   window_features)
 from gesturemem.training import TrainConfig, init_state, train
 
@@ -736,17 +736,25 @@ def test_stream_offline_online_equivalence():
         assert out["probs"] == [float(p) for p in probs]
 
 
-def test_serve_stream_over_text_pipes():
+def test_serve_connection_over_byte_pipes():
     model, _ = untrained_model()
     rng = np.random.default_rng(9)
     lines = [frame_line(i * 33.0, rng.normal(size=(3, 3)))
              for i in range(model.short_len + 2)]
-    source = io.StringIO("\n".join(lines) + "\n")
-    sink = io.StringIO()
-    serve_stream(model, source, sink, stride_ms=0.0)
+    source = io.BytesIO(("\n".join(lines) + "\n").encode())
+
+    class Sink(io.BytesIO):
+        flushed = 0
+
+        def flush(self):
+            self.flushed += 1
+
+    sink = Sink()
+    serve_connection(model, source, sink, stride_ms=0.0)
     outs = [json.loads(line) for line in sink.getvalue().splitlines()]
     assert len(outs) == 3  # one per frame once the buffer is full
     assert all(set(o) == {"t", "class", "name", "probs"} for o in outs)
+    assert sink.flushed == 3  # each line leaves as it is written
 
 
 def test_stream_error_when_window_overflows_model_dtype():

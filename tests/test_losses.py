@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from gesturemem import losses
 from gesturemem.errors import ConfigError, ContractError
-from gesturemem.losses import (LossConfig, memory_augmented_loss_with_grad,
+from gesturemem.losses import (memory_augmented_loss_with_grad,
                                softmax_cross_entropy_batch,
-                               supervised_contrastive_loss_with_grad,
-                               total_loss)
+                               supervised_contrastive_loss_with_grad)
 from gesturemem.memory import MemoryQueue
+from gesturemem.training import TrainConfig
 
 from helpers import (assert_same_bits, fd_grad, oracle_anchor_loss_and_coeff,
                      oracle_memory_augmented_loss,
                      oracle_supervised_contrastive_loss, rel_error, random_unit_rows)
 
-CFG = LossConfig(temperature=0.07)
+CFG = TrainConfig(temperature=0.07)
 
 
 def make_queue(features, labels):
@@ -133,7 +133,7 @@ def test_mal_single_anchor_closed_form():
 
 @pytest.mark.parametrize("mode", ["negatives", "all"])
 def test_mal_matches_brute_force_oracle(mode):
-    cfg = LossConfig(temperature=0.07, denominator_mode=mode)
+    cfg = TrainConfig(temperature=0.07, denominator_mode=mode)
     rng = np.random.default_rng(4)
     for _ in range(200):
         b = int(rng.integers(1, 9))
@@ -205,10 +205,16 @@ def test_mal_monotone_in_positive_similarity():
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
-def test_mal_rejects_unnormalized_features():
+OFF_UNIT_ROWS = [pytest.param([2.0, 0.0], id="long"), pytest.param([np.nan, 0.0], id="nan"),
+                 pytest.param([np.inf, 0.0], id="inf"),
+                 pytest.param([1e200, 0.0], id="too_large_to_square")]
+
+
+@pytest.mark.parametrize("row", OFF_UNIT_ROWS)
+def test_mal_rejects_unnormalized_features(row):
     q = make_queue(np.array([[1.0, 0.0]]), [0])
-    with pytest.raises(ContractError):
-        memory_augmented_loss_with_grad(np.array([[2.0, 0.0]]), [0], q, CFG)
+    with pytest.raises(ContractError, match="anchor feature norm .* deviates from 1"):
+        memory_augmented_loss_with_grad(np.array([row, [1.0, 0.0]]), [0, 0], q, CFG)
 
 
 # --- supervised contrastive loss -------------------------------------------------
@@ -239,6 +245,12 @@ def test_scl_matches_brute_force_oracle():
         assert mine == pytest.approx(oracle, abs=1e-10)
 
 
+@pytest.mark.parametrize("row", OFF_UNIT_ROWS)
+def test_scl_rejects_unnormalized_features(row):
+    with pytest.raises(ContractError, match="batch feature norm .* deviates from 1"):
+        supervised_contrastive_loss_with_grad(np.array([[1.0, 0.0], row]), [0, 0], CFG)
+
+
 def test_scl_gradient_matches_fd():
     rng = np.random.default_rng(10)
     feats = random_unit_rows(rng, 6, 4)
@@ -248,21 +260,15 @@ def test_scl_gradient_matches_fd():
     assert rel_error(grad, fd) < 1e-4
 
 
-# --- combined objective ----------------------------------------------------------
-
-def test_total_loss_weighting():
-    assert total_loss(1.0, 0.5, LossConfig(mal_weight=1.0)) == pytest.approx(1.5)
-    assert total_loss(2.0, 3.0, LossConfig(mal_weight=0.5)) == pytest.approx(3.5)
-    assert total_loss(0.7, 123.0, LossConfig(mal_weight=0.0)) == pytest.approx(0.7)
-
+# --- the loss fields of the training config --------------------------------------
 
 def test_loss_config_validation():
-    with pytest.raises(ConfigError):
-        LossConfig(temperature=0.0)
-    with pytest.raises(ConfigError):
-        LossConfig(mal_weight=-1.0)
-    with pytest.raises(ConfigError):
-        LossConfig(denominator_mode="sometimes")
+    with pytest.raises(ConfigError, match="temperature must be positive"):
+        TrainConfig(temperature=0.0)
+    with pytest.raises(ConfigError, match="mal_weight must be >= 0"):
+        TrainConfig(mal_weight=-1.0)
+    with pytest.raises(ConfigError, match="denominator_mode must be one of"):
+        TrainConfig(denominator_mode="sometimes")
 
 
 # --- bitwise agreement with the gathered-anchor oracle --------------------------
@@ -290,8 +296,8 @@ def contrast_cases(draw):
     queue = MemoryQueue(len(slot_labels), dim, dtype=dtype)
     queue.enqueue_batch(random_unit_rows(rng, len(slot_labels), dim, dtype), slot_labels)
     features = random_unit_rows(rng, b, dim, dtype)
-    cfg = LossConfig(temperature=draw(st.sampled_from([0.07, 0.5, 1.0])),
-                     denominator_mode=draw(st.sampled_from(["negatives", "all"])))
+    cfg = TrainConfig(temperature=draw(st.sampled_from([0.07, 0.5, 1.0])),
+                      denominator_mode=draw(st.sampled_from(["negatives", "all"])))
     return features, labels, queue, cfg, validity
 
 

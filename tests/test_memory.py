@@ -58,6 +58,8 @@ def test_enqueue_contract_checks():
     q = MemoryQueue(4, 3, dtype=np.float64)
     with pytest.raises(ContractError):
         q.enqueue_batch([np.array([2.0, 0.0, 0.0])], [0])
+    with pytest.raises(ContractError):  # too large to square: no overflow warning
+        q.enqueue_batch([np.array([1e200, 0.0, 0.0])], [0])
     with pytest.raises(ContractError):
         q.enqueue_batch([unit([1, 1, 1])], [-1])
     with pytest.raises(StructuralError):

@@ -85,7 +85,6 @@ def test_train_step_matches_finite_difference_oracle():
 
     adj = state.graph.normalized
     enc_cfg = config.encoder_config()
-    loss_cfg = config.loss_config()
     frozen_queue = copy.deepcopy(state.queue)
 
     def objective(params_s, decoder):
@@ -94,8 +93,8 @@ def test_train_step_matches_finite_difference_oracle():
         fused = feats + recalled
         logits = fused @ decoder["w"].T + decoder["b"]
         ce, _, _ = losses.softmax_cross_entropy_batch(logits, y)
-        mal, _ = losses.memory_augmented_loss_with_grad(feats, y, frozen_queue, loss_cfg)
-        return losses.total_loss(ce, mal, loss_cfg)
+        mal, _ = losses.memory_augmented_loss_with_grad(feats, y, frozen_queue, config)
+        return ce + config.mal_weight * mal
 
     params0 = copy.deepcopy(state.params_s)
     decoder0 = copy.deepcopy(state.decoder)
@@ -221,12 +220,14 @@ def packed_pair(config, seed=0):
     return states, [make_batch(config, rng) for _ in range(3)]
 
 
-@pytest.mark.parametrize("contrast_loss", ["memory", "views"])
+@pytest.mark.parametrize("contrast_loss, mal_weight", [
+    pytest.param("memory", 1.0, id="memory"), pytest.param("views", 1.0, id="views"),
+    pytest.param("memory", 0.5, id="memory-mal_weight0.5")])
 @pytest.mark.parametrize("sgd_momentum", [0.0, 0.9])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_train_step_matches_the_per_tensor_update_bitwise(dtype, sgd_momentum,
-                                                          contrast_loss):
-    config = tiny_config(dtype=dtype, sgd_momentum=sgd_momentum,
+                                                          contrast_loss, mal_weight):
+    config = tiny_config(dtype=dtype, sgd_momentum=sgd_momentum, mal_weight=mal_weight,
                          contrast_loss=contrast_loss, momentum_coef=0.9)
     (state, oracle), batches = packed_pair(config)
     for batch in batches:
