@@ -17,8 +17,8 @@ import sys
 
 from . import inference, training
 from .config import apply_overrides, coerce, dataclass_from_mapping, read_kv_file
-from .dataset import (SplitSpec, SynthesisConfig, load_recordings, synthesize_gestures,
-                      window_dataset)
+from .dataset import (FRAME_HZ, SplitSpec, SynthesisConfig, load_recordings,
+                      synthesize_gestures, window_dataset)
 from .errors import ConfigError, ToolkitError
 from .evaluation import (check_distinct_seeds, evaluate, export_addressing,
                          format_grid_table, run_grid)
@@ -57,7 +57,10 @@ def _resolve_split(mapping, recordings):
     if train or test:
         if not (train and test):
             raise ConfigError("train_subjects and test_subjects must be set together")
-        return SplitSpec.from_lists(_names(train), _names(test))
+        train, test = _names(train), _names(test)
+        if absent := sorted(set(train + test) - set(subjects)):
+            raise ConfigError(f"the split names subjects the data lacks: {', '.join(absent)}")
+        return SplitSpec.from_lists(train, test)
     fraction = mapping.get("train_fraction")
     if fraction is None:
         raise ConfigError("config must set train_subjects/test_subjects "
@@ -263,8 +266,8 @@ def build_parser():
                            help="serve a single session over stdin/stdout (default)")
     transport.add_argument("--port", type=int, help="serve NDJSON sessions over TCP")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--stride-ms", type=float, default=180.0)
-    p.add_argument("--frame-hz", type=float, default=30.0)
+    p.add_argument("--stride-ms", type=float, default=inference.STRIDE_MS)
+    p.add_argument("--frame-hz", type=float, default=FRAME_HZ)
 
     p = add("export-addressing", cmd_export_addressing,
             "export an addressing submatrix for plotting")

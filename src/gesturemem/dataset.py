@@ -16,6 +16,9 @@ Frames file: one frame per line,
 (head, left thigh, right thigh; y is vertical). ``#`` lines are comments.
 Label map file: lines of ``label_id,gesture_name``. A dataset directory holds
 ``frames.csv`` plus ``labels.csv``.
+
+Synthetic recordings are sampled at ``FRAME_HZ``, also a stream's default
+frame rate, and each moving gesture follows its fixed ``GAITS`` entry.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import ConfigError, DataIntegrityError, NonFiniteError, ParseError
 
 NUM_JOINTS = 3
 NUM_CHANNELS = 3
-JOINT_NAMES = ("head", "left_thigh", "right_thigh")
 
 FRAMES_FILENAME = "frames.csv"
 LABELS_FILENAME = "labels.csv"
@@ -358,7 +360,12 @@ def preprocess(windows, center, input_scale, dtype):
 
 # --- synthetic gesture generator ------------------------------------------------
 
-GESTURE_CLASSES = ("standing", "walking", "jogging", "jumping", "squatting")
+# Sampling rate of the synthetic recordings and of a served stream's frames.
+FRAME_HZ = 30.0
+# (frequency in Hz, amplitude in m) of each moving gesture's motion.
+GAITS = {"walking": (1.4, 0.06), "jogging": (2.6, 0.11), "jumping": (1.1, 0.18),
+         "squatting": (0.6, 0.20)}
+GESTURE_CLASSES = ("standing", *GAITS)
 
 
 @dataclass
@@ -368,23 +375,16 @@ class SynthesisConfig:
     Classes are drawn from a built-in family: standing (stationary + noise),
     walking/jogging (anti-phase thigh oscillation, jogging faster and larger),
     jumping (synchronized vertical pulses), squatting (slow synchronized dips).
-    One recording per subject concatenates all classes in order, so label
-    boundaries occur inside recordings.
+    Each moving gesture's frequency and amplitude is fixed in ``GAITS`` and
+    frames are sampled at ``FRAME_HZ``; the data is a stand-in for recordings,
+    not something to tune. One recording per subject concatenates all classes
+    in order, so label boundaries occur inside recordings.
     """
 
     classes: tuple = GESTURE_CLASSES
     subjects: int = 5
     frames_per_class: int = 400
-    fps: float = 30.0
     noise_sigma: float = 0.01
-    walk_freq: float = 1.4
-    walk_amp: float = 0.06
-    jog_freq: float = 2.6
-    jog_amp: float = 0.11
-    jump_freq: float = 1.1
-    jump_amp: float = 0.18
-    squat_freq: float = 0.6
-    squat_amp: float = 0.20
     subject_prefix: str = "s"
 
     def __post_init__(self):
@@ -401,8 +401,6 @@ class SynthesisConfig:
             raise ConfigError("need at least 1 subject")
         if self.frames_per_class < 1:
             raise ConfigError("frames_per_class must be >= 1")
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
 
@@ -416,7 +414,7 @@ def _lift(t, freq, phase):
     return np.maximum(0.0, np.sin(2 * np.pi * freq * t + phase))
 
 
-def _class_trajectory(cls, cfg, t, base, phase):
+def _class_trajectory(cls, t, base, phase):
     """Joint positions [F, V, C] for one class; t is time in seconds [F].
 
     Stepping gestures lift the thighs in alternation (disjoint positive pulses,
@@ -426,21 +424,17 @@ def _class_trajectory(cls, cfg, t, base, phase):
     pos = np.tile(base, (t.shape[0], 1, 1))
     if cls == "standing":
         return pos
+    freq, amp = GAITS[cls]
     if cls in ("walking", "jogging"):
-        freq = cfg.walk_freq if cls == "walking" else cfg.jog_freq
-        amp = cfg.walk_amp if cls == "walking" else cfg.jog_amp
         pos[:, 1, 1] += amp * _lift(t, freq, phase)
         pos[:, 2, 1] += amp * _lift(t, freq, phase + np.pi)
         pos[:, 0, 1] += 0.2 * amp * np.sin(4 * np.pi * freq * t + 2 * phase)
-        return pos
-    if cls == "jumping":
-        pos[:, :, 1] += cfg.jump_amp * (_lift(t, cfg.jump_freq, phase) ** 3)[:, None]
-        return pos
-    if cls == "squatting":
-        dip = 0.5 * (1.0 - np.cos(2 * np.pi * cfg.squat_freq * t + phase))
-        pos[:, :, 1] -= cfg.squat_amp * dip[:, None]
-        return pos
-    raise ConfigError(f"unknown gesture class {cls!r}")
+    elif cls == "jumping":
+        pos[:, :, 1] += amp * (_lift(t, freq, phase) ** 3)[:, None]
+    else:  # squatting
+        dip = 0.5 * (1.0 - np.cos(2 * np.pi * freq * t + phase))
+        pos[:, :, 1] -= amp * dip[:, None]
+    return pos
 
 
 def synthesize_recordings(cfg, seed):
@@ -463,10 +457,10 @@ def synthesize_recordings(cfg, seed):
             [-stance, thigh_h, 0.02],
             [stance, thigh_h, 0.02],
         ])
-        t = np.arange(cfg.frames_per_class) / cfg.fps
+        t = np.arange(cfg.frames_per_class) / FRAME_HZ
         chunks, labels = [], []
         for label, cls in enumerate(cfg.classes):
-            pos = _class_trajectory(cls, cfg, t, base, phase)
+            pos = _class_trajectory(cls, t, base, phase)
             if cfg.noise_sigma > 0:
                 pos = pos + rng.normal(0.0, cfg.noise_sigma, size=pos.shape)
             chunks.append(pos)

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import NUM_CHANNELS, NUM_JOINTS
 from .errors import ConfigError, NonFiniteError, StructuralError
 
 NORM_EPS = 1e-12
@@ -103,16 +104,13 @@ def normalize_adjacency(adj_with_loops):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    in_channels: int = 3
-    num_joints: int = 3
     blocks: int = 2
     width: int = 32
     temporal_kernel: int = 3
     feature_dim: int = 128
 
     def __post_init__(self):
-        if min(self.in_channels, self.num_joints, self.blocks, self.width,
-               self.temporal_kernel, self.feature_dim) < 1:
+        if min(self.blocks, self.width, self.temporal_kernel, self.feature_dim) < 1:
             raise ConfigError("all encoder dimensions must be >= 1")
 
 
@@ -124,7 +122,7 @@ def _uniform(rng, fan_in, shape, dtype):
 def param_shapes(cfg):
     """Name -> shape of every encoder parameter, in initialization order."""
     shapes = {}
-    in_ch = cfg.in_channels
+    in_ch = NUM_CHANNELS
     for i in range(cfg.blocks):
         shapes[f"block{i}.spatial.w"] = (cfg.width, in_ch)
         shapes[f"block{i}.spatial.b"] = (cfg.width,)
@@ -171,10 +169,9 @@ def _check_input(x, cfg):
     if x.ndim != 4:
         raise StructuralError(f"expected [B, C, T, V] input, got shape {x.shape}")
     b, c, t, v = x.shape
-    if c != cfg.in_channels or v != cfg.num_joints:
+    if c != NUM_CHANNELS or v != NUM_JOINTS:
         raise StructuralError(
-            f"input shape {x.shape} incompatible with C={cfg.in_channels}, "
-            f"V={cfg.num_joints}")
+            f"input shape {x.shape} incompatible with C={NUM_CHANNELS}, V={NUM_JOINTS}")
     if t < cfg.temporal_kernel:
         raise StructuralError(
             f"window of {t} frames is shorter than the temporal kernel "

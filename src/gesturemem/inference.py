@@ -61,11 +61,13 @@ import numpy as np
 
 from . import encoder as enc
 from . import memory as mem
-from .dataset import NUM_CHANNELS, NUM_JOINTS, preprocess
+from .dataset import FRAME_HZ, NUM_CHANNELS, NUM_JOINTS, preprocess
 from .errors import ConfigError, ContractError, StructuralError, ToolkitError
 
 log = logging.getLogger(__name__)
 
+# default least time between a session's emissions
+STRIDE_MS = 180.0
 # tolerance when comparing float timestamps against the emission stride, so a
 # stride exactly equal to the frame period never misses a frame to rounding
 TIME_EPS_MS = 1e-6
@@ -325,7 +327,7 @@ class StreamSession:
     give the same window and the same error texts.
     """
 
-    def __init__(self, model, stride_ms=180.0, frame_hz=30.0):
+    def __init__(self, model, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
         self.model = model
         self.stride_ms, self.frame_hz = _session_timing(stride_ms, frame_hz)
         self.buffer = deque(maxlen=model.short_len)
@@ -414,7 +416,7 @@ class StreamSession:
         return self.last_prediction
 
 
-def serve_connection(model, rfile, wfile, stride_ms=180.0, frame_hz=30.0):
+def serve_connection(model, rfile, wfile, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
     """Run one session over binary streams until ``rfile`` ends, flushing
     ``wfile`` after each output line; ``serve --stdin`` and each TCP
     connection run one. Bytes that are not UTF-8 decode to U+FFFD, so they
@@ -462,7 +464,7 @@ class _SessionServer(socketserver.ThreadingTCPServer):
             self._slots.release()
 
 
-def tcp_server(model, host, port, stride_ms=180.0, frame_hz=30.0):
+def tcp_server(model, host, port, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
     """A bound, not yet serving, TCP server of NDJSON sessions.
 
     Each connection is a session of :func:`serve_connection` on its own
@@ -487,7 +489,7 @@ def tcp_server(model, host, port, stride_ms=180.0, frame_hz=30.0):
     return _SessionServer((host, port), Handler, MAX_SESSIONS)
 
 
-def serve_tcp(model, host, port, stride_ms=180.0, frame_hz=30.0):
+def serve_tcp(model, host, port, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
     """Serve concurrent NDJSON sessions over TCP; blocks until interrupted."""
     with tcp_server(model, host, port, stride_ms, frame_hz) as server:
         log.info("serving on %s:%d (stride %.0f ms)", host, port, stride_ms)

@@ -96,12 +96,12 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.short_len < 1 or self.window_scale < 1 or self.stride < 1:
-            raise ConfigError("short_len, window_scale, and stride must be >= 1")
         if self.eval_stride is not None and self.eval_stride < 1:
             raise ConfigError("eval_stride must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("short_len", "window_scale", "stride", "batch_size", "width", "blocks",
+                     "temporal_kernel", "feature_dim", "queue_capacity"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not (0.0 <= self.momentum_coef < 1.0):
@@ -450,6 +450,9 @@ def train(config, recordings, label_map, split, log_path=None, resume_from=None)
         resumed.pop("epochs"), target.pop("epochs")
         if resumed != target:
             raise ConfigError("checkpoint config does not match the resume config")
+        if state.label_map.names != label_map.names:
+            raise ConfigError(f"checkpoint classes {state.label_map.names} do not match "
+                              f"the data's classes {label_map.names}")
         state.config = config
     else:
         state = init_state(config, label_map)

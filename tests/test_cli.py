@@ -73,6 +73,14 @@ def test_bad_config_key_is_runtime_error(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["walk_freq", "squat_amp", "fps"])
+def test_generate_refuses_gesture_shape_keys(tmp_path, capsys, key):
+    # the gestures and the frame rate are constants, not settings
+    assert main(["generate", "--set", f"{key}=2", "--out", str(tmp_path / "d")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_generate_deterministic_across_invocations(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "demo.cfg", DEMO_SYNTH)
     assert main(["generate", "--config", cfg, "--set", "seed=7",
@@ -195,6 +203,24 @@ def test_eval_data_and_model_class_counts_differ(tmp_path, capsys):
     assert main(["infer", "--model", ckpt5, "--data", data3]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {line["true"] for line in lines} == {0, 1, 3}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_split_naming_absent_subjects_exits_2(tmp_path, capsys, command):
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--set", "subjects=3", "--out", data]) == 0
+    base = [command, "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+            "--data", data, "--out" if command == "train" else "--json-out",
+            str(tmp_path / "out")]
+    capsys.readouterr()
+    for train, test, absent in (("s00,s01,s02", "s3", "s3"),
+                                ("s00, s01,s09", "s02", "s09")):
+        assert main(base + ["--set", f"train_subjects={train}",
+                            "--set", f"test_subjects={test}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"data lacks: {absent}" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):

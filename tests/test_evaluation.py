@@ -222,7 +222,7 @@ def test_grid_ttest_compares_full_memory_with_full_views(monkeypatch):
     assert 0.0 < result["p_value"] < 1.0
 
 
-def test_run_ablation_is_reproducible():
+def test_run_grid_with_the_config_seed_is_reproducible():
     """The recall x contrast-loss ablation (every grid key, the config's own
     seed) repeats exactly."""
     recordings, label_map = small_dataset()
@@ -232,7 +232,7 @@ def test_run_ablation_is_reproducible():
     assert r1 == r2
 
 
-def test_compare_losses_reproducible():
+def test_run_grid_over_two_seeds_is_reproducible():
     """The contrast-loss comparison (full/memory against full/views and their
     t-test over two seeds) repeats exactly."""
     recordings, label_map = small_dataset()

@@ -373,6 +373,14 @@ def test_config_rejects_negative_jitter_sigma():
         TrainConfig(jitter_sigma=-0.01)
 
 
+@pytest.mark.parametrize("field", ["short_len", "window_scale", "stride", "batch_size",
+                                   "width", "blocks", "temporal_kernel", "feature_dim",
+                                   "queue_capacity"])
+def test_config_refuses_zero_sizes(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 1$"):
+        TrainConfig(**{field: 0})
+
+
 def test_config_accepts_ints_for_floats_and_none_eval_stride():
     config = TrainConfig(input_scale=1000, temperature=1, eval_stride=None)
     assert config.input_scale == 1000 and config.eval_stride is None
@@ -500,6 +508,8 @@ HEADER_FAULTS = {
                      "input_scale", "jitter_sigma")
        for value in ("nan", "inf")},
     "negative_jitter_sigma": _set(["config", "jitter_sigma"], -0.01),
+    **{f"zero_{field}": _set(["config", field], 0)
+       for field in ("width", "blocks", "temporal_kernel", "feature_dim", "queue_capacity")},
     "labels_not_names": _set(["labels"], "abc"),
     "has_velocities_disagrees": _set(["has_velocities"], False),
     "fill_past_capacity": _set(["memory", "fill"], 33),
@@ -655,6 +665,17 @@ def test_resume_rejects_config_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         train(tiny_config(epochs=2, learning_rate=0.5), recordings, label_map,
               SPLIT, resume_from=tmp_path / "x.ckpt")
+
+
+def test_resume_rejects_other_classes(tmp_path):
+    recordings, label_map = tiny_dataset()
+    state = train(tiny_config(epochs=1), recordings, label_map, SPLIT).state
+    save_checkpoint(state, tmp_path / "x.ckpt")
+    reordered = LabelMap(names=label_map.names[::-1])
+    with pytest.raises(ConfigError, match=r"\['standing', 'walking', 'jumping'\] do not "
+                                          r"match the data's classes \['jumping', "):
+        train(tiny_config(epochs=2), recordings, reordered, SPLIT,
+              resume_from=tmp_path / "x.ckpt")
 
 
 def test_prepare_data_drops_samples_without_long_windows():
