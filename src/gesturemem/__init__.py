@@ -5,8 +5,8 @@ streaming inference service."""
 
 from .dataset import (LabelMap, Recording, SampleSet, ShortTermSample,
                       SplitSpec, SynthesisConfig, load_recordings, preprocess,
-                      split_subjects, split_windows, synthesize_gestures,
-                      window_dataset, write_frames)
+                      split_windows, synthesize_gestures, window_dataset,
+                      write_frames)
 from .encoder import (EncoderConfig, SkeletonGraph, classify, init_encoders,
                       momentum_update, skeleton_graph)
 from .errors import (CheckpointError, ConfigError, ContractError,

@@ -58,6 +58,9 @@ def _resolve_split(mapping, recordings):
         if not (train and test):
             raise ConfigError("train_subjects and test_subjects must be set together")
         train, test = _names(train), _names(test)
+        for key, names in (("train_subjects", train), ("test_subjects", test)):
+            if not names:
+                raise ConfigError(f"{key} lists no subject")
         if absent := sorted(set(train + test) - set(subjects)):
             raise ConfigError(f"the split names subjects the data lacks: {', '.join(absent)}")
         return SplitSpec.from_lists(train, test)
@@ -68,6 +71,9 @@ def _resolve_split(mapping, recordings):
     fraction = coerce(fraction, float, "train_fraction")
     if not 0 < fraction < 1:
         raise ConfigError(f"train_fraction must be in (0, 1), got {fraction}")
+    if len(subjects) < 2:
+        raise ConfigError(f"train_fraction needs at least 2 subjects; "
+                          f"the data has {len(subjects)}")
     n_train = min(max(int(round(fraction * len(subjects))), 1), len(subjects) - 1)
     return SplitSpec.from_lists(subjects[:n_train], subjects[n_train:])
 

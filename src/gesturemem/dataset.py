@@ -100,14 +100,11 @@ class SplitSpec:
 
 @dataclass
 class SampleSet:
-    """Parallel lists of short windows and their subjects."""
+    """The label-pure short windows of some recordings, in recording order,
+    and the label map their labels index."""
 
     shorts: list
-    subjects: list
     label_map: LabelMap
-
-    def __len__(self):
-        return len(self.shorts)
 
 
 def _parse_frame_line(line, line_no):
@@ -304,32 +301,14 @@ def split_windows(recording, short_len, stride):
 
 
 def window_dataset(recordings, label_map, short_len, stride=1, with_long=False):
-    """Window every recording into label-pure short samples. Long windows come
-    only from :func:`training.prepare_data`, so ``with_long`` must be False."""
+    """Window every recording, in order, into label-pure short samples. Long
+    windows come only from :func:`training.prepare_data`, so ``with_long``
+    must be False."""
     if with_long:
         raise ConfigError("window_dataset builds no long windows; "
                           "training.prepare_data gathers them")
-    shorts, subjects = [], []
-    for rec in recordings:
-        rec_samples = split_windows(rec, short_len, stride)
-        shorts.extend(rec_samples)
-        subjects.extend([rec.subject_id] * len(rec_samples))
-    return SampleSet(shorts=shorts, subjects=subjects, label_map=label_map)
-
-
-def split_subjects(sample_set, spec):
-    """Partition sample indices by subject according to a SplitSpec.
-
-    Every subject present in the data must appear in exactly one of the two
-    sets; the SplitSpec constructor already rejects overlap.
-    """
-    present = set(sample_set.subjects)
-    unassigned = present - set(spec.train_subjects) - set(spec.test_subjects)
-    if unassigned:
-        raise ConfigError(f"subjects not covered by the split: {sorted(unassigned)}")
-    train_idx = [i for i, s in enumerate(sample_set.subjects) if s in spec.train_subjects]
-    test_idx = [i for i, s in enumerate(sample_set.subjects) if s in spec.test_subjects]
-    return train_idx, test_idx
+    shorts = [s for rec in recordings for s in split_windows(rec, short_len, stride)]
+    return SampleSet(shorts=shorts, label_map=label_map)
 
 
 def mean_center(data):

@@ -278,14 +278,11 @@ def _plain_frame(joints):
     return tuple(frame)
 
 
-def _numpy_frame(joints, scan_bools=True):
+def _numpy_frame(joints):
     """The coordinates of a [V, C] array or nested lists as a flat tuple of
-    floats, or the error text that rejects them.
-
-    ``scan_bools`` looks for booleans among the numbers of nested lists
-    first, which numpy would read as 0/1.
-    """
-    if scan_bools and _holds_bool(joints):
+    floats, or the error text that rejects them. Booleans among the numbers
+    of nested lists, which numpy would read as 0/1, are looked for first."""
+    if _holds_bool(joints):
         return "non-numeric joint coordinate"
     try:
         joints = np.asarray(joints)
@@ -368,9 +365,7 @@ class StreamSession:
             if not math.isfinite(t):
                 return {"error": "malformed frame: 't' must be a finite number"}
         joints = obj["joints"]
-        # only a line that spells out a boolean pays for the scan
-        return self._accept(t, _plain_frame(joints) or _numpy_frame(
-            joints, "true" in line or "false" in line))
+        return self._accept(t, _plain_frame(joints) or _numpy_frame(joints))
 
     def handle_frame(self, t_ms, joints):
         """Append one frame; returns a prediction object when one is due.

@@ -32,7 +32,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from . import losses
-from .dataset import LabelMap, split_subjects, window_dataset, window_starts
+from .dataset import LabelMap, window_dataset, window_starts
 from .errors import CheckpointError, ConfigError, NonFiniteError, StructuralError
 from .inference import FrozenModel, predict_batch
 
@@ -394,6 +394,15 @@ def _pair_windows(frames, starts, length, config):
     return np.ascontiguousarray(windows.transpose(1, 3, 0, 2), dtype=config.np_dtype)
 
 
+def _refuse_stray(stray, short_len, stride):
+    """Refuse the split when a recording of ``stray``, whose subject is on
+    neither side of it, holds a label-pure window at ``stride``."""
+    uncovered = sorted({r.subject_id for r in stray
+                        if window_starts(r, short_len, stride)[1].any()})
+    if uncovered:
+        raise ConfigError(f"subjects not covered by the split: {uncovered}")
+
+
 def prepare_data(config, recordings, label_map, split):
     """Window recordings into training pairs and a non-overlapping test set.
 
@@ -401,15 +410,15 @@ def prepare_data(config, recordings, label_map, split):
     label-pure when required). Returns a dict of the preprocessed training
     arrays ``x_short``, ``x_long`` and ``y_train``, plus the held-out
     ``test_samples``, raw windows that prediction preprocesses itself. The
-    arrays are gathered from the training frames in one pass, with no sample
-    objects; held-out subjects are windowed for testing only.
+    split selects recordings before any windowing: the arrays are gathered
+    from the training subjects' frames in one pass, with no sample objects,
+    and the test subjects' recordings are windowed at the eval stride.
     """
     short_len, scale = config.short_len, config.window_scale
+    eval_stride = config.eval_stride or short_len
     stray = [r for r in recordings
              if r.subject_id not in split.train_subjects | split.test_subjects]
-    if stray:  # one with windows fails the split
-        split_subjects(window_dataset(stray, label_map, short_len, stride=config.stride),
-                       split)
+    _refuse_stray(stray, short_len, config.stride)
     train_recs = [r for r in recordings
                   if r.subject_id in split.train_subjects and len(r) >= scale * short_len]
     shorts, longs, offset = [], [], 0
@@ -423,16 +432,15 @@ def prepare_data(config, recordings, label_map, split):
         offset += len(rec)
     if not sum(map(len, shorts)):
         raise ConfigError("no training samples with a constructible long-term window")
+    _refuse_stray(stray, short_len, eval_stride)
     shorts = np.concatenate(shorts)
     frames = np.concatenate([r.joints for r in train_recs], dtype=np.float64)
-    held_out = [r for r in recordings if r.subject_id not in split.train_subjects]
-    eval_set = window_dataset(held_out, label_map, short_len,
-                              stride=config.eval_stride or short_len)
-    _, test_idx = split_subjects(eval_set, split)
+    test_recs = [r for r in recordings if r.subject_id in split.test_subjects]
     return {"x_short": _pair_windows(frames, shorts, short_len, config),
             "x_long": _pair_windows(frames, np.concatenate(longs), scale * short_len, config),
             "y_train": np.concatenate([r.labels for r in train_recs])[shorts].astype(np.int64),
-            "test_samples": [eval_set.shorts[i] for i in test_idx]}
+            "test_samples": window_dataset(test_recs, label_map, short_len,
+                                           stride=eval_stride).shorts}
 
 
 def train(config, recordings, label_map, split, log_path=None, resume_from=None):

@@ -9,8 +9,7 @@ import numpy as np
 from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
-from gesturemem.dataset import (SampleSet, ShortTermSample, preprocess,
-                                split_subjects)
+from gesturemem.dataset import ShortTermSample, preprocess
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
 from gesturemem.errors import ConfigError
 
@@ -544,18 +543,20 @@ def ref_prepare_data(config, recordings, label_map, split):
     training sample paired with its :func:`ref_build_long_term` window, the
     pairs stacked and put through ``preprocess``, then every recording
     windowed again at the eval stride for the held-out samples."""
-    def windowed(stride):
+    def windowed(stride, subjects):
+        """The (sample, recording) pairs of ``subjects``, after refusing a
+        sample whose subject is on neither side of the split."""
         pairs = [(s, rec) for rec in recordings
                  for s in ref_split_windows(rec, config.short_len, stride)]
-        return pairs, SampleSet(shorts=[s for s, _ in pairs],
-                                subjects=[rec.subject_id for _, rec in pairs],
-                                label_map=label_map)
+        uncovered = sorted({rec.subject_id for _, rec in pairs}
+                           - split.train_subjects - split.test_subjects)
+        if uncovered:
+            raise ConfigError(f"subjects not covered by the split: {uncovered}")
+        return [(s, rec) for s, rec in pairs if rec.subject_id in subjects]
 
-    pairs, train_set = windowed(config.stride)
-    train_idx, _ = split_subjects(train_set, split)
-    longs = [(pairs[i][0], ref_build_long_term(*pairs[i], config.window_scale,
-                                               config.purity_required))
-             for i in train_idx]
+    longs = [(short, ref_build_long_term(short, rec, config.window_scale,
+                                         config.purity_required))
+             for short, rec in windowed(config.stride, split.train_subjects)]
     longs = [(short, long) for short, long in longs if long is not None]
     if not longs:
         raise ConfigError("no training samples with a constructible long-term window")
@@ -565,7 +566,6 @@ def ref_prepare_data(config, recordings, label_map, split):
     x_long = preprocess([long for _, long in longs], config.center, config.input_scale, dtype)
     y_train = np.asarray([short.label for short, _ in longs], dtype=np.int64)
 
-    _, eval_set = windowed(config.eval_stride or config.short_len)
-    _, test_idx = split_subjects(eval_set, split)
+    test = windowed(config.eval_stride or config.short_len, split.test_subjects)
     return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
-            "test_samples": [eval_set.shorts[i] for i in test_idx]}
+            "test_samples": [s for s, _ in test]}

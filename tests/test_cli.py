@@ -127,10 +127,10 @@ def test_eval_windows_only_the_requested_subjects(monkeypatch):
         windowed.clear()
         samples = cli._eval_windows(model, recordings, label_map, subjects, stride)
         assert set(windowed) == want_subjects and len(windowed) == len(want_subjects)
-        every = window_dataset(recordings, label_map, 6, stride=stride or 6)
-        assert [key(s) for s in samples] == [key(s) for s, subject
-                                             in zip(every.shorts, every.subjects)
-                                             if subject in want_subjects]
+        every = window_dataset(recordings, label_map, 6, stride=stride or 6).shorts
+        subject_of = {r.recording_id: r.subject_id for r in recordings}
+        assert [key(s) for s in samples] == [key(s) for s in every
+                                             if subject_of[s.recording_id] in want_subjects]
 
 
 def generate_and_train(tmp_path):
@@ -220,6 +220,30 @@ def test_split_naming_absent_subjects_exits_2(tmp_path, capsys, command):
                             "--set", f"test_subjects={test}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"data lacks: {absent}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_with_an_empty_side_exits_2(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", data]) == 0
+    one_subject = str(tmp_path / "one")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--set", "subjects=1", "--out", one_subject]) == 0
+    base = ["train", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+            "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    for data_dir, overrides, needle in (
+            (data, ["train_subjects= , ", "test_subjects=s03"],
+             "train_subjects lists no subject"),
+            (data, ["train_subjects=s00", "test_subjects=, "],
+             "test_subjects lists no subject"),
+            (one_subject, ["train_subjects=", "test_subjects=", "train_fraction=0.5"],
+             "train_fraction needs at least 2 subjects; the data has 1")):
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        assert main(base + ["--data", data_dir] + sets) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gesturemem.dataset import (LabelMap, Recording, SplitSpec,
                                 SynthesisConfig, load_recordings, mean_center,
-                                split_subjects, split_windows,
+                                split_windows,
                                 synthesize_gestures, synthesize_recordings,
                                 window_dataset,
                                 window_starts, write_frames)
@@ -206,7 +206,8 @@ def test_windowing_equals_per_window_reference(recs, short_len, stride):
     assert len(ds.shorts) == len(want_shorts)
     for got_s, want_s in zip(ds.shorts, want_shorts):
         assert_same_sample(got_s, want_s)
-    assert ds.subjects == want_subjects
+    subject_of = {rec.recording_id: rec.subject_id for rec in recs}
+    assert [subject_of[s.recording_id] for s in ds.shorts] == want_subjects
 
 
 def test_windows_of_one_block_do_not_alias():
@@ -227,40 +228,9 @@ def test_window_dataset_refuses_long_windows():
 
 # --- subject splits ---------------------------------------------------------------
 
-def test_split_subjects_basic():
-    recs = [make_recording([0] * 8, rec_id=f"r{i}", subject=f"s{i}") for i in range(2)]
-    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4, stride=4)
-    train, test = split_subjects(ds, SplitSpec.from_lists(["s0"], ["s1"]))
-    assert all(ds.subjects[i] == "s0" for i in train)
-    assert all(ds.subjects[i] == "s1" for i in test)
-    assert len(train) + len(test) == len(ds)
-
-
 def test_split_spec_rejects_overlap():
     with pytest.raises(ConfigError):
         SplitSpec.from_lists(["s1", "s2"], ["s2"])
-
-
-def test_split_subjects_requires_cover():
-    recs = [make_recording([0] * 8, rec_id=f"r{i}", subject=f"s{i}") for i in range(3)]
-    ds = window_dataset(recs, LabelMap(names=["a"]), short_len=4)
-    with pytest.raises(ConfigError):
-        split_subjects(ds, SplitSpec.from_lists(["s0"], ["s1"]))
-
-
-def test_split_subjects_count_conservation_25_subjects():
-    cfg = SynthesisConfig(classes=("standing", "walking"), subjects=25,
-                          frames_per_class=30)
-    recs = []
-    rng = np.random.default_rng(0)
-    for subj in cfg.subject_ids():
-        recs.append(make_recording(rng.integers(0, 2, size=40),
-                                   rec_id=f"rec_{subj}", subject=subj))
-    ds = window_dataset(recs, LabelMap(names=["a", "b"]), short_len=5)
-    subjects = cfg.subject_ids()
-    train, test = split_subjects(ds, SplitSpec.from_lists(subjects[:18], subjects[18:]))
-    assert len(train) + len(test) == len(ds)
-    assert set(train).isdisjoint(test)
 
 
 # --- synthesis --------------------------------------------------------------------

@@ -790,6 +790,23 @@ def test_prepare_data_errors_match_reference():
         assert prepared_or_error(config, recordings, label_map, split, prepare_data) == want
 
 
+def test_stray_window_found_only_at_the_eval_stride_fails_the_split():
+    # s2 holds no pure 3-frame window at stride 2 (starts 0, 2, 4) but one at
+    # the eval stride 3 (start 3), after the training arrays are built
+    rng = np.random.default_rng(0)
+    recordings = [Recording(f"r{k}", subject, rng.normal(size=(len(labels), 3, 3)),
+                            np.asarray(labels, dtype=np.int64))
+                  for k, (subject, labels) in enumerate((("s0", [0] * 12), ("s1", [0] * 12),
+                                                         ("s2", [0, 0, 1, 0, 0, 0, 1])))]
+    config = TrainConfig(short_len=3, stride=2, window_scale=2)
+    split = SplitSpec.from_lists(["s0"], ["s1"])
+    label_map = LabelMap(names=["a", "b"])
+    for build in (prepare_data, ref_prepare_data):
+        with pytest.raises(ConfigError) as err:
+            build(config, recordings, label_map, split)
+        assert str(err.value) == "subjects not covered by the split: ['s2']"
+
+
 def test_sgd_momentum_velocity_is_checkpointed(tmp_path):
     recordings, label_map = tiny_dataset()
     config = tiny_config(epochs=1, sgd_momentum=0.9)
