@@ -131,7 +131,9 @@ def cmd_train(args):
         print(f"checkpoint: {args.out}")
     test_rows = [m for m in result.metrics if m["split"] == "test"]
     if test_rows:
-        print(f"final test accuracy: {test_rows[-1]['accuracy']:.4f}")
+        epoch, last = test_rows[-1]["epoch"], result.state.epoch
+        when = "final" if epoch == last else f"epoch {epoch} of {last}"
+        print(f"{when} test accuracy: {test_rows[-1]['accuracy']:.4f}")
     return 0
 
 

@@ -158,7 +158,8 @@ def _records(path):
 
 
 def load_label_map(path):
-    """Read a ``label_id,gesture_name`` file; ids must be 0..N-1 without gaps."""
+    """Read a ``label_id,gesture_name`` file; ids must be 0..N-1 without gaps,
+    and no name may repeat."""
     entries = {}
     for line_no, line in _records(path):
         parts = line.split(",", 1)
@@ -170,7 +171,10 @@ def load_label_map(path):
             raise ParseError(f"bad label_id {parts[0]!r}", line_no) from None
         if label in entries:
             raise ParseError(f"duplicate label_id {label}", line_no)
-        entries[label] = parts[1].strip()
+        name = parts[1].strip()
+        if name in entries.values():
+            raise ParseError(f"duplicate gesture_name {name!r}", line_no)
+        entries[label] = name
     if not entries:
         return LabelMap(names=[])
     if sorted(entries) != list(range(len(entries))):

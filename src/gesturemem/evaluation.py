@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import memory as mem
 from .errors import ConfigError
-from .inference import FrozenModel, predict, window_features
+from .inference import FrozenModel, exp_logits, predict, window_features
 from .training import CONTRAST_KINDS, train
 
 log = logging.getLogger(__name__)
@@ -161,8 +160,9 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     """Export an addressing submatrix (rows = memory slots, columns = samples).
 
     Randomly selects ``n_slots`` filled slots and ``n_samples`` windows, sorts
-    both by class label, and writes the addressing weights as CSV (plus a JSON
-    metadata sidecar). Also reports the mean address mass that samples place on
+    both by class label, and writes the addressing weights (prediction's read,
+    :func:`~gesturemem.inference.exp_logits`, normalized) as CSV plus a JSON
+    metadata sidecar. Also reports the mean address mass that samples place on
     same-class vs. different-class slots within the exported block.
     """
     if not 0 < n_slots <= model.queue.fill:
@@ -183,9 +183,8 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     order = np.argsort(sample_labels, kind="stable")
     sample_idx, sample_labels = sample_idx[order], sample_labels[order]
 
-    weights = mem.address_batch(
-        model.queue, window_features(model, [samples[i].data for i in sample_idx]))
-    matrix = weights[:, slot_idx].T.astype(np.float64)
+    e = exp_logits(model, window_features(model, [samples[i].data for i in sample_idx]))
+    matrix = (e / e.sum(axis=1, keepdims=True))[:, slot_idx].T.astype(np.float64)
 
     same = slot_labels[:, None] == sample_labels[None, :]
     same_mean = float(matrix[same].mean()) if same.any() else float("nan")

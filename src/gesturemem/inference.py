@@ -210,6 +210,13 @@ def window_features(model, windows):
     return enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)[0]
 
 
+def exp_logits(model, features):
+    """``exp((f @ basis) @ keys)`` [B, fill] of features f: the exponentiated
+    addressing logits, read in the query's subspace; ``e / Σe`` is addressing."""
+    e = (features @ model.basis) @ model.keys
+    return np.exp(e, out=e)
+
+
 def predict_batch(model, windows):
     """Classify [B, C, T, V] windows; returns (classes [B], probabilities [B, K]).
 
@@ -229,8 +236,7 @@ def predict_batch(model, windows):
     f = window_features(model, windows)
     memory_logits = None
     if model.use_recall and model.queue.fill > 0:
-        e = (f @ model.basis) @ model.keys
-        s = np.exp(e, out=e) @ model.readout.T
+        s = exp_logits(model, f) @ model.readout.T
         memory_logits = s[:, :-1] / s[:, -1:] + model.readout_mean
     probs = enc.classify(model.decoder, f, memory_logits)
     return probs.argmax(axis=1), probs
@@ -467,10 +473,12 @@ def tcp_server(model, host, port, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
     ``{"error": "server busy"}`` and closed, and so is one idle for
     ``IDLE_TIMEOUT_S``, with ``{"error": "idle timeout"}``, freeing its slot.
     Run it with ``serve_forever()`` and stop it with ``shutdown()`` and
-    ``server_close()``. A stride or frame rate :class:`StreamSession` refuses
-    is refused here, before binding.
+    ``server_close()``. A stride or frame rate :class:`StreamSession` refuses,
+    and a port outside 0..65535, are a :class:`ConfigError` here, before binding.
     """
     _session_timing(stride_ms, frame_hz)
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"port must be in 0..65535, got {port}")
 
     class Handler(socketserver.StreamRequestHandler):
         timeout = IDLE_TIMEOUT_S

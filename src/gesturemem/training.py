@@ -509,27 +509,15 @@ def write_metrics(path, metrics):
 # then raw little-endian tensor payloads in manifest order, in the configured
 # dtype (``<f4`` for float32, ``<f8`` for float64). The config and the label
 # count fix the manifest: :func:`_layout` names and shapes every tensor, and
-# :func:`_manifest` lays them back to back in name order.
+# :func:`_manifest` lays them back to back in name order. A tensor is named
+# ``<group>/<key>``: ``key`` of the TrainState dict STATE_GROUPS maps ``group``
+# to, or ``memory/features`` and ``memory/labels``, the queue's arrays.
+STATE_GROUPS = {"decoder": "decoder", "encoder_l": "params_l", "encoder_s": "params_s",
+                "velocity": "velocities"}
 
 
 def _wire_dtype(config):
     return np.dtype(config.np_dtype).newbyteorder("<")
-
-
-def _state_tensors(state):
-    tensors = {}
-    for k, v in sorted(state.params_s.items()):
-        tensors[f"encoder_s/{k}"] = v
-    for k, v in sorted(state.params_l.items()):
-        tensors[f"encoder_l/{k}"] = v
-    for k, v in sorted(state.decoder.items()):
-        tensors[f"decoder/{k}"] = v
-    tensors["memory/features"] = state.queue.features
-    tensors["memory/labels"] = state.queue.labels
-    if state.velocities is not None:
-        for k, v in sorted(state.velocities.items()):
-            tensors[f"velocity/{k}"] = v
-    return tensors
 
 
 def _layout(config, n_classes):
@@ -558,20 +546,31 @@ def _manifest(layout, wire):
 
 
 def save_checkpoint(state, path):
-    """Serialize a training state; the byte stream round-trips exactly."""
-    tensors = sorted(_state_tensors(state).items())
-    wire = _wire_dtype(state.config)
-    manifest, _ = _manifest([(name, a.shape) for name, a in tensors], wire)
-    payload = b"".join(a.astype(wire).tobytes() for _, a in tensors)
+    """Serialize a training state; the byte stream round-trips exactly. A state
+    whose tensors are not :func:`_layout`'s for its config and labels is a
+    :class:`StructuralError`, and no file is written."""
+    config = state.config
+    tensors = {f"{group}/{key}": a for group, field in STATE_GROUPS.items()
+               for key, a in (getattr(state, field) or {}).items()}
+    tensors.update({"memory/features": state.queue.features,
+                    "memory/labels": state.queue.labels})
+    layout = _layout(config, state.label_map.num_classes)
+    wrong = set(layout) ^ {(name, np.shape(a)) for name, a in tensors.items()}
+    if wrong:
+        raise StructuralError(f"{min(wrong)[0]} is missing, extra or misshapen "
+                              f"for the state's config")
+    wire = _wire_dtype(config)
+    manifest, _ = _manifest(layout, wire)
+    payload = b"".join(tensors[name].astype(wire).tobytes() for name, _ in layout)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": dataclasses.asdict(state.config),
+        "config": dataclasses.asdict(config),
         "epoch": state.epoch,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
         "memory": {"fill": state.queue.fill, "head": state.queue.head},
         "labels": list(state.label_map.names),
-        "has_velocities": state.velocities is not None,
+        "has_velocities": config.sgd_momentum > 0,
         "tensors": manifest,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -625,6 +624,8 @@ def load_checkpoint(path):
     labels, memory = header["labels"], header["memory"]
     if not (isinstance(labels, list) and all(isinstance(n, str) for n in labels)):
         raise CheckpointError("checkpoint labels are not a list of names")
+    if len(set(labels)) != len(labels):
+        raise CheckpointError(f"checkpoint labels {labels} repeat a name")
     try:
         config = TrainConfig(**header["config"])
         wire = _wire_dtype(config)
@@ -660,15 +661,12 @@ def load_checkpoint(path):
                               f"[0, {len(labels)})")
 
     dtype = config.np_dtype
-
-    def group(prefix, cast):
-        return {name[len(prefix):]: arrays[name].astype(cast)
-                for name in arrays if name.startswith(prefix)}
-
-    params_s = group("encoder_s/", dtype)
-    params_l = group("encoder_l/", dtype)
-    decoder = group("decoder/", dtype)
-    label_map = LabelMap(names=list(labels))
+    groups = {field: {} for field in STATE_GROUPS.values()}
+    for name, a in arrays.items():
+        group, key = name.split("/", 1)
+        if group in STATE_GROUPS:
+            groups[STATE_GROUPS[group]][key] = a.astype(dtype)
+    velocities = groups.pop("velocities") or None
 
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
     queue.features[:] = arrays["memory/features"].astype(dtype)
@@ -676,15 +674,12 @@ def load_checkpoint(path):
     queue.fill = memory["fill"]
     queue.head = memory["head"]
 
-    velocities = group("velocity/", dtype) if header["has_velocities"] else None
-
     bitgen = np.random.PCG64()
     try:
         bitgen.state = header["rng_state"]
     except (TypeError, ValueError, KeyError) as e:
         raise CheckpointError(f"invalid RNG state: {e}") from None
     rng = np.random.Generator(bitgen)
-    return TrainState(config=config, label_map=label_map, graph=enc.skeleton_graph(),
-                      params_s=params_s, params_l=params_l, decoder=decoder,
-                      queue=queue, velocities=velocities, rng=rng,
-                      epoch=header["epoch"], step=header["step"])
+    return TrainState(config=config, label_map=LabelMap(names=list(labels)),
+                      graph=enc.skeleton_graph(), queue=queue, velocities=velocities,
+                      rng=rng, epoch=header["epoch"], step=header["step"], **groups)

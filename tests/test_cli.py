@@ -103,6 +103,11 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
                  "--out", ckpt, "--log", log]) == 0
     out = capsys.readouterr().out
     assert "final test accuracy" in out
+    # a held-out figure from before the last epoch is not called final
+    assert main(["train", "--config", traincfg, "--data", data,
+                 "--set", "epochs=3", "--set", "eval_every=2"]) == 0
+    out = capsys.readouterr().out
+    assert "epoch 2 of 3 test accuracy: " in out and "final" not in out, out
     assert main(["eval", "--model", ckpt, "--data", data,
                  "--subjects", "s03,s04"]) == 0
     out = capsys.readouterr().out
@@ -298,7 +303,9 @@ def test_serve_refuses_bad_frame_rate_before_reading(tmp_path, capsys, monkeypat
                           (["--frame-hz", "nan"], "frame_hz"),
                           (["--stride-ms", "-5"], "stride_ms"),
                           (["--port", "0", "--frame-hz", "-1"], "frame_hz"),
-                          (["--port", "0", "--stride-ms", "inf"], "stride_ms")):
+                          (["--port", "0", "--stride-ms", "inf"], "stride_ms"),
+                          (["--port", "65536"], "port"),
+                          (["--port", "-1"], "port")):
         assert main(["serve", "--model", ckpt] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err, err
@@ -420,6 +427,8 @@ BAD_INPUTS = {
     "config_not_utf8": (["generate", "--config", "{tmp}/bad.cfg"], "UTF-8"),
     "frames_not_utf8": (["train", "--set", "train_fraction=0.5"], "frames.csv"),
     "labels_not_utf8": (["train", "--set", "train_fraction=0.5"], "labels.csv"),
+    "labels_name_repeated": (["train", "--set", "train_fraction=0.5"],
+                             "line 3: duplicate gesture_name 'walking'"),
 }
 
 
@@ -429,7 +438,10 @@ def test_bad_input_is_an_error_line_and_exit_2(tmp_path, capsys, case):
     assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
                  "--out", str(data)]) == 0
     (tmp_path / "bad.cfg").write_bytes(NOT_UTF8)
-    if case.startswith(("frames", "labels")):
+    if case == "labels_name_repeated":
+        labels = data / "labels.csv"
+        labels.write_text(labels.read_text().replace("jumping", "walking"))
+    elif case.startswith(("frames", "labels")):
         _corrupt(data / f"{case.split('_')[0]}.csv")
     argv, needle = BAD_INPUTS[case]
     argv = [a.format(tmp=tmp_path) for a in argv]

@@ -310,6 +310,12 @@ def test_export_addressing_shapes_and_row_mass(tmp_path):
     meta = json.loads((tmp_path / "addr.csv.meta.json").read_text())
     assert meta["n_slots"] == 16 and meta["n_samples"] == 12
 
+    # every slot exported: each column is a whole addressing vector
+    stats = export_addressing(model, samples, n_slots=model.queue.fill, n_samples=12,
+                              seed=3, out_path=out)
+    eps = np.finfo(model.dtype).eps
+    assert np.abs(stats["matrix"].sum(axis=0) - 1.0).max() <= 4 * eps
+
 
 def test_export_addressing_matches_per_window_address(tmp_path):
     recordings, label_map = small_dataset()

@@ -511,6 +511,7 @@ HEADER_FAULTS = {
     **{f"zero_{field}": _set(["config", field], 0)
        for field in ("width", "blocks", "temporal_kernel", "feature_dim", "queue_capacity")},
     "labels_not_names": _set(["labels"], "abc"),
+    "labels_repeat_name": _set(["labels"], ["a", "a", "c"]),
     "has_velocities_disagrees": _set(["has_velocities"], False),
     "fill_past_capacity": _set(["memory", "fill"], 33),
     "head_not_integer": _set(["memory", "head"], 1.5),
@@ -573,6 +574,31 @@ def test_checkpoint_bytes_are_pinned(tmp_path, dtype, sgd_momentum):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_CHECKPOINTS[dtype, sgd_momentum]
     assert load_checkpoint(path).config.dtype == dtype
+
+
+# (sgd_momentum of the state, edit that leaves it unlike its config's layout)
+STATE_FAULTS = {
+    "decoder_tensor_missing": (0.0, lambda s: s.decoder.pop("b")),
+    "decoder_tensor_misshapen": (0.0, lambda s: s.decoder.update(w=s.decoder["w"][:2])),
+    "velocities_lacking": (0.0, lambda s: setattr(
+        s, "config", dataclasses.replace(s.config, sgd_momentum=0.5))),
+    "velocities_unasked": (0.5, lambda s: setattr(
+        s, "config", dataclasses.replace(s.config, sgd_momentum=0.0))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STATE_FAULTS))
+def test_save_refuses_a_state_unlike_its_config_layout(tmp_path, fault):
+    """save writes only what load accepts: a state missing, adding or
+    misshaping a tensor of its config's layout is refused, and no file made."""
+    sgd_momentum, edit = STATE_FAULTS[fault]
+    state = init_state(tiny_config(sgd_momentum=sgd_momentum),
+                       LabelMap(names=["a", "b", "c"]))
+    edit(state)
+    path = tmp_path / "s.ckpt"
+    with pytest.raises(StructuralError):
+        save_checkpoint(state, path)
+    assert not path.exists()
 
 
 PAYLOAD_RESIZES = {"longer": lambda p: p + bytes(64), "shorter": lambda p: p[:-4]}
