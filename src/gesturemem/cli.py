@@ -308,10 +308,8 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ToolkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ToolkitError, OSError, MemoryError) as e:
+        # MemoryError: a configured size (a queue, a width) that cannot be allocated
         print(f"error: {e}", file=sys.stderr)
         return 2
 

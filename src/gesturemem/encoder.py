@@ -44,6 +44,22 @@ batch that fits runs as one tile. The cached (training) forward is never
 tiled: its batches fit anyway, and :func:`encode_backward` reads whole-batch
 intermediates.
 
+When BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, or where it is
+unset or empty ``OMP_NUM_THREADS``, reads exactly ``1``), the tiles of a batch
+that spans more than one run on one thread per usable CPU, at most one per
+tile: the calling thread and helpers from a thread pool, each taking every
+n-th tile. numpy's GEMMs and large ufuncs release the interpreter lock, so the
+tiles use the cores BLAS leaves idle; under a multi-threaded BLAS the two
+would compete for the cores, and the tiles run one after another on the
+calling thread. Each tile is the same :func:`_forward` call on the same slice
+as in the sequential loop and writes its own rows of one output array, so the
+features keep their bits whichever thread runs a tile. Helpers run in a copy
+of the caller's ``contextvars`` context, which carries ``np.errstate`` into
+them, and a failing tile's exception reaches the caller. The pool lives for
+one call only: a forked child process inherits no pool whose threads are
+gone. Starting a helper costs a few hundred microseconds, so the calling
+thread takes a share rather than waiting idle.
+
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows
 after each window, so each tap's weight and input gradient is one GEMM over
@@ -65,7 +81,10 @@ in place of the dict.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,9 +307,42 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     per_tile = max(1, TILE_BYTES // window_bytes)
     if want_cache or per_tile >= b:
         return _forward(ops, x, adj, cfg, want_cache, rows)
-    tiles = [_forward(ops, x[lo:lo + per_tile], adj, cfg, False, rows)[0]
-             for lo in range(0, b, per_tile)]
-    return np.concatenate(tiles), None
+    f = np.empty((b, ops.params["proj.w"].shape[0]),
+                 np.result_type(x, *ops.params.values()))
+
+    def run(starts):
+        for lo in starts:
+            f[lo:lo + per_tile] = _forward(ops, x[lo:lo + per_tile], adj, cfg, False, rows)[0]
+
+    starts = range(0, b, per_tile)
+    workers = _tile_workers(len(starts))
+    if workers == 1:
+        run(starts)
+        return f, None
+    # tile i runs on thread i % workers; the calling thread is thread 0
+    shares = [starts[i::workers] for i in range(workers)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        # helpers run in copies of the caller's context, so its np.errstate holds
+        helpers = [pool.submit(contextvars.copy_context().run, run, share)
+                   for share in shares[1:]]
+        run(shares[0])
+        for helper in helpers:
+            helper.result()
+    return f, None
+
+
+def _tile_workers(n_tiles):
+    """Threads for an uncached forward of ``n_tiles`` tiles: one per usable
+    CPU, at most one per tile, when BLAS is pinned to one thread; else 1, the
+    sequential loop (see the module docstring)."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if blas != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tiles)
 
 
 def _forward(ops, x, adj, cfg, want_cache, bias_rows):

@@ -455,6 +455,18 @@ def test_bad_input_is_an_error_line_and_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and needle in err, err
 
 
+def test_unallocatable_config_is_an_error_line_and_exit_2(tmp_path, capsys):
+    # numpy refuses a queue of 10**15 slots before touching any memory
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
+                 "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
+                 "--data", data, "--set", f"queue_capacity={10**15}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err, err
+
+
 def test_non_utf8_files_raise_typed_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(NOT_UTF8)

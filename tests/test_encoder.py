@@ -1,3 +1,5 @@
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from gesturemem.encoder import (EncoderConfig, GemmOperands, classify,
                                 skeleton_graph)
 from gesturemem.dataset import LabelMap, preprocess
 from gesturemem.errors import NonFiniteError, StructuralError
+from gesturemem.inference import FrozenModel, predict, predict_batch
 from gesturemem.training import TrainConfig, init_state
 
 from helpers import (assert_same_bits, fd_param_grads,
@@ -197,6 +200,9 @@ def test_tiled_forward_matches_one_tile(monkeypatch, t, blocks, dtype, tol):
         return kernel(ops, xs, *args)
 
     monkeypatch.setattr(enc, "_forward", spy)
+    # the sequential loop, whose tile order is fixed; the pooled tiles are
+    # checked below, whatever BLAS's thread setting
+    monkeypatch.setattr(enc, "_tile_workers", lambda n_tiles: 1)
     for per_tile, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
         monkeypatch.setattr(enc, "TILE_BYTES", per_tile * window_bytes + window_bytes // 2)
         tiles.clear()
@@ -338,6 +344,144 @@ def test_forward_and_backward_match_the_oracle_bitwise(case, per_tile, source):
     assert set(grads) == set(grads_o) == set(params)
     for name in params:
         assert_same_bits(grads[name], grads_o[name], name)
+
+
+# --- the thread pool of the uncached tiles -------------------------------------
+
+
+def two_workers(n_tiles):
+    return 2
+
+
+def thread_spy(seen):
+    """A stand-in for ``enc._forward`` that records, per tile, the thread that
+    ran it, the overflow mode numpy's errstate had there and its window count."""
+    kernel = enc._forward
+
+    def spy(ops, xs, *args):
+        seen.append((threading.get_ident(), np.geterr()["over"], xs.shape[0]))
+        return kernel(ops, xs, *args)
+
+    return spy
+
+
+def pooled_setup(monkeypatch, b, dtype=np.float32, x_dtype=None):
+    """TINY parameters and a [b, 3, 6, 3] input, with one window per tile and
+    two pool workers."""
+    params, _, _ = init_encoders(TINY, 3, np.random.default_rng(5), dtype)
+    x = np.random.default_rng(b).normal(size=(b, 3, 6, 3)).astype(x_dtype or dtype)
+    monkeypatch.setattr(enc, "TILE_BYTES", 6 * 3 * TINY.temporal_kernel * TINY.width
+                        * x.itemsize)
+    monkeypatch.setattr(enc, "_tile_workers", two_workers)
+    return params, x
+
+
+@given(encoder_cases(), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_pooled_tiles_match_the_oracle_bitwise(case, per_tile):
+    cfg, params, x, dtype = case
+    b, _, t, v = x.shape
+    window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
+    seen = []
+    with mock.patch.object(enc, "TILE_BYTES", per_tile * window_bytes), \
+            mock.patch.object(enc, "_tile_workers", two_workers), \
+            mock.patch.object(enc, "_forward", thread_spy(seen)):
+        f, cache = encode_forward(params, x, GRAPH.normalized, cfg)
+        f_o, _ = oracle_encode_forward(params, x, GRAPH.normalized, cfg)
+    assert cache is None
+    assert_same_bits(f, f_o, "pooled features")
+    if b > per_tile:  # several tiles: the calling thread and one helper ran them
+        sizes = [min(per_tile, b - lo) for lo in range(0, b, per_tile)]
+        assert sorted(size for _, _, size in seen) == sorted(sizes)
+        threads = {ident for ident, _, _ in seen}
+        assert len(threads) == 2 and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("dtype, x_dtype", [(np.float32, np.float64),
+                                            (np.float64, np.float32)])
+def test_pooled_tiles_keep_the_features_dtype_of_mixed_inputs(monkeypatch, dtype, x_dtype):
+    params, x = pooled_setup(monkeypatch, 4, dtype, x_dtype)
+    f, _ = encode_forward(params, x, GRAPH.normalized, TINY)
+    monkeypatch.setattr(enc, "TILE_BYTES", 1 << 20)
+    f_one, _ = encode_forward(params, x, GRAPH.normalized, TINY)
+    assert f.dtype == f_one.dtype == np.float64
+    assert np.abs(f - f_one).max() < 1e-6
+
+
+def test_pooled_tiles_run_under_the_callers_errstate(monkeypatch):
+    params, x = pooled_setup(monkeypatch, 4)
+    seen = []
+    monkeypatch.setattr(enc, "_forward", thread_spy(seen))
+    running = threading.active_count()
+    with np.errstate(over="raise"):
+        encode_forward(params, x, GRAPH.normalized, TINY)
+    # two tiles each on the calling thread and on the helper
+    threads = {ident for ident, _, _ in seen}
+    assert len(threads) == 2 and threading.get_ident() in threads
+    assert [over for _, over, _ in seen] == ["raise"] * 4
+    assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("window", [2, 3], ids=["calling thread", "helper"])
+def test_a_later_pooled_tiles_error_reaches_the_caller(monkeypatch, window):
+    params, x = pooled_setup(monkeypatch, 4)
+    f, _ = encode_forward(params, x, GRAPH.normalized, TINY)
+    assert np.isfinite(f).all()
+    x[window] = 1e30  # finite, but this tile's feature norm overflows float32
+    running = threading.active_count()
+    with pytest.raises(NonFiniteError, match="feature norm"):
+        encode_forward(params, x, GRAPH.normalized, TINY)
+    assert threading.active_count() == running
+
+
+def test_one_tile_batches_start_no_pool(monkeypatch):
+    pools = []
+
+    class CountedPool(enc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(enc, "_tile_workers", two_workers)
+    config = TrainConfig.desk_profile()
+    model = FrozenModel.from_state(init_state(config, LabelMap(names=["a", "b", "c"])))
+    window_bytes = (config.short_len * 3 * config.temporal_kernel * config.width
+                    * np.dtype(config.np_dtype).itemsize)
+    per_tile = enc.TILE_BYTES // window_bytes
+    windows = np.random.default_rng(0).normal(size=(per_tile + 1, 3, config.short_len, 3))
+    params = model.operands.params
+    for b in (0, 1):
+        encode_forward(params, windows[:b].astype(np.float32), model.adjacency,
+                       model.encoder_cfg)
+    predict(model, windows[0])
+    predict_batch(model, windows[:per_tile])
+    assert pools == []
+    predict_batch(model, windows)  # two tiles: the calling thread and one helper
+    assert pools == [(1,)]
+
+
+@pytest.mark.parametrize("openblas, omp, pinned", [
+    (None, None, False), ("2", None, False), ("", None, False),
+    ("abc", None, False), ("0", None, False), ("-2", None, False),
+    (" 1", None, False), ("1", None, True), (None, "1", True), ("", "1", True),
+    ("2", "1", False), (None, "4", False), ("1", "4", True),
+])
+def test_tile_workers_follow_the_blas_thread_setting(monkeypatch, openblas, omp, pinned):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [enc._tile_workers(n) for n in range(1, 7)] == (
+        [1, 2, 3, 4, 4, 4] if pinned else [1] * 6)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [enc._tile_workers(n) for n in range(1, 5)] == (
+        [1, 2, 3, 3] if pinned else [1] * 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert enc._tile_workers(4) == 1
 
 
 def test_momentum_update_matches_convex_combination():
