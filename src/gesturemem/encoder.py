@@ -49,16 +49,20 @@ unset or empty ``OMP_NUM_THREADS``, reads exactly ``1``), the tiles of a batch
 that spans more than one run on one thread per usable CPU, at most one per
 tile: the calling thread and helpers from a thread pool, each taking every
 n-th tile. numpy's GEMMs and large ufuncs release the interpreter lock, so the
-tiles use the cores BLAS leaves idle; under a multi-threaded BLAS the two
-would compete for the cores, and the tiles run one after another on the
-calling thread. Each tile is the same :func:`_forward` call on the same slice
-as in the sequential loop and writes its own rows of one output array, so the
-features keep their bits whichever thread runs a tile. Helpers run in a copy
-of the caller's ``contextvars`` context, which carries ``np.errstate`` into
-them, and a failing tile's exception reaches the caller. The pool lives for
-one call only: a forked child process inherits no pool whose threads are
-gone. Starting a helper costs a few hundred microseconds, so the calling
-thread takes a share rather than waiting idle.
+tiles use the cores BLAS leaves idle. Under a multi-threaded BLAS the two
+compete for the cores (a 2-CPU queue fill ran 67% slower with the pool), so
+the tiles run one after another on the calling thread and no thread starts.
+The setting is read once, at import, as BLAS reads it when numpy loads;
+``MKL_NUM_THREADS`` is not read. The thread count was measured only on 2 CPUs;
+whether one thread per CPU pays on larger hosts, or under a CPU quota smaller
+than the affinity mask, is unverified. Each tile is the same :func:`_forward`
+call on the same slice as in the sequential loop and writes its own rows of
+one output array, so the features keep their bits whichever thread runs a
+tile. Helpers run under the caller's ``np.errstate`` (numpy before 2.0 keeps
+it per thread), and a failing tile's exception reaches the caller. The pool
+lives for one call only: a forked child process inherits no pool whose
+threads are gone. Starting a helper costs a few hundred microseconds, so the
+calling thread takes a share rather than waiting idle.
 
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows
@@ -81,7 +85,6 @@ in place of the dict.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -96,6 +99,21 @@ NORM_EPS = 1e-12
 # Most bytes, counted as T*V*k*width*itemsize per window, in one tile of the
 # uncached forward.
 TILE_BYTES = 1 << 20
+
+
+def _tile_threads():
+    """Threads for the uncached tiles: one per usable CPU when BLAS is pinned
+    to one thread, else 1, the sequential loop (see the module docstring)."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if blas != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# read once, when numpy (and with it BLAS) has loaded
+TILE_THREADS = _tile_threads()
 
 
 @dataclass(frozen=True)
@@ -315,34 +333,24 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
             f[lo:lo + per_tile] = _forward(ops, x[lo:lo + per_tile], adj, cfg, False, rows)[0]
 
     starts = range(0, b, per_tile)
-    workers = _tile_workers(len(starts))
+    workers = min(TILE_THREADS, len(starts))
     if workers == 1:
         run(starts)
         return f, None
+    err, call = np.geterr(), np.geterrcall()
+
+    def helper(share):
+        with np.errstate(call=call, **err):
+            run(share)
+
     # tile i runs on thread i % workers; the calling thread is thread 0
     shares = [starts[i::workers] for i in range(workers)]
     with ThreadPoolExecutor(workers - 1) as pool:
-        # helpers run in copies of the caller's context, so its np.errstate holds
-        helpers = [pool.submit(contextvars.copy_context().run, run, share)
-                   for share in shares[1:]]
+        helpers = [pool.submit(helper, share) for share in shares[1:]]
         run(shares[0])
-        for helper in helpers:
-            helper.result()
+        for future in helpers:
+            future.result()
     return f, None
-
-
-def _tile_workers(n_tiles):
-    """Threads for an uncached forward of ``n_tiles`` tiles: one per usable
-    CPU, at most one per tile, when BLAS is pinned to one thread; else 1, the
-    sequential loop (see the module docstring)."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if blas != "1":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_tiles)
 
 
 def _forward(ops, x, adj, cfg, want_cache, bias_rows):

@@ -202,7 +202,7 @@ def test_tiled_forward_matches_one_tile(monkeypatch, t, blocks, dtype, tol):
     monkeypatch.setattr(enc, "_forward", spy)
     # the sequential loop, whose tile order is fixed; the pooled tiles are
     # checked below, whatever BLAS's thread setting
-    monkeypatch.setattr(enc, "_tile_workers", lambda n_tiles: 1)
+    monkeypatch.setattr(enc, "TILE_THREADS", 1)
     for per_tile, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
         monkeypatch.setattr(enc, "TILE_BYTES", per_tile * window_bytes + window_bytes // 2)
         tiles.clear()
@@ -349,10 +349,6 @@ def test_forward_and_backward_match_the_oracle_bitwise(case, per_tile, source):
 # --- the thread pool of the uncached tiles -------------------------------------
 
 
-def two_workers(n_tiles):
-    return 2
-
-
 def thread_spy(seen):
     """A stand-in for ``enc._forward`` that records, per tile, the thread that
     ran it, the overflow mode numpy's errstate had there and its window count."""
@@ -372,7 +368,7 @@ def pooled_setup(monkeypatch, b, dtype=np.float32, x_dtype=None):
     x = np.random.default_rng(b).normal(size=(b, 3, 6, 3)).astype(x_dtype or dtype)
     monkeypatch.setattr(enc, "TILE_BYTES", 6 * 3 * TINY.temporal_kernel * TINY.width
                         * x.itemsize)
-    monkeypatch.setattr(enc, "_tile_workers", two_workers)
+    monkeypatch.setattr(enc, "TILE_THREADS", 2)
     return params, x
 
 
@@ -384,7 +380,7 @@ def test_pooled_tiles_match_the_oracle_bitwise(case, per_tile):
     window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
     seen = []
     with mock.patch.object(enc, "TILE_BYTES", per_tile * window_bytes), \
-            mock.patch.object(enc, "_tile_workers", two_workers), \
+            mock.patch.object(enc, "TILE_THREADS", 2), \
             mock.patch.object(enc, "_forward", thread_spy(seen)):
         f, cache = encode_forward(params, x, GRAPH.normalized, cfg)
         f_o, _ = oracle_encode_forward(params, x, GRAPH.normalized, cfg)
@@ -410,6 +406,7 @@ def test_pooled_tiles_keep_the_features_dtype_of_mixed_inputs(monkeypatch, dtype
 
 def test_pooled_tiles_run_under_the_callers_errstate(monkeypatch):
     params, x = pooled_setup(monkeypatch, 4)
+    kernel = enc._forward
     seen = []
     monkeypatch.setattr(enc, "_forward", thread_spy(seen))
     running = threading.active_count()
@@ -420,6 +417,12 @@ def test_pooled_tiles_run_under_the_callers_errstate(monkeypatch):
     assert len(threads) == 2 and threading.get_ident() in threads
     assert [over for _, over, _ in seen] == ["raise"] * 4
     assert threading.active_count() == running
+    calls = []
+    monkeypatch.setattr(enc, "_forward", lambda *args: calls.append(np.geterrcall())
+                        or kernel(*args))
+    with np.errstate(over="call", call=print):
+        encode_forward(params, x, GRAPH.normalized, TINY)
+    assert calls == [print] * 4
 
 
 @pytest.mark.parametrize("window", [2, 3], ids=["calling thread", "helper"])
@@ -443,7 +446,7 @@ def test_one_tile_batches_start_no_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(enc, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(enc, "_tile_workers", two_workers)
+    monkeypatch.setattr(enc, "TILE_THREADS", 4)
     config = TrainConfig.desk_profile()
     model = FrozenModel.from_state(init_state(config, LabelMap(names=["a", "b", "c"])))
     window_bytes = (config.short_len * 3 * config.temporal_kernel * config.width
@@ -458,6 +461,7 @@ def test_one_tile_batches_start_no_pool(monkeypatch):
     predict_batch(model, windows[:per_tile])
     assert pools == []
     predict_batch(model, windows)  # two tiles: the calling thread and one helper
+    # of the four threads allowed
     assert pools == [(1,)]
 
 
@@ -467,21 +471,19 @@ def test_one_tile_batches_start_no_pool(monkeypatch):
     (" 1", None, False), ("1", None, True), (None, "1", True), ("", "1", True),
     ("2", "1", False), (None, "4", False), ("1", "4", True),
 ])
-def test_tile_workers_follow_the_blas_thread_setting(monkeypatch, openblas, omp, pinned):
+def test_tile_threads_follow_the_blas_thread_setting(monkeypatch, openblas, omp, pinned):
     for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert [enc._tile_workers(n) for n in range(1, 7)] == (
-        [1, 2, 3, 4, 4, 4] if pinned else [1] * 6)
+    assert enc._tile_threads() == (4 if pinned else 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert [enc._tile_workers(n) for n in range(1, 5)] == (
-        [1, 2, 3, 3] if pinned else [1] * 4)
+    assert enc._tile_threads() == (3 if pinned else 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert enc._tile_workers(4) == 1
+    assert enc._tile_threads() == 1
 
 
 def test_momentum_update_matches_convex_combination():
