@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StructuralError
 from .inference import FrozenModel, exp_logits, predict, window_features
 from .training import CONTRAST_KINDS, train
 
@@ -33,8 +33,14 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, n_classes):
+        """Tally (true, predicted) label pairs; a label outside
+        0..n_classes-1 is a :class:`StructuralError` naming it."""
         counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         for t, p in zip(y_true, y_pred):
+            for label in (t, p):
+                if not 0 <= label < n_classes:
+                    raise StructuralError(
+                        f"label {label} is outside the model's {n_classes} classes")
             counts[t, p] += 1
         return cls(counts=counts)
 
@@ -45,16 +51,8 @@ class ConfusionMatrix:
     def accuracy(self):
         return float(np.trace(self.counts) / self.total)
 
-    def normalized(self):
-        """Rows normalized over the true condition; empty rows stay zero."""
-        sums = self.counts.sum(axis=1, keepdims=True)
-        out = np.zeros(self.counts.shape, dtype=np.float64)
-        nonzero = sums[:, 0] > 0
-        out[nonzero] = self.counts[nonzero] / sums[nonzero]
-        return out
-
     def per_class_recall(self):
-        """Diagonal of the normalized matrix; None for classes absent from the data."""
+        """Diagonal of the row-normalized counts; None for classes absent from the data."""
         sums = self.counts.sum(axis=1)
         return [float(self.counts[i, i] / sums[i]) if sums[i] > 0 else None
                 for i in range(self.counts.shape[0])]

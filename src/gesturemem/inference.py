@@ -51,6 +51,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import socketserver
 import threading
 import time
@@ -336,13 +337,11 @@ class StreamSession:
         self.buffer = deque(maxlen=model.short_len)
         self.last_t = None
         self.last_emit_t = None
-        self.last_prediction = None
 
     def handle_line(self, line):
-        """Process one NDJSON line; returns an output object or None.
-
-        Never raises: any malformed line gets an ``{"error": ...}`` object.
-        """
+        """Decode one NDJSON line and return :meth:`handle_frame`'s output
+        for its ``t`` and ``joints``, or None for a blank line. Never raises:
+        any malformed line gets an ``{"error": ...}`` object."""
         line = line.strip()
         if not line:
             return None
@@ -360,30 +359,28 @@ class StreamSession:
             return {"error": "malformed frame: Extra data"}
         if not isinstance(obj, dict) or "joints" not in obj:
             return {"error": "malformed frame: expected an object with 'joints'"}
-        t = obj.get("t")
-        if t is None:
-            t = 0.0 if self.last_t is None else self.last_t + 1000.0 / self.frame_hz
-        else:
-            try:
-                t = float(t) if type(t) in (int, float) else math.nan  # not bool
-            except OverflowError:  # an integer past the float range
-                t = math.nan
-            if not math.isfinite(t):
-                return {"error": "malformed frame: 't' must be a finite number"}
-        joints = obj["joints"]
-        return self._accept(t, _plain_frame(joints) or _numpy_frame(joints))
+        return self.handle_frame(obj.get("t"), obj["joints"])
 
     def handle_frame(self, t_ms, joints):
-        """Append one frame; returns a prediction object when one is due.
+        """Check and buffer one frame; returns a prediction when one is due,
+        an ``{"error": ...}`` object for a rejected frame, or None.
 
+        ``t_ms`` is None (one frame period after the last accepted frame, 0
+        for a session's first) or a finite real number other than a bool.
         ``joints`` is a [V, C] array or nested lists; booleans among the
         numbers of a list are rejected, not read as 0/1.
         """
-        return self._accept(t_ms, _plain_frame(joints) or _numpy_frame(joints))
-
-    def _accept(self, t_ms, frame):
-        """Buffer a checked frame (a flat coordinate tuple, or the error text
-        that rejected it) and predict when a window is due."""
+        if t_ms is None:
+            t_ms = 0.0 if self.last_t is None else self.last_t + 1000.0 / self.frame_hz
+        elif type(t_ms) is not float:  # numpy scalars are Real; bool is not a time
+            real = isinstance(t_ms, numbers.Real) and not isinstance(t_ms, bool)
+            try:
+                t_ms = float(t_ms) if real else math.nan
+            except OverflowError:  # an integer past the float range
+                t_ms = math.nan
+        if not math.isfinite(t_ms):
+            return {"error": "malformed frame: 't' must be a finite number"}
+        frame = _plain_frame(joints) or _numpy_frame(joints)
         if type(frame) is str:
             return {"error": frame, "t": t_ms}
         if self.last_t is not None and t_ms < self.last_t:
@@ -411,10 +408,8 @@ class StreamSession:
                       t_ms, cls, self.model.label_names[cls],
                       (time.perf_counter() - started) * 1000.0)
         self.last_emit_t = t_ms
-        self.last_prediction = {"t": t_ms, "class": cls,
-                                "name": self.model.label_names[cls],
-                                "probs": probs.tolist()}
-        return self.last_prediction
+        return {"t": t_ms, "class": cls, "name": self.model.label_names[cls],
+                "probs": probs.tolist()}
 
 
 def serve_connection(model, rfile, wfile, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):

@@ -29,9 +29,6 @@ class MemoryQueue:
         self.fill = 0
         self.head = 0
 
-    def __len__(self):
-        return self.fill
-
     def enqueue_batch(self, features, labels):
         """Write rows in order at the head, evicting the oldest slots once
         full; a batch longer than ``capacity`` keeps only its last

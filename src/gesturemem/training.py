@@ -102,8 +102,12 @@ class TrainConfig:
                      "temporal_kernel", "feature_dim", "queue_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("epochs", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.short_len < self.temporal_kernel:
+            raise ConfigError(f"short_len ({self.short_len}) must be >= temporal_kernel "
+                              f"({self.temporal_kernel})")
         if not (0.0 <= self.momentum_coef < 1.0):
             raise ConfigError("momentum_coef must be in [0, 1)")
         if self.contrast_loss not in CONTRAST_KINDS:

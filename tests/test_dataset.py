@@ -139,9 +139,10 @@ def test_build_long_term_always_full_length_within_recording(seed, short_len, sc
     n = int(rng.integers(1, 40))
     rec = make_recording(rng.integers(0, 2, size=n), seed=seed)
     shorts = [s.start_frame for s in split_windows(rec, short_len, stride=1)]
+    # windowing reads no temporal_kernel; 1 admits every short_len drawn
     config = TrainConfig(short_len=short_len, window_scale=scale, stride=1,
                          purity_required=False, center=False, input_scale=1.0,
-                         dtype="float64")
+                         dtype="float64", temporal_kernel=1)
     build = lambda: prepare_data(config, [rec], LabelMap(names=["a", "b"]),
                                  SplitSpec.from_lists(["s0"], ["s1"]))
     total = scale * short_len

@@ -10,7 +10,7 @@ from gesturemem import evaluation, training
 from gesturemem.dataset import (LabelMap, ShortTermSample, SplitSpec,
                                 SynthesisConfig, synthesize_recordings,
                                 window_dataset)
-from gesturemem.errors import ConfigError
+from gesturemem.errors import ConfigError, StructuralError
 from gesturemem.evaluation import (ConfusionMatrix, evaluate, export_addressing,
                                    format_grid_table, run_grid)
 from gesturemem.inference import FrozenModel, predict, window_features
@@ -77,9 +77,20 @@ def test_confusion_matrix_undefined_recall_for_absent_class():
     recalls = cm.per_class_recall()
     assert recalls[0] == pytest.approx(0.5)
     assert recalls[1] is None and recalls[2] is None
-    norm = cm.normalized()
-    assert np.allclose(norm[0].sum(), 1.0, atol=1e-9)
-    assert np.array_equal(norm[1], np.zeros(3))
+    assert np.array_equal(cm.counts, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("y_true,y_pred,bad", [([0, -1, 1], [0, 1, 1], -1),
+                                                ([0, 1, 1], [0, 3, 1], 3)])
+def test_confusion_matrix_refuses_a_label_outside_the_classes(y_true, y_pred, bad):
+    with pytest.raises(StructuralError, match=f"label {bad} is outside"):
+        ConfusionMatrix.from_predictions(y_true, y_pred, n_classes=3)
+
+
+def test_evaluate_refuses_a_window_label_past_the_model_classes():
+    model = biased_model(n_classes=2, favored=0)
+    with pytest.raises(StructuralError, match="label 9 is outside the model's 2 classes"):
+        evaluate(model, windows_with_labels([0, 9, 1]))
 
 
 def test_evaluate_always_class_zero_on_balanced_set():
@@ -87,7 +98,8 @@ def test_evaluate_always_class_zero_on_balanced_set():
     samples = windows_with_labels([0, 0, 1, 1])
     result = evaluate(model, samples)
     assert result.accuracy == pytest.approx(0.5)
-    assert np.array_equal(result.confusion.normalized(), [[1, 0], [1, 0]])
+    assert np.array_equal(result.confusion.counts, [[2, 0], [2, 0]])
+    assert result.per_class_recall == [1.0, 0.0]
 
 
 def test_evaluate_perfect_predictor_is_identity():
@@ -96,7 +108,8 @@ def test_evaluate_perfect_predictor_is_identity():
     model0 = biased_model(favored=0)
     result = evaluate(model0, [s for s in samples if s.label == 0])
     assert result.accuracy == 1.0
-    assert np.array_equal(result.confusion.normalized()[0], [1, 0])
+    assert np.array_equal(result.confusion.counts, [[2, 0], [0, 0]])
+    assert result.per_class_recall == [1.0, None]
 
 
 def test_evaluate_rejects_empty_set():

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import socket
 import sys
 import threading
@@ -589,6 +590,34 @@ def test_handle_frame_rejects_booleans_mixed_with_numbers(joints):
     assert len(session.buffer) == 1
 
 
+T_ERROR = {"error": "malformed frame: 't' must be a finite number"}
+
+
+@pytest.mark.parametrize("t,accepted", [
+    (math.nan, False), (math.inf, False), (-math.inf, False), ("abc", False),
+    (True, False), (10 ** 400, False),
+    (np.float64(250.0), True), (np.int64(250), True), (250, True)],
+    ids=["nan", "inf", "-inf", "str", "bool", "int_past_float", "np_float64",
+         "np_int64", "int"])
+def test_handle_frame_applies_the_t_rule(t, accepted):
+    """A ``t`` that is not a finite real number gets the error object and
+    leaves the session as it was, so the next frame predicts; numpy scalars
+    and ints are accepted and emitted as floats."""
+    model, _ = untrained_model()
+    session = StreamSession(model, stride_ms=0.0)
+    frames = np.random.default_rng(25).normal(size=(model.short_len, 3, 3))
+    for i, frame in enumerate(frames[:-1]):
+        assert session.handle_frame(10.0 * i, frame) is None
+    out = session.handle_frame(t, frames[-1])
+    if not accepted:
+        assert out == T_ERROR
+        assert len(session.buffer) == model.short_len - 1
+        assert session.last_t == 10.0 * (model.short_len - 2)
+        out = session.handle_frame(250.0, frames[-1])
+    assert out["t"] == 250.0 and type(out["t"]) is float and "class" in out
+    json.dumps(out, allow_nan=False)
+
+
 def test_serve_connection_caps_line_length():
     model, _ = untrained_model()
     rng = np.random.default_rng(22)
@@ -705,7 +734,7 @@ def test_window_overflowing_the_feature_norm_gets_an_error_object():
     big = [[0.0] * 3, [0.0] * 3, [0.0, 0.0, 7.657517846804133e18]]
     out = session.handle_line(frame_line(200.0, big))
     assert out["error"].startswith("cannot predict: non-finite encoder feature norm")
-    assert out["t"] == 200.0 and session.last_prediction is None
+    assert out["t"] == 200.0 and session.last_emit_t is None
     # the session goes on: once the frame has left the window, it predicts
     outs = [session.handle_line(frame_line(233.0 + i, zeros))
             for i in range(model.short_len)]
@@ -853,6 +882,31 @@ def test_handle_line_never_raises(lines):
     outs = [session.handle_line(json.dumps({"t": late, "joints": [[0.0] * 3] * 3}))
             for _ in range(model.short_len)]
     assert "class" in outs[-1]
+
+
+ABSENT = object()
+TIMES = (st.just(ABSENT) | st.floats(-1e3, 1e3) | st.integers(10 ** 308, 10 ** 400)
+         | st.sampled_from([math.inf, -math.inf, math.nan]) | JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TIMES, JOINTS), min_size=1, max_size=8))
+def test_handle_line_is_handle_frame_on_the_decoded_object(frames):
+    """A line and its decoded ``t`` and ``joints`` get the same output and
+    leave the same session state; every output is valid JSON."""
+    model, _ = untrained_model(dtype="float32", input_scale=1000.0, center=True)
+    by_line, by_frame = (StreamSession(model, stride_ms=0.0) for _ in range(2))
+    warmup = np.random.default_rng(0).normal(size=(model.short_len - 1, 3, 3))
+    for session in (by_line, by_frame):
+        for i, frame in enumerate(warmup):  # the next valid frame predicts
+            session.handle_frame(-1e3 + i, frame)
+    for t, joints in frames:
+        obj = {"joints": joints} if t is ABSENT else {"t": t, "joints": joints}
+        out = by_line.handle_line(json.dumps(obj))
+        assert repr(out) == repr(by_frame.handle_frame(obj.get("t"), joints)), obj
+        json.dumps(out, allow_nan=False)
+        for name in ("buffer", "last_t", "last_emit_t"):
+            assert repr(getattr(by_line, name)) == repr(getattr(by_frame, name)), obj
 
 
 def assert_routes_agree(lines, dtype="float32"):

@@ -354,7 +354,9 @@ def test_in_training_accuracy_equals_evaluate(dtype):
     ("short_len", 6.0), ("width", 16.0), ("queue_capacity", 512.0),
     ("eval_stride", 2.0), ("epochs", True), ("input_scale", True),
     ("learning_rate", "0.1"), ("use_recall", 1), ("center", "no"),
-    ("dtype", None), ("contrast_loss", 0), ("window_scale", 0)])
+    ("dtype", None), ("contrast_loss", 0), ("window_scale", 0),
+    # values of the right type that training cannot run
+    ("eval_every", -3), ("short_len", 2)])
 def test_config_fields_are_type_checked(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
@@ -508,6 +510,8 @@ HEADER_FAULTS = {
                      "input_scale", "jitter_sigma")
        for value in ("nan", "inf")},
     "negative_jitter_sigma": _set(["config", "jitter_sigma"], -0.01),
+    "negative_eval_every": _set(["config", "eval_every"], -3),
+    "short_len_below_temporal_kernel": _set(["config", "short_len"], 2),
     **{f"zero_{field}": _set(["config", field], 0)
        for field in ("width", "blocks", "temporal_kernel", "feature_dim", "queue_capacity")},
     "labels_not_names": _set(["labels"], "abc"),
@@ -789,9 +793,10 @@ def subject_recordings(draw):
 def test_prepare_data_equals_sample_reference(recordings, short_len, stride, scale,
                                               eval_stride, purity, center, input_scale,
                                               dtype, split_s1):
+    # windowing reads no temporal_kernel; 1 admits every short_len drawn
     config = TrainConfig(short_len=short_len, window_scale=scale, stride=stride,
                          eval_stride=eval_stride, purity_required=purity, center=center,
-                         input_scale=input_scale, dtype=dtype)
+                         input_scale=input_scale, dtype=dtype, temporal_kernel=1)
     split = SplitSpec.from_lists(["s0", "s1"] if split_s1 else ["s0"],
                                  ["s2"] if split_s1 else ["s1", "s2"])
     label_map = LabelMap(names=["a", "b", "c"])
