@@ -3,10 +3,9 @@ streams: dataset windowing, a momentum-coupled encoder pair, an external FIFO
 feature memory with similarity addressing, contrastive training, and a
 streaming inference service."""
 
-from .dataset import (LabelMap, Recording, SampleSet, ShortTermSample,
-                      SplitSpec, SynthesisConfig, load_recordings, preprocess,
-                      split_windows, synthesize_gestures, window_dataset,
-                      write_frames)
+from .dataset import (Recording, SampleSet, ShortTermSample, SplitSpec,
+                      SynthesisConfig, load_recordings, preprocess, split_windows,
+                      synthesize_gestures, window_dataset, write_frames)
 from .encoder import (EncoderConfig, SkeletonGraph, classify, init_encoders,
                       momentum_update, skeleton_graph)
 from .errors import (CheckpointError, ConfigError, ContractError,

@@ -82,7 +82,7 @@ def _train_config(mapping):
     return dataclass_from_mapping(TrainConfig, mapping, extra_keys=SPLIT_KEYS)
 
 
-def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
+def _eval_windows(model, recordings, label_names, subjects=None, stride=None):
     """Windows of the recordings of ``subjects`` (of all when None), each
     labelled with the model's index of its data class, matched by name.
 
@@ -98,10 +98,10 @@ def _eval_windows(model, recordings, label_map, subjects=None, stride=None):
             raise ConfigError(f"--subjects: no subject {', '.join(unknown)} in the data")
         recordings = [r for r in recordings if r.subject_id in keep]
     stride = stride if stride is not None else model.short_len
-    samples = window_dataset(recordings, label_map, model.short_len, stride=stride).shorts
+    samples = window_dataset(recordings, label_names, model.short_len, stride=stride).shorts
     to_model = {}
     for label in sorted({s.label for s in samples}):
-        name = label_map.name(label)
+        name = label_names[label]
         if name not in model.label_names:
             raise ConfigError(f"the data has class {name!r}, but the model has "
                               f"{model.num_classes} classes: "
@@ -121,10 +121,10 @@ def cmd_generate(args):
 
 def cmd_train(args):
     mapping = _load_mapping(args)
-    recordings, label_map = load_recordings(args.data)
+    recordings, label_names = load_recordings(args.data)
     split = _resolve_split(mapping, recordings)
     config = _train_config(mapping)
-    result = training.train(config, recordings, label_map, split,
+    result = training.train(config, recordings, label_names, split,
                             log_path=args.log, resume_from=args.resume)
     if args.out:
         training.save_checkpoint(result.state, args.out)
@@ -139,9 +139,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
-    recordings, label_map = load_recordings(args.data)
+    recordings, label_names = load_recordings(args.data)
     subjects = _names(args.subjects) if args.subjects else None
-    samples = _eval_windows(model, recordings, label_map, subjects, args.stride)
+    samples = _eval_windows(model, recordings, label_names, subjects, args.stride)
     result = evaluate(model, samples)
     print(f"accuracy: {result.accuracy:.4f} over {len(samples)} windows")
     for name, recall in zip(model.label_names, result.per_class_recall):
@@ -150,7 +150,7 @@ def cmd_eval(args):
     if args.confusion_out:
         with open(args.confusion_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["true\\pred"] + list(model.label_names))
+            writer.writerow(["true\\pred", *model.label_names])
             for name, row in zip(model.label_names, result.confusion.counts):
                 writer.writerow([name] + [int(v) for v in row])
         print(f"confusion matrix: {args.confusion_out}")
@@ -174,10 +174,10 @@ def _parse_seeds(text):
 def cmd_ablate(args):
     mapping = _load_mapping(args)
     seeds = _parse_seeds(args.seeds)
-    recordings, label_map = load_recordings(args.data)
+    recordings, label_names = load_recordings(args.data)
     split = _resolve_split(mapping, recordings)
     config = _train_config(mapping)
-    result = run_grid(config, recordings, label_map, split, seeds=seeds)
+    result = run_grid(config, recordings, label_names, split, seeds=seeds)
     print(format_grid_table(result))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -187,8 +187,8 @@ def cmd_ablate(args):
 
 def cmd_infer(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
-    recordings, label_map = load_recordings(args.data)
-    samples = _eval_windows(model, recordings, label_map, stride=args.stride)
+    recordings, label_names = load_recordings(args.data)
+    samples = _eval_windows(model, recordings, label_names, stride=args.stride)
     correct = 0
     for s in samples:
         cls, probs = inference.predict(model, s.data)
@@ -214,9 +214,9 @@ def cmd_serve(args):
 
 def cmd_export_addressing(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
-    recordings, label_map = load_recordings(args.data)
+    recordings, label_names = load_recordings(args.data)
     subjects = _names(args.subjects) if args.subjects else None
-    samples = _eval_windows(model, recordings, label_map, subjects)
+    samples = _eval_windows(model, recordings, label_names, subjects)
     stats = export_addressing(model, samples, args.n_slots, args.n_samples,
                               args.seed, args.out)
     print(f"wrote {stats['csv_path']}")

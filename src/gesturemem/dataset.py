@@ -67,20 +67,6 @@ class ShortTermSample:
     start_frame: int
 
 
-@dataclass
-class LabelMap:
-    """Ordered class-index -> gesture-name mapping."""
-
-    names: list[str]
-
-    @property
-    def num_classes(self):
-        return len(self.names)
-
-    def name(self, label):
-        return self.names[label]
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Disjoint train/test subject sets for cross-subject evaluation."""
@@ -100,11 +86,9 @@ class SplitSpec:
 
 @dataclass
 class SampleSet:
-    """The label-pure short windows of some recordings, in recording order,
-    and the label map their labels index."""
+    """The label-pure short windows of some recordings, in recording order."""
 
     shorts: list
-    label_map: LabelMap
 
 
 def _parse_frame_line(line, line_no):
@@ -158,8 +142,8 @@ def _records(path):
 
 
 def load_label_map(path):
-    """Read a ``label_id,gesture_name`` file; ids must be 0..N-1 without gaps,
-    and no name may repeat."""
+    """Read a ``label_id,gesture_name`` file into the tuple of class names, in
+    id order; ids must be 0..N-1 without gaps, and no name may repeat."""
     entries = {}
     for line_no, line in _records(path):
         parts = line.split(",", 1)
@@ -175,20 +159,18 @@ def load_label_map(path):
         if name in entries.values():
             raise ParseError(f"duplicate gesture_name {name!r}", line_no)
         entries[label] = name
-    if not entries:
-        return LabelMap(names=[])
     if sorted(entries) != list(range(len(entries))):
         raise DataIntegrityError(f"label ids not contiguous from 0: {sorted(entries)}")
-    return LabelMap(names=[entries[i] for i in range(len(entries))])
+    return tuple(entries[i] for i in range(len(entries)))
 
 
 def load_recordings(path):
     """Load a frames file (or dataset directory) into per-recording arrays.
 
-    Returns ``(recordings, label_map)``. Frames are grouped by recording_id and
-    sorted by frame_index; indices must be strictly increasing and gapless. The
-    label map is read from a sibling ``labels.csv`` when present, otherwise
-    synthesized from the labels observed in the data.
+    Returns ``(recordings, label_names)``. Frames are grouped by recording_id
+    and sorted by frame_index; indices must be strictly increasing and
+    gapless. The class names are read from a sibling ``labels.csv`` when
+    present, otherwise made up from the labels observed in the data.
     """
     frames_path = _resolve_frames_path(path)
     groups = {}  # rec_id -> (subject, list[(frame_index, label, joints)])
@@ -223,18 +205,42 @@ def load_recordings(path):
 
     labels_path = os.path.join(os.path.dirname(frames_path), LABELS_FILENAME)
     if os.path.exists(labels_path):
-        label_map = load_label_map(labels_path)
-        if max_label >= label_map.num_classes:
+        label_names = load_label_map(labels_path)
+        if max_label >= len(label_names):
             raise DataIntegrityError(
                 f"frames reference label {max_label} but label map has "
-                f"{label_map.num_classes} classes")
+                f"{len(label_names)} classes")
     else:
-        label_map = LabelMap(names=[f"class_{i}" for i in range(max_label + 1)])
-    return recordings, label_map
+        label_names = tuple(f"class_{i}" for i in range(max_label + 1))
+    return recordings, label_names
 
 
-def write_frames(path, recordings, label_map=None):
-    """Write recordings (and optionally a label map) in the documented format."""
+def _check_writable(recordings, label_names):
+    """:class:`DataIntegrityError` for text that :func:`load_recordings` would
+    not read back as written: an id that is empty, holds a comma or a line
+    break, has surrounding whitespace, or is a recording id that starts with
+    ``#`` (a comment line) or repeats another; a class name with a line break
+    or surrounding whitespace, or one that repeats another."""
+    for rec in recordings:
+        for kind, text in (("recording", rec.recording_id), ("subject", rec.subject_id)):
+            if not text or text != text.strip() or any(c in text for c in ",\r\n"):
+                raise DataIntegrityError(f"{kind} id {text!r} cannot be written as a field")
+        if rec.recording_id.startswith("#"):
+            raise DataIntegrityError(f"recording id {rec.recording_id!r} reads as a comment")
+    if len({r.recording_id for r in recordings}) != len(recordings):
+        raise DataIntegrityError("two recordings share an id")
+    for name in label_names:
+        if name != name.strip() or "\r" in name or "\n" in name:
+            raise DataIntegrityError(f"class name {name!r} cannot be written as a line")
+    if len(set(label_names)) != len(label_names):
+        raise DataIntegrityError(f"class names {label_names} repeat a name")
+
+
+def write_frames(path, recordings, label_names=None):
+    """Write recordings (and optionally their class names) in the documented
+    format. Ids and names that would not read back as written are refused
+    (see :func:`_check_writable`) before any directory or file is made."""
+    _check_writable(recordings, label_names or ())
     frames_path = _resolve_frames_path(path)
     os.makedirs(os.path.dirname(frames_path) or ".", exist_ok=True)
     with open(frames_path, "w", encoding="utf-8") as fh:
@@ -245,10 +251,10 @@ def write_frames(path, recordings, label_map=None):
                 coords = ",".join(f"{v:.6f}" for v in rec.joints[i].reshape(-1))
                 fh.write(f"{rec.recording_id},{rec.subject_id},"
                          f"{rec.first_frame_index + i},{int(rec.labels[i])},{coords}\n")
-    if label_map is not None:
+    if label_names is not None:
         labels_path = os.path.join(os.path.dirname(frames_path), LABELS_FILENAME)
         with open(labels_path, "w", encoding="utf-8") as fh:
-            for i, name in enumerate(label_map.names):
+            for i, name in enumerate(label_names):
                 fh.write(f"{i},{name}\n")
     return frames_path
 
@@ -304,15 +310,16 @@ def split_windows(recording, short_len, stride):
             in zip(block, recording.labels[starts].tolist(), starts.tolist())]
 
 
-def window_dataset(recordings, label_map, short_len, stride=1, with_long=False):
+def window_dataset(recordings, label_names, short_len, stride=1, with_long=False):
     """Window every recording, in order, into label-pure short samples. Long
     windows come only from :func:`training.prepare_data`, so ``with_long``
-    must be False."""
+    must be False. Nothing reads ``label_names``; the parameter stays because
+    the benchmark in ``perfbench/`` passes it by position."""
     if with_long:
         raise ConfigError("window_dataset builds no long windows; "
                           "training.prepare_data gathers them")
     shorts = [s for rec in recordings for s in split_windows(rec, short_len, stride)]
-    return SampleSet(shorts=shorts, label_map=label_map)
+    return SampleSet(shorts=shorts)
 
 
 def mean_center(data):
@@ -384,8 +391,8 @@ class SynthesisConfig:
             raise ConfigError("need at least 1 subject")
         if self.frames_per_class < 1:
             raise ConfigError("frames_per_class must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
     def subject_ids(self):
         width = max(2, len(str(self.subjects - 1)))
@@ -421,14 +428,16 @@ def _class_trajectory(cls, t, base, phase):
 
 
 def synthesize_recordings(cfg, seed):
-    """In-memory synthesis: returns ``(recordings, label_map)``.
+    """In-memory synthesis: returns ``(recordings, label_names)``.
 
     Per-subject random offsets (stature, thigh height, lateral stance, phase)
     emulate inter-person variation; one recording per subject concatenates all
-    classes, so label boundaries occur mid-recording.
+    classes, so label boundaries occur mid-recording. A negative seed is a
+    :class:`ConfigError`.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    label_map = LabelMap(names=list(cfg.classes))
     recordings = []
     for subj in cfg.subject_ids():
         head_h = 1.60 + rng.uniform(-0.08, 0.08)
@@ -451,7 +460,7 @@ def synthesize_recordings(cfg, seed):
         recordings.append(Recording(
             recording_id=f"rec_{subj}", subject_id=subj,
             joints=np.concatenate(chunks), labels=np.concatenate(labels)))
-    return recordings, label_map
+    return recordings, cfg.classes
 
 
 def synthesize_gestures(cfg, seed, out_dir):
@@ -460,5 +469,5 @@ def synthesize_gestures(cfg, seed, out_dir):
     Writes ``frames.csv`` and ``labels.csv`` in ``out_dir`` and returns the
     frames path; the written file round-trips through :func:`load_recordings`.
     """
-    recordings, label_map = synthesize_recordings(cfg, seed)
-    return write_frames(os.path.join(out_dir, FRAMES_FILENAME), recordings, label_map)
+    recordings, label_names = synthesize_recordings(cfg, seed)
+    return write_frames(os.path.join(out_dir, FRAMES_FILENAME), recordings, label_names)

@@ -86,7 +86,7 @@ def evaluate(model, samples):
                       probs=np.stack(probs))
 
 
-def run_grid(config, recordings, label_map, split, seeds=None):
+def run_grid(config, recordings, label_names, split, seeds=None):
     """Train the recall x contrast-loss ablation grid; report test accuracies.
 
     Per seed, baseline and recall_only train once: with ``use_mal`` off,
@@ -96,21 +96,20 @@ def run_grid(config, recordings, label_map, split, seeds=None):
     ``use_mal``, ``contrast_loss`` and ``seed``. Returns ``{"accuracies": {key:
     [acc per seed]}, "mean": {...}, "delta": {...}, "seeds": [...]}``, deltas
     against the baseline mean; with >= 2 seeds, adds the pooled two-tailed
-    t-test of ``full/memory`` against ``full/views``. A seed listed twice
-    is a :class:`ConfigError`.
+    t-test of ``full/memory`` against ``full/views``. A seed listed twice,
+    or one that no config takes, is a :class:`ConfigError` before any run.
     """
     seeds = list(seeds) if seeds else [config.seed]
     check_distinct_seeds(seeds)
+    runs = [(seed, key, dataclasses.replace(config, use_recall=use_recall, use_mal=use_mal,
+                                            contrast_loss=kind, seed=seed))
+            for seed in seeds for key, use_recall, use_mal, kind in GRID]
     accuracies = {key: [] for key, *_ in GRID}
-    for seed in seeds:
-        for key, use_recall, use_mal, kind in GRID:
-            cfg = dataclasses.replace(config, use_recall=use_recall, use_mal=use_mal,
-                                      contrast_loss=kind, seed=seed)
-            result = train(cfg, recordings, label_map, split)
-            acc = evaluate(FrozenModel.from_state(result.state),
-                           result.test_samples).accuracy
-            log.info("grid seed %d %s: accuracy %.4f", seed, key, acc)
-            accuracies[key].append(acc)
+    for seed, key, cfg in runs:
+        result = train(cfg, recordings, label_names, split)
+        acc = evaluate(FrozenModel.from_state(result.state), result.test_samples).accuracy
+        log.info("grid seed %d %s: accuracy %.4f", seed, key, acc)
+        accuracies[key].append(acc)
     mean = {key: float(np.mean(v)) for key, v in accuracies.items()}
     out = {"accuracies": accuracies, "mean": mean,
            "delta": {key: mean[key] - mean["baseline"] for key in mean},
@@ -161,8 +160,11 @@ def export_addressing(model, samples, n_slots, n_samples, seed, out_path):
     both by class label, and writes the addressing weights (prediction's read,
     :func:`~gesturemem.inference.exp_logits`, normalized) as CSV plus a JSON
     metadata sidecar. Also reports the mean address mass that samples place on
-    same-class vs. different-class slots within the exported block.
+    same-class vs. different-class slots within the exported block. A
+    negative seed is a :class:`ConfigError`.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not 0 < n_slots <= model.queue.fill:
         raise ConfigError(
             f"queue holds {model.queue.fill} slots; cannot export {n_slots}")

@@ -128,7 +128,7 @@ class FrozenModel:
     params: dict
     decoder: dict
     queue: mem.MemoryQueue
-    label_names: list
+    label_names: tuple
     short_len: int
     use_recall: bool
     center: bool
@@ -180,7 +180,7 @@ class FrozenModel:
         return cls(encoder_cfg=cfg.encoder_config(),
                    adjacency=state.graph.normalized,
                    params=state.params_s, decoder=state.decoder, queue=state.queue,
-                   label_names=list(state.label_map.names), short_len=cfg.short_len,
+                   label_names=state.label_names, short_len=cfg.short_len,
                    use_recall=cfg.use_recall, center=cfg.center,
                    input_scale=cfg.input_scale, dtype=cfg.np_dtype)
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from . import losses
-from .dataset import LabelMap, window_dataset, window_starts
+from .dataset import window_dataset, window_starts
 from .errors import CheckpointError, ConfigError, NonFiniteError, StructuralError
 from .inference import FrozenModel, predict_batch
 
@@ -102,7 +102,7 @@ class TrainConfig:
                      "temporal_kernel", "feature_dim", "queue_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("epochs", "eval_every"):
+        for name in ("epochs", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.short_len < self.temporal_kernel:
@@ -167,7 +167,7 @@ class TrainState:
     """
 
     config: TrainConfig
-    label_map: LabelMap
+    label_names: tuple
     graph: enc.SkeletonGraph
     params_s: dict
     params_l: dict
@@ -180,8 +180,11 @@ class TrainState:
     flat: FlatParams | None = field(default=None, repr=False, compare=False)
 
 
-def init_state(config, label_map):
-    if label_map.num_classes < 2:
+def init_state(config, label_names):
+    """A fresh state for ``config`` over the classes ``label_names``, which it
+    keeps as a tuple: the state's class list cannot change under it."""
+    label_names = tuple(label_names)
+    if len(label_names) < 2:
         raise ConfigError("need at least 2 classes to train")
     if config.queue_capacity < config.batch_size:
         log.warning("queue capacity %d is smaller than batch size %d; "
@@ -190,13 +193,13 @@ def init_state(config, label_map):
     rng = np.random.default_rng(config.seed)
     dtype = config.np_dtype
     params_s, params_l, decoder = enc.init_encoders(
-        config.encoder_config(), label_map.num_classes, rng, dtype)
+        config.encoder_config(), len(label_names), rng, dtype)
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
     velocities = None
     if config.sgd_momentum > 0:
         velocities = {f"encoder_s/{k}": np.zeros_like(v) for k, v in params_s.items()}
         velocities.update({f"decoder/{k}": np.zeros_like(v) for k, v in decoder.items()})
-    return TrainState(config=config, label_map=label_map, graph=enc.skeleton_graph(),
+    return TrainState(config=config, label_names=label_names, graph=enc.skeleton_graph(),
                       params_s=params_s, params_l=params_l, decoder=decoder,
                       queue=queue, velocities=velocities, rng=rng)
 
@@ -389,13 +392,16 @@ def _pair_windows(frames, starts, length, config):
     """:func:`dataset.preprocess` of the windows ``frames[s:s + length]``, ``s``
     in ``starts``, as one [N, C, length, V] block, bit for bit. Its mean over T
     is a running sum from zero in frame order (numpy sums pairwise only along
-    the innermost axis); so is the mean over the outer axis of the gather."""
+    the innermost axis); so is the mean over the outer axis of the gather.
+    Like that transform, a value taken past the float range becomes inf
+    without a warning, and the first step's input check rejects it."""
     windows = frames[np.arange(length)[:, None] + starts]
-    if config.center:
-        windows -= windows.mean(axis=0)
-    if config.input_scale != 1.0:
-        windows *= config.input_scale
-    return np.ascontiguousarray(windows.transpose(1, 3, 0, 2), dtype=config.np_dtype)
+    with np.errstate(over="ignore"):
+        if config.center:
+            windows -= windows.mean(axis=0)
+        if config.input_scale != 1.0:
+            windows *= config.input_scale
+        return np.ascontiguousarray(windows.transpose(1, 3, 0, 2), dtype=config.np_dtype)
 
 
 def _refuse_stray(stray, short_len, stride):
@@ -407,7 +413,7 @@ def _refuse_stray(stray, short_len, stride):
         raise ConfigError(f"subjects not covered by the split: {uncovered}")
 
 
-def prepare_data(config, recordings, label_map, split):
+def prepare_data(config, recordings, label_names, split):
     """Window recordings into training pairs and a non-overlapping test set.
 
     Training keeps only samples whose long-term context window exists (and is
@@ -417,6 +423,8 @@ def prepare_data(config, recordings, label_map, split):
     split selects recordings before any windowing: the arrays are gathered
     from the training subjects' frames in one pass, with no sample objects,
     and the test subjects' recordings are windowed at the eval stride.
+    Nothing reads ``label_names``; the parameter stays because the benchmark
+    in ``perfbench/`` passes it by position.
     """
     short_len, scale = config.short_len, config.window_scale
     eval_stride = config.eval_stride or short_len
@@ -443,18 +451,18 @@ def prepare_data(config, recordings, label_map, split):
     return {"x_short": _pair_windows(frames, shorts, short_len, config),
             "x_long": _pair_windows(frames, np.concatenate(longs), scale * short_len, config),
             "y_train": np.concatenate([r.labels for r in train_recs])[shorts].astype(np.int64),
-            "test_samples": window_dataset(test_recs, label_map, short_len,
+            "test_samples": window_dataset(test_recs, label_names, short_len,
                                            stride=eval_stride).shorts}
 
 
-def train(config, recordings, label_map, split, log_path=None, resume_from=None):
+def train(config, recordings, label_names, split, log_path=None, resume_from=None):
     """Run (or resume) a full training run; returns the final state and metrics.
 
     Deterministic for a fixed config and seed: data order, augmentation, and
     initialization all derive from one seeded generator whose state rides along
     in checkpoints.
     """
-    data = prepare_data(config, recordings, label_map, split)
+    data = prepare_data(config, recordings, label_names, split)
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         resumed = dataclasses.asdict(state.config)
@@ -462,12 +470,12 @@ def train(config, recordings, label_map, split, log_path=None, resume_from=None)
         resumed.pop("epochs"), target.pop("epochs")
         if resumed != target:
             raise ConfigError("checkpoint config does not match the resume config")
-        if state.label_map.names != label_map.names:
-            raise ConfigError(f"checkpoint classes {state.label_map.names} do not match "
-                              f"the data's classes {label_map.names}")
+        if state.label_names != tuple(label_names):
+            raise ConfigError(f"checkpoint classes {', '.join(state.label_names)} do not "
+                              f"match the data's classes {', '.join(label_names)}")
         state.config = config
     else:
-        state = init_state(config, label_map)
+        state = init_state(config, label_names)
 
     x_short, x_long, y_train = data["x_short"], data["x_long"], data["y_train"]
     test_windows = np.asarray([s.data for s in data["test_samples"]])
@@ -558,7 +566,7 @@ def save_checkpoint(state, path):
                for key, a in (getattr(state, field) or {}).items()}
     tensors.update({"memory/features": state.queue.features,
                     "memory/labels": state.queue.labels})
-    layout = _layout(config, state.label_map.num_classes)
+    layout = _layout(config, len(state.label_names))
     wrong = set(layout) ^ {(name, np.shape(a)) for name, a in tensors.items()}
     if wrong:
         raise StructuralError(f"{min(wrong)[0]} is missing, extra or misshapen "
@@ -573,7 +581,7 @@ def save_checkpoint(state, path):
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
         "memory": {"fill": state.queue.fill, "head": state.queue.head},
-        "labels": list(state.label_map.names),
+        "labels": state.label_names,
         "has_velocities": config.sgd_momentum > 0,
         "tensors": manifest,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -684,6 +692,6 @@ def load_checkpoint(path):
     except (TypeError, ValueError, KeyError) as e:
         raise CheckpointError(f"invalid RNG state: {e}") from None
     rng = np.random.Generator(bitgen)
-    return TrainState(config=config, label_map=LabelMap(names=list(labels)),
+    return TrainState(config=config, label_names=tuple(labels),
                       graph=enc.skeleton_graph(), queue=queue, velocities=velocities,
                       rng=rng, epoch=header["epoch"], step=header["step"], **groups)

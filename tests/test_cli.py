@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gesturemem
-from gesturemem import cli
+from gesturemem import cli, evaluation
 from gesturemem.cli import main
 from gesturemem.config import (apply_overrides, dataclass_from_mapping,
                                read_kv_file)
@@ -118,7 +118,7 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
 
 def test_eval_windows_only_the_requested_subjects(monkeypatch):
     recordings, label_map = synthesize_recordings(SynthesisConfig(frames_per_class=30), 0)
-    model = SimpleNamespace(short_len=6, num_classes=5, label_names=list(label_map.names))
+    model = SimpleNamespace(short_len=6, num_classes=5, label_names=label_map)
     windowed = []
 
     def spy(recs, *args, **kwargs):
@@ -343,6 +343,33 @@ def test_out_of_range_stride_and_n_slots_exit_2(tmp_path, capsys):
     assert main(export + ["--n-slots", "4", "--out", str(tmp_path / "addr.csv")]) == 0
 
 
+NEGATIVE_SEEDS = {
+    "generate": ["generate", "--set", "seed=-1", "--out", "{tmp}/out"],
+    "train": ["train", "--config", "{tmp}/train.cfg", "--data", "{data}",
+              "--set", "seed=-1", "--out", "{tmp}/out"],
+    "ablate_first": ["ablate", "--config", "{tmp}/train.cfg", "--data", "{data}",
+                     "--seeds=-1,2", "--json-out", "{tmp}/out"],
+    "ablate_last": ["ablate", "--config", "{tmp}/train.cfg", "--data", "{data}",
+                    "--seeds=2,-1", "--json-out", "{tmp}/out"],
+    "export_addressing": ["export-addressing", "--model", "{ckpt}", "--data", "{data}",
+                          "--seed", "-1", "--n-slots", "4", "--n-samples", "4",
+                          "--out", "{tmp}/out"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_is_an_error_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
+    data, ckpt = generate_and_train(tmp_path)
+    # the grid refuses a bad seed before it trains any of its runs
+    monkeypatch.setattr(evaluation, "train", lambda *args, **kw: pytest.fail("trained"))
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path, data=data, ckpt=ckpt) for a in NEGATIVE_SEEDS[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def serve_stdin(ckpt, data, **env):
     """``serve --stdin`` of the bytes ``data`` in a child process."""
     # the child imports the same package as this process, however it was found
@@ -429,6 +456,10 @@ BAD_INPUTS = {
     "labels_not_utf8": (["train", "--set", "train_fraction=0.5"], "labels.csv"),
     "labels_name_repeated": (["train", "--set", "train_fraction=0.5"],
                              "line 3: duplicate gesture_name 'walking'"),
+    # neither would read back: inf coordinates, and subject ids with a comma
+    "generate_noise_sigma_inf": (["generate", "--set", "noise_sigma=inf"], "noise_sigma"),
+    "generate_subject_prefix_comma": (["generate", "--set", "subject_prefix=a,b"],
+                                      "id 'rec_a,b00'"),
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturemem.dataset import (LabelMap, Recording, SplitSpec,
+from gesturemem.dataset import (Recording, SplitSpec,
                                 SynthesisConfig, load_recordings, mean_center,
                                 split_windows,
                                 synthesize_gestures, synthesize_recordings,
@@ -31,18 +32,79 @@ def test_load_empty_file(tmp_path):
     path.write_text("# only a comment\n")
     recordings, label_map = load_recordings(path)
     assert recordings == []
-    assert label_map.num_classes == 0
+    assert label_map == ()
 
 
 def test_load_round_trips_writer(tmp_path):
     rec = make_recording([0] * 60)
-    write_frames(tmp_path / "frames.csv", [rec], LabelMap(names=["standing"]))
+    write_frames(tmp_path / "frames.csv", [rec], ("standing",))
     loaded, label_map = load_recordings(tmp_path)
     assert len(loaded) == 1
     assert len(loaded[0]) == 60
     assert loaded[0].first_frame_index == 0
-    assert label_map.names == ["standing"]
+    assert label_map == ("standing",)
     assert np.allclose(loaded[0].joints, rec.joints, atol=1e-6)  # 6-decimal format
+
+
+UNWRITABLE = {
+    "empty_recording_id": dict(rec_id=""),
+    "comment_recording_id": dict(rec_id="#r0"),
+    "line_break_recording_id": dict(rec_id="r\n0"),
+    "repeated_recording_id": dict(copies=2),
+    "comma_subject_id": dict(subject="a,b"),
+    "spaced_subject_id": dict(subject=" s0"),
+    "carriage_return_subject_id": dict(subject="s\r0"),
+    "spaced_class_name": dict(names=("standing ",)),
+    "line_break_class_name": dict(names=("stand\ning",)),
+    "repeated_class_name": dict(names=("a", "a")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_write_frames_refuses_what_would_not_read_back(tmp_path, case):
+    fields = dict(rec_id="r0", subject="s0", names=("standing",), copies=1)
+    fields.update(UNWRITABLE[case])
+    rec = make_recording([0] * 6, rec_id=fields["rec_id"], subject=fields["subject"])
+    with pytest.raises(DataIntegrityError):
+        write_frames(tmp_path / "out" / "frames.csv", [rec] * fields["copies"],
+                     fields["names"])
+    assert not (tmp_path / "out").exists()
+
+
+# field text with what the writer's rules turn on: commas, comment marks,
+# line breaks and other whitespace, beside plain letters
+FIELD_TEXT = st.one_of(st.text("ab#", min_size=1, max_size=3),
+                       st.text("ab#,; \t\r\n\x0b\x85\u2028", max_size=4))
+
+
+@st.composite
+def recording_sets(draw):
+    names = draw(st.lists(FIELD_TEXT, min_size=1, max_size=3))
+    recordings = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=4))
+        recordings.append(Recording(draw(FIELD_TEXT), draw(FIELD_TEXT),
+                                    np.zeros((len(labels), 3, 3)),
+                                    np.asarray(labels, dtype=np.int64)))
+    return recordings, names
+
+
+@given(recording_sets())
+@settings(max_examples=300, deadline=None)
+def test_what_write_frames_accepts_reads_back(case):
+    recordings, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "data"
+        try:
+            write_frames(out / "frames.csv", recordings, names)
+        except DataIntegrityError:
+            assert not out.exists()
+            return
+        loaded, loaded_names = load_recordings(out)
+    assert loaded_names == tuple(names)
+    fields = lambda recs: sorted((r.recording_id, r.subject_id, r.labels.tolist())
+                                 for r in recs)
+    assert fields(loaded) == fields(recordings)
 
 
 def test_load_rejects_nan_with_line_number(tmp_path):
@@ -143,7 +205,7 @@ def test_build_long_term_always_full_length_within_recording(seed, short_len, sc
     config = TrainConfig(short_len=short_len, window_scale=scale, stride=1,
                          purity_required=False, center=False, input_scale=1.0,
                          dtype="float64", temporal_kernel=1)
-    build = lambda: prepare_data(config, [rec], LabelMap(names=["a", "b"]),
+    build = lambda: prepare_data(config, [rec], ("a", "b"),
                                  SplitSpec.from_lists(["s0"], ["s1"]))
     total = scale * short_len
     if n < total or not shorts:
@@ -194,7 +256,7 @@ def run_recordings(draw, rec_id="r0", subject="s0"):
 def test_windowing_equals_per_window_reference(recs, short_len, stride):
     for k, rec in enumerate(recs):
         rec.recording_id, rec.subject_id = f"r{k}", f"s{k % 2}"
-    ds = window_dataset(recs, LabelMap(names=["a", "b", "c"]), short_len, stride)
+    ds = window_dataset(recs, ("a", "b", "c"), short_len, stride)
     want_shorts, want_subjects = [], []
     for rec in recs:
         samples = split_windows(rec, short_len, stride)
@@ -213,7 +275,7 @@ def test_windowing_equals_per_window_reference(recs, short_len, stride):
 
 def test_windows_of_one_block_do_not_alias():
     rec = make_recording([0] * 12, seed=6)
-    samples = window_dataset([rec], LabelMap(names=["a"]), short_len=3).shorts
+    samples = window_dataset([rec], ("a",), short_len=3).shorts
     before = [s.data.copy() for s in samples]
     samples[4].data[...] = -1.0
     for j, s in enumerate(samples):
@@ -223,7 +285,7 @@ def test_windows_of_one_block_do_not_alias():
 
 def test_window_dataset_refuses_long_windows():
     with pytest.raises(ConfigError, match="prepare_data"):
-        window_dataset([make_recording([0] * 12)], LabelMap(names=["a"]), short_len=3,
+        window_dataset([make_recording([0] * 12)], ("a",), short_len=3,
                        with_long=True)
 
 
@@ -241,6 +303,18 @@ def test_synthesize_unknown_class_rejected():
         SynthesisConfig(classes=("standing", "flying"))
     with pytest.raises(ConfigError):
         SynthesisConfig(classes=("standing",))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01])
+def test_synthesis_refuses_noise_sigma_that_is_not_finite_and_non_negative(sigma):
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        SynthesisConfig(noise_sigma=sigma)
+
+
+def test_synthesis_refuses_a_negative_seed(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        synthesize_gestures(SynthesisConfig(), -1, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_synthesized_data_is_pinned(tmp_path):
@@ -274,7 +348,7 @@ def test_synthesize_standing_noise_free_is_constant(tmp_path):
     synthesize_gestures(cfg, 0, tmp_path)
     recordings, label_map = load_recordings(tmp_path)
     rec = recordings[0]
-    standing = rec.joints[rec.labels == label_map.names.index("standing")]
+    standing = rec.joints[rec.labels == label_map.index("standing")]
     assert np.array_equal(standing, np.tile(standing[0], (len(standing), 1, 1)))
 
 
@@ -284,7 +358,7 @@ def test_synthesize_walking_thighs_anti_phase(tmp_path):
     synthesize_gestures(cfg, 3, tmp_path)
     recordings, label_map = load_recordings(tmp_path)
     rec = recordings[0]
-    walking = rec.joints[rec.labels == label_map.names.index("walking")]
+    walking = rec.joints[rec.labels == label_map.index("walking")]
     left_y, right_y = walking[:, 1, 1], walking[:, 2, 1]
     corr = np.corrcoef(left_y, right_y)[0, 1]
     assert corr < 0
@@ -295,7 +369,7 @@ def test_synthesize_round_trips_through_loader(tmp_path):
     synthesize_gestures(cfg, 11, tmp_path)
     recordings, label_map = load_recordings(tmp_path)
     assert len(recordings) == 2
-    assert label_map.num_classes == len(cfg.classes)
+    assert len(label_map) == len(cfg.classes)
     for rec in recordings:
         assert len(rec) == cfg.frames_per_class * len(cfg.classes)
 

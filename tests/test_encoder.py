@@ -13,7 +13,7 @@ from gesturemem.encoder import (EncoderConfig, GemmOperands, classify,
                                 init_decoder_params, init_encoders,
                                 momentum_update, normalize_adjacency,
                                 skeleton_graph)
-from gesturemem.dataset import LabelMap, preprocess
+from gesturemem.dataset import preprocess
 from gesturemem.errors import NonFiniteError, StructuralError
 from gesturemem.inference import FrozenModel, predict, predict_batch
 from gesturemem.training import TrainConfig, init_state
@@ -99,7 +99,7 @@ def test_feature_norm_past_the_dtype_range_is_refused(big):
     config = TrainConfig(short_len=6, window_scale=2, queue_capacity=16,
                          feature_dim=8, width=4, batch_size=4, epochs=0, seed=0,
                          dtype="float32", center=True, input_scale=1000.0)
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     cfg, adj = config.encoder_config(), state.graph.normalized
     window = np.zeros((1, 3, 6, 3))
     window[0, 2, 5, 2] = big  # the last frame's last joint, channel z
@@ -448,7 +448,7 @@ def test_one_tile_batches_start_no_pool(monkeypatch):
     monkeypatch.setattr(enc, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(enc, "TILE_THREADS", 4)
     config = TrainConfig.desk_profile()
-    model = FrozenModel.from_state(init_state(config, LabelMap(names=["a", "b", "c"])))
+    model = FrozenModel.from_state(init_state(config, ("a", "b", "c")))
     window_bytes = (config.short_len * 3 * config.temporal_kernel * config.width
                     * np.dtype(config.np_dtype).itemsize)
     per_tile = enc.TILE_BYTES // window_bytes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gesturemem import evaluation, training
-from gesturemem.dataset import (LabelMap, ShortTermSample, SplitSpec,
+from gesturemem.dataset import (ShortTermSample, SplitSpec,
                                 SynthesisConfig, synthesize_recordings,
                                 window_dataset)
 from gesturemem.errors import ConfigError, StructuralError
@@ -50,7 +50,7 @@ def biased_model(n_classes=2, favored=0):
     config = TrainConfig(short_len=6, window_scale=2, queue_capacity=8,
                          feature_dim=8, width=4, epochs=0, seed=0,
                          use_recall=False, dtype="float64")
-    state = init_state(config, LabelMap(names=[f"g{i}" for i in range(n_classes)]))
+    state = init_state(config, [f"g{i}" for i in range(n_classes)])
     state.decoder["w"][:] = 0.0
     state.decoder["b"][:] = 0.0
     state.decoder["b"][favored] = 50.0

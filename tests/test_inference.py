@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
 from gesturemem import inference
-from gesturemem.dataset import (LabelMap, SplitSpec, SynthesisConfig,
+from gesturemem.dataset import (SplitSpec, SynthesisConfig,
                                 synthesize_recordings, window_dataset)
 from gesturemem.errors import ConfigError, ContractError, NonFiniteError, StructuralError
 from gesturemem.memory import recall_for_query
@@ -36,7 +36,7 @@ def untrained_model(use_recall=True, seed=0, n_classes=3, **overrides):
                 dtype="float64")
     base.update(overrides)
     config = TrainConfig(**base)
-    state = init_state(config, LabelMap(names=[f"g{i}" for i in range(n_classes)]))
+    state = init_state(config, [f"g{i}" for i in range(n_classes)])
     return FrozenModel.from_state(state), state
 
 

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
-from gesturemem.dataset import (LabelMap, Recording, SplitSpec, SynthesisConfig,
+from gesturemem.dataset import (Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
-from gesturemem.errors import CheckpointError, ConfigError, StructuralError
+from gesturemem.errors import (CheckpointError, ConfigError, NonFiniteError,
+                               StructuralError)
 from gesturemem.evaluation import evaluate
 from gesturemem.inference import FrozenModel
 from gesturemem.training import (TrainConfig, _augment_views, _sgd_update,
@@ -62,9 +63,8 @@ def prefill_queue(state, rng, n, n_classes=3):
 
 def test_train_step_momentum_zero_copies_params():
     config = tiny_config(momentum_coef=0.0, dtype="float64")
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     rng = np.random.default_rng(1)
     prefill_queue(state, rng, 8)
     train_step(state, *make_batch(config, rng))
@@ -76,9 +76,8 @@ def test_train_step_matches_finite_difference_oracle():
     # hand-rolled oracle: finite differences of the full objective against the
     # pre-step queue, then one SGD step with weight decay
     config = tiny_config(dtype="float64", use_recall=True, use_mal=True)
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     rng = np.random.default_rng(2)
     prefill_queue(state, rng, 12)
     x_s, x_l, y = make_batch(config, rng)
@@ -123,9 +122,8 @@ def test_train_step_matches_finite_difference_oracle():
 
 def test_train_step_never_backpropagates_into_long_encoder_or_slots():
     config = tiny_config(dtype="float64")
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     rng = np.random.default_rng(3)
     prefill_queue(state, rng, 10)
     slots_before = state.queue.features[:10].copy()
@@ -145,9 +143,8 @@ def test_train_step_never_backpropagates_into_long_encoder_or_slots():
 
 def test_weight_decay_contracts_with_zero_gradient():
     config = tiny_config(dtype="float64", learning_rate=0.1, weight_decay=0.01)
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b"]))
+    state = init_state(config, ("a", "b"))
     before = copy.deepcopy(state.params_s)
     flat = flat_params(state)
     _sgd_update(flat, np.zeros_like(flat.trained), config)
@@ -158,9 +155,8 @@ def test_weight_decay_contracts_with_zero_gradient():
 
 def test_queue_fill_formula():
     config = tiny_config(queue_capacity=10, batch_size=4, dtype="float64")
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     rng = np.random.default_rng(4)
     for step in range(1, 6):
         train_step(state, *make_batch(config, rng))
@@ -169,9 +165,8 @@ def test_queue_fill_formula():
 
 def test_long_encoder_follows_exact_recursion_over_steps():
     config = tiny_config(dtype="float64", momentum_coef=0.9)
-    from gesturemem.dataset import LabelMap
 
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     rng = np.random.default_rng(5)
     replay = copy.deepcopy(state.params_l)
     for _ in range(4):
@@ -213,7 +208,7 @@ def packed_pair(config, seed=0):
     """Two identical states with the queue half filled, and three batches."""
     states = []
     for _ in range(2):
-        state = init_state(config, LabelMap(names=["a", "b", "c"]))
+        state = init_state(config, ("a", "b", "c"))
         prefill_queue(state, np.random.default_rng(seed), 16)
         states.append(state)
     rng = np.random.default_rng(seed + 1)
@@ -274,7 +269,7 @@ def test_a_step_packs_the_buffers_anew_when_an_array_is_not_their_view(tmp_path)
 
 def test_a_long_encoder_unlike_the_short_one_is_refused():
     config = tiny_config()
-    state = init_state(config, LabelMap(names=["a", "b", "c"]))
+    state = init_state(config, ("a", "b", "c"))
     batch = make_batch(config, np.random.default_rng(0))
     state.params_l = {k: v for k, v in state.params_l.items() if k != "proj.b"}
     with pytest.raises(StructuralError):
@@ -511,6 +506,7 @@ HEADER_FAULTS = {
        for value in ("nan", "inf")},
     "negative_jitter_sigma": _set(["config", "jitter_sigma"], -0.01),
     "negative_eval_every": _set(["config", "eval_every"], -3),
+    "negative_seed": _set(["config", "seed"], -1),
     "short_len_below_temporal_kernel": _set(["config", "short_len"], 2),
     **{f"zero_{field}": _set(["config", field], 0)
        for field in ("width", "blocks", "temporal_kernel", "feature_dim", "queue_capacity")},
@@ -539,7 +535,7 @@ HEADER_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
 def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
-    state = init_state(tiny_config(sgd_momentum=0.5), LabelMap(names=["a", "b", "c"]))
+    state = init_state(tiny_config(sgd_momentum=0.5), ("a", "b", "c"))
     path = tmp_path / "m.ckpt"
     save_checkpoint(state, path)
     header_line, payload = path.read_bytes().split(b"\n", 1)
@@ -553,7 +549,7 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
 def _filled_checkpoint(path, fill=10, **overrides):
     """A checkpoint of a fresh state (``tiny_config(**overrides)``) whose
     queue holds ``fill`` unit slots."""
-    state = init_state(tiny_config(**overrides), LabelMap(names=["a", "b", "c"]))
+    state = init_state(tiny_config(**overrides), ("a", "b", "c"))
     rng = np.random.default_rng(7)
     state.queue.enqueue_batch(random_unit_rows(rng, fill, 8, dtype=state.config.np_dtype),
                               rng.integers(0, 3, size=fill))
@@ -597,7 +593,7 @@ def test_save_refuses_a_state_unlike_its_config_layout(tmp_path, fault):
     misshaping a tensor of its config's layout is refused, and no file made."""
     sgd_momentum, edit = STATE_FAULTS[fault]
     state = init_state(tiny_config(sgd_momentum=sgd_momentum),
-                       LabelMap(names=["a", "b", "c"]))
+                       ("a", "b", "c"))
     edit(state)
     path = tmp_path / "s.ckpt"
     with pytest.raises(StructuralError):
@@ -701,11 +697,48 @@ def test_resume_rejects_other_classes(tmp_path):
     recordings, label_map = tiny_dataset()
     state = train(tiny_config(epochs=1), recordings, label_map, SPLIT).state
     save_checkpoint(state, tmp_path / "x.ckpt")
-    reordered = LabelMap(names=label_map.names[::-1])
-    with pytest.raises(ConfigError, match=r"\['standing', 'walking', 'jumping'\] do not "
-                                          r"match the data's classes \['jumping', "):
+    reordered = label_map[::-1]
+    with pytest.raises(ConfigError, match="standing, walking, jumping do not "
+                                          "match the data's classes jumping, "):
         train(tiny_config(epochs=2), recordings, reordered, SPLIT,
               resume_from=tmp_path / "x.ckpt")
+
+
+def test_init_state_keeps_its_own_tuple_of_class_names(tmp_path):
+    names = ["a", "b"]
+    state = init_state(tiny_config(), names)
+    names.append("c")  # the caller's list is not the state's
+    assert state.label_names == ("a", "b")
+    assert state.decoder["w"].shape[0] == 2
+    save_checkpoint(state, tmp_path / "m.ckpt")
+
+
+def test_model_shares_the_state_class_names():
+    state = init_state(tiny_config(), ("a", "b", "c"))
+    assert FrozenModel.from_state(state).label_names is state.label_names
+
+
+def test_checkpoint_round_trip_gives_a_tuple_of_class_names(tmp_path):
+    save_checkpoint(init_state(tiny_config(), ["a", "b", "c"]), tmp_path / "m.ckpt")
+    assert load_checkpoint(tmp_path / "m.ckpt").label_names == ("a", "b", "c")
+
+
+def test_resume_accepts_a_list_of_the_same_class_names(tmp_path):
+    recordings, label_map = tiny_dataset()
+    state = train(tiny_config(epochs=1), recordings, label_map, SPLIT).state
+    save_checkpoint(state, tmp_path / "x.ckpt")
+    resumed = train(tiny_config(epochs=2), recordings, list(label_map), SPLIT,
+                    resume_from=tmp_path / "x.ckpt")
+    assert resumed.state.epoch == 2 and resumed.state.label_names == label_map
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_input_scale_past_the_float_range_is_a_non_finite_error(center):
+    # the training arrays, like preprocess, turn the overflow into inf
+    # without a warning, and the first step's input check refuses it
+    recordings, label_map = tiny_dataset()
+    with pytest.raises(NonFiniteError, match="encoder input"):
+        train(tiny_config(center=center, input_scale=1e308), recordings, label_map, SPLIT)
 
 
 def test_prepare_data_drops_samples_without_long_windows():
@@ -735,7 +768,7 @@ def test_prepare_data_long_windows(labels, scale, purity, pairs):
                     np.asarray(labels, dtype=np.int64))
     config = TrainConfig(short_len=3, window_scale=scale, stride=1, purity_required=purity,
                          center=False, input_scale=1.0, dtype="float64")
-    build = lambda: prepare_data(config, [rec], LabelMap(names=["a", "b"]),
+    build = lambda: prepare_data(config, [rec], ("a", "b"),
                                  SplitSpec.from_lists(["s0"], ["s1"]))
     if not pairs:
         with pytest.raises(ConfigError, match="long-term window"):
@@ -799,7 +832,7 @@ def test_prepare_data_equals_sample_reference(recordings, short_len, stride, sca
                          input_scale=input_scale, dtype=dtype, temporal_kernel=1)
     split = SplitSpec.from_lists(["s0", "s1"] if split_s1 else ["s0"],
                                  ["s2"] if split_s1 else ["s1", "s2"])
-    label_map = LabelMap(names=["a", "b", "c"])
+    label_map = ("a", "b", "c")
     got = prepared_or_error(config, recordings, label_map, split, prepare_data)
     assert got == prepared_or_error(config, recordings, label_map, split,
                                     ref_prepare_data)
@@ -831,7 +864,7 @@ def test_stray_window_found_only_at_the_eval_stride_fails_the_split():
                                                          ("s2", [0, 0, 1, 0, 0, 0, 1])))]
     config = TrainConfig(short_len=3, stride=2, window_scale=2)
     split = SplitSpec.from_lists(["s0"], ["s1"])
-    label_map = LabelMap(names=["a", "b"])
+    label_map = ("a", "b")
     for build in (prepare_data, ref_prepare_data):
         with pytest.raises(ConfigError) as err:
             build(config, recordings, label_map, split)
