@@ -216,31 +216,45 @@ def load_recordings(path):
 
 
 def _check_writable(recordings, label_names):
-    """:class:`DataIntegrityError` for text that :func:`load_recordings` would
-    not read back as written: an id that is empty, holds a comma or a line
+    """:class:`DataIntegrityError` for what :func:`load_recordings` would not
+    read back as written: an id that is empty, holds a comma or a line
     break, has surrounding whitespace, or is a recording id that starts with
-    ``#`` (a comment line) or repeats another; a class name with a line break
-    or surrounding whitespace, or one that repeats another."""
+    ``#`` (a comment line) or repeats another; a recording with no frames, a
+    non-finite coordinate, a negative label, or, when ``label_names`` is
+    given, a label that names no class; a class name with a line break or
+    surrounding whitespace, or one that repeats another."""
+    names = label_names or ()
+    top = math.inf if label_names is None else len(names)
     for rec in recordings:
         for kind, text in (("recording", rec.recording_id), ("subject", rec.subject_id)):
             if not text or text != text.strip() or any(c in text for c in ",\r\n"):
                 raise DataIntegrityError(f"{kind} id {text!r} cannot be written as a field")
         if rec.recording_id.startswith("#"):
             raise DataIntegrityError(f"recording id {rec.recording_id!r} reads as a comment")
+        if len(rec) == 0:
+            raise DataIntegrityError(f"recording {rec.recording_id!r} has no frames")
+        if not np.isfinite(rec.joints).all():
+            raise DataIntegrityError(f"recording {rec.recording_id!r} has a non-finite "
+                                     f"coordinate")
+        labels = np.asarray(rec.labels)
+        bad = labels[(labels < 0) | (labels >= top)]
+        if bad.size:
+            raise DataIntegrityError(f"recording {rec.recording_id!r} has label "
+                                     f"{bad[0]}, which is no class id")
     if len({r.recording_id for r in recordings}) != len(recordings):
         raise DataIntegrityError("two recordings share an id")
-    for name in label_names:
+    for name in names:
         if name != name.strip() or "\r" in name or "\n" in name:
             raise DataIntegrityError(f"class name {name!r} cannot be written as a line")
-    if len(set(label_names)) != len(label_names):
+    if len(set(names)) != len(names):
         raise DataIntegrityError(f"class names {label_names} repeat a name")
 
 
 def write_frames(path, recordings, label_names=None):
     """Write recordings (and optionally their class names) in the documented
-    format. Ids and names that would not read back as written are refused
-    (see :func:`_check_writable`) before any directory or file is made."""
-    _check_writable(recordings, label_names or ())
+    format. Content that would not read back as written is refused (see
+    :func:`_check_writable`) before any directory or file is made."""
+    _check_writable(recordings, label_names)
     frames_path = _resolve_frames_path(path)
     os.makedirs(os.path.dirname(frames_path) or ".", exist_ok=True)
     with open(frames_path, "w", encoding="utf-8") as fh:
@@ -333,19 +347,31 @@ def mean_center(data):
     return data - np.add.reduce(data, axis=-2, keepdims=True) / data.shape[-2]
 
 
-def preprocess(windows, center, input_scale, dtype):
-    """A model's input transform of a [C, T, V] window or [B, C, T, V] batch:
-    optional :func:`mean_center` and scaling in float64, then a contiguous
-    cast to ``dtype``. A window gets the same bits alone as in a batch. A
-    finite value that the scaling or the cast takes past the float range
-    becomes inf without a warning; the encoder's input check rejects it."""
+def input_frames(windows, center, input_scale, dtype):
+    """A model's input transform of [B, C, T, V] windows into channels-last
+    [B, T, V, C] frames, the layout the encoder kernel reads as rows:
+    optional :func:`mean_center` in float64, then the scaling and the cast to
+    ``dtype`` in one pass. A window gets the same bits alone as in a batch.
+    A finite value that the scaling or the cast takes past the float range
+    becomes inf; the caller holds ``np.errstate(over="ignore")`` and refuses it."""
     x = np.asarray(windows, dtype=np.float64)
+    if center:
+        x = mean_center(x)
+    b, c, t, v = x.shape
+    frames = np.empty((b, t, v, c), dtype)
+    np.multiply(x.transpose(0, 2, 3, 1), input_scale, out=frames, casting="unsafe")
+    return frames
+
+
+def preprocess(windows, center, input_scale, dtype):
+    """:func:`input_frames` of a [C, T, V] window or [B, C, T, V] batch, laid
+    out contiguously as [..., C, T, V]. A finite value that the scaling or
+    the cast takes past the float range becomes inf without a warning; the
+    encoder's input check rejects it."""
+    x = np.asarray(windows)
     with np.errstate(over="ignore"):
-        if center:
-            x = mean_center(x)
-        if input_scale != 1.0:  # in place when centering made x a fresh array
-            x = np.multiply(x, input_scale, out=x if center else None)
-        return np.ascontiguousarray(x, dtype=dtype)
+        frames = input_frames(x.reshape(-1, *x.shape[-3:]), center, input_scale, dtype)
+    return np.ascontiguousarray(frames.transpose(0, 3, 1, 2)).reshape(x.shape)
 
 
 # --- synthetic gesture generator ------------------------------------------------

@@ -7,9 +7,11 @@ ReLU-activated), then global average pooling over time and joints and an affine
 projection. Pooling makes one parameter set accept any T' >= the temporal kernel,
 so short windows and their long context windows share an architecture.
 
-Each block is two matrix products on channels-last activations. A [B, C, T, V]
-batch is transposed once into rows [(B*T), V*C]: one row per frame, its joints
-side by side, channels innermost.
+Each block is two matrix products on channels-last activations. The kernel
+reads channels-last [B, T, V, C] frames as rows [(B*T), V*C]: one row per
+frame, its joints side by side, channels innermost. A served model's input
+transform writes that layout; :func:`encode_forward` transposes its
+[B, C, T, V] input, which the kernel copies into rows once.
 
 - Spatial conv: the 1x1 conv ``w_s`` and the adjacency mix (ST-GCN, Yan et al.
   2018) fold into one [V*C_in, V*C_out] weight, ``kron(adj, w_s.T)``, so the
@@ -25,24 +27,29 @@ side by side, channels innermost.
   so one buffer serves every block of an uncached pass.
 - Biases: each is added over whole windows. A bias tiled T*V times is a
   [T*V, C] block like a window's, so numpy adds it as B runs of T*V*C
-  contiguous values instead of B*T*V runs of C. :class:`GemmOperands`
-  holds these bias rows for one window length: a served model builds its
-  ``short_len`` rows once; training builds the short windows' rows each
-  step with the operands, and the long windows' rows with each call. Any
-  length the operands hold no rows for builds them per call, so operands
-  shared between sessions are never written to.
-- Pooling: a ones-vector product over each window's T*V rows.
+  contiguous values instead of B*T*V runs of C.
+- Pooling: a ``1/(T*V)`` vector times each window's T*V rows, then the
+  projection and :func:`unit_rows`' normalization, under the caller's
+  ``np.errstate``: :func:`encode_forward` holds one around the norm, a served
+  model one around its whole forward.
 
-Without a cache, :func:`encode_forward` runs a batch in tiles of whole windows
+:class:`GemmOperands` holds the bias rows and pooling vector of one window
+length: a served model builds its ``short_len`` ones once; training builds the
+short windows' each step with the operands, and the long windows' with each
+call. Other lengths get theirs per call, so operands shared between sessions
+are never written to.
+
+Without a cache, a batch runs in tiles of whole windows, in the one tile loop
+of :func:`encode_frames` that :func:`encode_forward` and the served model share
 (Goto & van de Geijn's cache blocking, ACM TOMS 2008, applied to a whole
 encoder pass). A window counts ``T*V*k*width*itemsize`` bytes, k activations
 of one block: for k = 3 about what a block holds at once (the padded buffer,
 a tap product and the output). A tile's count stays within ``TILE_BYTES``, so
-its working set stays in a 2 MiB per-core L2. The cost per window plateaus
-over a wide range of tile sizes, so the constant is not tuned per host. A
-batch that fits runs as one tile. The cached (training) forward is never
-tiled: its batches fit anyway, and :func:`encode_backward` reads whole-batch
-intermediates.
+its working set stays in a 2 MiB per-core L2 (:func:`tile_windows`). The cost
+per window plateaus over a wide range of tile sizes, so the constant is not
+tuned per host. A batch that fits runs as one tile. The cached (training)
+forward is never tiled: its batches fit anyway, and :func:`encode_backward`
+reads whole-batch intermediates.
 
 When BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, or where it is
 unset or empty ``OMP_NUM_THREADS``, reads exactly ``1``), the tiles of a batch
@@ -63,6 +70,12 @@ it per thread), and a failing tile's exception reaches the caller. The pool
 lives for one call only: a forked child process inherits no pool whose
 threads are gone. Starting a helper costs a few hundred microseconds, so the
 calling thread takes a share rather than waiting idle.
+
+The projection and :func:`classify`'s decoder product call ``np.dot``, which
+costs less per call than ``@`` on their small operands, with the same bits;
+the tests' oracles use ``@``, so a numpy where the two differ fails them. The
+spatial conv keeps ``@``: at a long window's [960, 48] rows ``np.dot`` took
+41 us against 33 us.
 
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows
@@ -236,14 +249,16 @@ def _column_sums(a):
 
 @dataclass(frozen=True)
 class GemmOperands:
-    """An encoder's parameters as the operands of :func:`encode_forward`'s GEMMs.
+    """An encoder's parameters as the operands of the forward kernel's GEMMs.
 
     Built for one adjacency array and one activation dtype. ``blocks`` holds,
     per block, the spatial weight ``kron(adj, w_s.T)`` and the temporal taps
     (``w_t`` as a [k, C_in, C_out] array); the biases and the projection are
-    read from ``params``, the dict they were built from. ``bias_rows`` holds,
-    per block, the spatial and the temporal bias tiled over every frame and
-    joint of a ``window_len``-frame window (see :meth:`bias_rows_for`).
+    read from ``params``, the dict they were built from. For
+    ``window_len``-frame windows, ``bias_rows`` holds, per block, the spatial
+    and the temporal bias tiled over every frame and joint of a window, and
+    ``pool`` the window's mean over its T*V rows as a vector (see
+    :meth:`window_terms`).
     """
 
     params: dict
@@ -252,22 +267,23 @@ class GemmOperands:
     blocks: tuple
     window_len: int | None = None
     bias_rows: tuple = ()
+    pool: np.ndarray | None = None
 
     @classmethod
     def build(cls, params, adj, dtype, n_blocks, window_len=None):
-        """Operands of ``params``, with bias rows for ``window_len``-frame
-        windows when it is given."""
+        """Operands of ``params``, with the bias rows and pooling vector of
+        ``window_len``-frame windows when it is given."""
         dtype = np.dtype(dtype)
         adj_d = adj.astype(dtype, copy=False)
         blocks = tuple(
             (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
              np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)))
             for i in range(n_blocks))
-        rows = ()
+        rows, pool = (), None
         if window_len is not None:
-            rows = _bias_rows(params, n_blocks, window_len * adj.shape[0])
+            rows, pool = _window_terms(params, blocks, dtype, window_len * adj.shape[0])
         return cls(params=params, adj=adj, dtype=dtype, blocks=blocks,
-                   window_len=window_len, bias_rows=rows)
+                   window_len=window_len, bias_rows=rows, pool=pool)
 
     @classmethod
     def for_call(cls, params, adj, dtype, n_blocks):
@@ -286,27 +302,41 @@ class GemmOperands:
             params = params.params
         return cls.build(params, adj, dtype, n_blocks)
 
-    def bias_rows_for(self, window_len):
-        """Per block, (spatial, temporal) bias rows of a ``window_len``-frame
-        window: the ones built with the operands for their length, else built
-        for this call only, so operands shared between threads never change."""
+    def window_terms(self, window_len):
+        """``(bias_rows, pool)`` of a ``window_len``-frame window (see
+        :func:`_window_terms`): the ones built with the operands for their
+        length, else built for this call only, so operands shared between
+        threads never change."""
         if window_len == self.window_len:
-            return self.bias_rows
-        return _bias_rows(self.params, len(self.blocks), window_len * self.adj.shape[0])
+            return self.bias_rows, self.pool
+        return _window_terms(self.params, self.blocks, self.dtype,
+                             window_len * self.adj.shape[0])
 
 
-def _bias_rows(params, n_blocks, rows):
-    """Per block, its spatial and temporal bias, each tiled into a [rows, C]
-    array: the bias of a whole window's [rows, C] block."""
-    out = []
-    for i in range(n_blocks):
+def _window_terms(params, blocks, dtype, rows):
+    """``(bias_rows, pool)`` of windows of ``rows`` frame-joint rows:
+    ``bias_rows`` holds per block its spatial and temporal bias, each tiled
+    into a [rows, C] array, the bias of a whole window's block; ``pool`` is
+    ``1/rows`` repeated ``rows`` times, in the dtype that activations take
+    from ``dtype`` input and the block operands."""
+    bias_rows = []
+    for i in range(len(blocks)):
         pair = []
         for bias in (params[f"block{i}.spatial.b"], params[f"block{i}.temporal.b"]):
             row = np.empty((rows, bias.shape[0]), bias.dtype)
             row[...] = bias
             pair.append(row)
-        out.append(tuple(pair))
-    return tuple(out)
+        bias_rows.append(tuple(pair))
+    act_dtype = np.result_type(dtype, *(a for block in blocks for a in block))
+    return tuple(bias_rows), np.full(rows, 1.0 / rows, dtype=act_dtype)
+
+
+def tile_windows(cfg, window_len, itemsize):
+    """Windows per tile of the uncached forward: as many ``window_len``-frame
+    windows of ``itemsize``-byte input as keep ``T*V*k*width*itemsize`` bytes
+    each within ``TILE_BYTES``, and at least one."""
+    window_bytes = window_len * NUM_JOINTS * cfg.temporal_kernel * cfg.width * itemsize
+    return max(1, TILE_BYTES // window_bytes)
 
 
 def encode_forward(params, x, adj, cfg, want_cache=False):
@@ -319,24 +349,43 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     """
     _check_input(x, cfg)
     ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks)
-    b, _, t, v = x.shape
-    rows = ops.bias_rows_for(t)
-    window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
-    per_tile = max(1, TILE_BYTES // window_bytes)
-    if want_cache or per_tile >= b:
-        return _forward(ops, x, adj, cfg, want_cache, rows)
-    f = np.empty((b, ops.params["proj.w"].shape[0]),
-                 np.result_type(x, *ops.params.values()))
+    t = x.shape[2]
+    frames = x.transpose(0, 2, 3, 1)                       # [B, T, V, C], a view
+    terms = ops.window_terms(t)
+    if want_cache:
+        z, cache = _forward(ops, frames, cfg, terms, True)
+    else:
+        per_tile = tile_windows(cfg, t, x.itemsize)
+        z, cache = encode_frames(ops, frames, cfg, terms, per_tile), None
+    # a finite input far past the dtype's range can overflow the squares or
+    # their sum; that is refused, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        f, r = unit_rows(z)
+    if cache is not None:
+        cache.update(f=f, r=r)
+    return f, cache
+
+
+def encode_frames(ops, frames, cfg, terms, per_tile):
+    """Pre-normalization features z [B, feature_dim] of checked channels-last
+    [B, T, V, C] windows, ``per_tile`` windows at a time (see the module
+    docstring), with ``terms = ops.window_terms(T)``. :func:`unit_rows`
+    turns them into features."""
+    b = frames.shape[0]
+    if per_tile >= b:
+        return _forward(ops, frames, cfg, terms, False)[0]
+    z = np.empty((b, ops.params["proj.w"].shape[0]),
+                 np.result_type(frames, *ops.params.values()))
 
     def run(starts):
         for lo in starts:
-            f[lo:lo + per_tile] = _forward(ops, x[lo:lo + per_tile], adj, cfg, False, rows)[0]
+            z[lo:lo + per_tile] = _forward(ops, frames[lo:lo + per_tile], cfg, terms, False)[0]
 
     starts = range(0, b, per_tile)
     workers = min(TILE_THREADS, len(starts))
     if workers == 1:
         run(starts)
-        return f, None
+        return z
     err, call = np.geterr(), np.geterrcall()
 
     def helper(share):
@@ -350,18 +399,34 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
         run(shares[0])
         for future in helpers:
             future.result()
-    return f, None
+    return z
 
 
-def _forward(ops, x, adj, cfg, want_cache, bias_rows):
-    """The forward kernel of :func:`encode_forward` on checked input and
-    operands, with the bias rows of the input's window length."""
+def unit_rows(z):
+    """``(z / r, r)``: each row of z over its norm ``r``, floored at
+    ``NORM_EPS``. A norm that is not finite is a :class:`NonFiniteError`;
+    the caller holds ``np.errstate(over="ignore")``, so the squares or their
+    sum may overflow without a warning."""
+    norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    if not np.isfinite(norm).all():
+        raise NonFiniteError("non-finite encoder feature norm: the input "
+                             "overflows the model dtype")
+    r = np.maximum(norm, NORM_EPS)
+    return z / r, r
+
+
+def _forward(ops, frames, cfg, terms, want_cache):
+    """The forward kernel on checked channels-last [B, T, V, C] windows and
+    operands, with ``terms = ops.window_terms(T)``: pre-normalization
+    features and, with ``want_cache``, the cache without ``f`` and ``r``."""
     params = ops.params
-    b, c_in, t, v = x.shape
+    bias_rows, pool = terms
+    b, t, v, c_in = frames.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
-    # explicit sizes, never -1: an empty batch must reshape too. [(B*T), V*C_in]
-    h = x.reshape(b, c_in, t * v).swapaxes(1, 2).reshape(b * t, v * c_in)
+    # explicit sizes, never -1: an empty batch must reshape too. [(B*T), V*C_in]:
+    # a view of contiguous frames, a copy of encode_forward's transposed input
+    h = frames.reshape(b * t, v * c_in)
     block_caches = []
     xp = None
     for (k_s, taps), (row_s, row_t) in zip(ops.blocks, bias_rows):
@@ -381,25 +446,15 @@ def _forward(ops, x, adj, cfg, want_cache, bias_rows):
         if want_cache:
             block_caches.append((h, k_s, xp, taps, act_t))
         h = act_t.reshape(b * t, v * c)
-    per_window = h.reshape(b, t * v, c)
-    pooled = np.full(t * v, 1.0 / (t * v), dtype=h.dtype) @ per_window
-    z = pooled @ params["proj.w"].T + params["proj.b"]
-    # a finite input far past the dtype's range can overflow the squares or
-    # their sum; that is refused below, so numpy need not warn of it
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
-    if not np.isfinite(norm).all():
-        raise NonFiniteError("non-finite encoder feature norm: the input "
-                             "overflows the model dtype")
-    r = np.maximum(norm, NORM_EPS)
-    f = z / r
+    pooled = pool @ h.reshape(b, t * v, c)
+    z = np.dot(pooled, params["proj.w"].T) + params["proj.b"]
     if not want_cache:
-        return f, None
+        return z, None
     cache = {
-        "params": params, "adj": adj.astype(x.dtype, copy=False), "cfg": cfg,
-        "shape": x.shape, "blocks": block_caches, "pooled": pooled, "f": f, "r": r,
+        "params": params, "adj": ops.adj.astype(frames.dtype, copy=False), "cfg": cfg,
+        "shape": (b, c_in, t, v), "blocks": block_caches, "pooled": pooled,
     }
-    return f, cache
+    return z, cache
 
 
 def encode_backward(cache, grad_f):
@@ -461,7 +516,7 @@ def classify(decoder, f, memory_logits=None):
     ``memory_logits``, when given, are added to the decoder's logits before
     the softmax: the recalled memory feature already decoded by the weight.
     """
-    logits = f @ decoder["w"].T + decoder["b"]
+    logits = np.dot(f, decoder["w"].T) + decoder["b"]
     if memory_logits is not None:
         logits += memory_logits
     # the max-subtracted softmax, in place on the fresh logits

@@ -1,12 +1,19 @@
 """Prediction and the streaming NDJSON serving protocol.
 
-One batched path serves every prediction: :func:`window_features` checks and
-preprocesses [B, C, T, V] windows and encodes them in one forward pass, and
-:func:`predict_batch` addresses the memory and decodes. A :class:`FrozenModel`
-snapshots the encoder, the decoder and the memory queue of the state it is made
-from, so the decoder folds into the memory once per model: recall's readout
-runs on ``W_dec @ memᵀ`` ([classes, fill]), not on the stored features.
-:func:`predict` is that path on one window.
+One batched path serves every prediction: :func:`window_features` is the
+served forward, and :func:`predict_batch` addresses the memory and decodes. A
+:class:`FrozenModel` snapshots the encoder, the decoder and the memory queue of
+the state it is made from, so the decoder folds into the memory once per model:
+recall's readout runs on ``W_dec @ memᵀ`` ([classes, fill]), not on the stored
+features. :func:`predict` is that path on one window.
+
+The served forward runs under one ``np.errstate``: ``dataset.input_frames``,
+the one input transform, writes the channels-last frames that the encoder
+kernel reads as [(B*T), V*C] rows, one finiteness check runs on them, and the
+encoder's one tile loop runs the kernel on the model's operands, bias rows,
+pooling vector and tile count, all built with the model. Every batch size
+takes that path, with the bits of ``encoder.encode_forward`` on
+``dataset.preprocess``'s output.
 
 A prediction reads the memory once, in three operations: ``e = (f @ B) @
 keys``, ``exp(e)`` in place and ``s = e @ readoutᵀ``. Every query is
@@ -62,8 +69,9 @@ import numpy as np
 
 from . import encoder as enc
 from . import memory as mem
-from .dataset import FRAME_HZ, NUM_CHANNELS, NUM_JOINTS, preprocess
-from .errors import ConfigError, ContractError, StructuralError, ToolkitError
+from .dataset import FRAME_HZ, NUM_CHANNELS, NUM_JOINTS, input_frames
+from .errors import (ConfigError, ContractError, NonFiniteError, StructuralError,
+                     ToolkitError)
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +98,9 @@ class FrozenModel:
     copies the encoder parameters, the adjacency, the decoder and the memory
     queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
     and builds from them, once, the encoder's GEMM operands with the bias
-    rows of ``short_len``-frame windows, ``basis``, ``keys`` and ``readout``
-    (``dataclasses.replace`` copies and builds again):
+    rows and pooling vector of ``short_len``-frame windows, ``tile_windows``
+    (the windows in one tile of the forward), ``basis``, ``keys`` and
+    ``readout`` (``dataclasses.replace`` copies and builds again):
 
     - ``basis``, ``B`` in the module docstring, [feature_dim, r] with
       ``r = min(width + 1, feature_dim)``, has orthonormal columns spanning
@@ -115,7 +124,8 @@ class FrozenModel:
 
     Every filled slot must be finite with norm within ``memory.NORM_TOL`` of 1,
     else :class:`ContractError`; that bounds the logits, the projected slots'
-    as well (see the module docstring).
+    as well (see the module docstring). A ``short_len`` shorter than the
+    temporal kernel is a :class:`StructuralError`.
 
     Changing the state's encoder, decoder or queue afterwards, in place or by
     reassignment, does not reach the model, and writing into the model's own
@@ -135,19 +145,26 @@ class FrozenModel:
     input_scale: float
     dtype: type
     operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
+    tile_windows: int = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     keys: np.ndarray = field(init=False, repr=False, compare=False)
     readout: np.ndarray = field(init=False, repr=False, compare=False)
     readout_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        cfg = self.encoder_cfg
+        if self.short_len < cfg.temporal_kernel:
+            raise StructuralError(
+                f"window of {self.short_len} frames is shorter than the temporal "
+                f"kernel ({cfg.temporal_kernel})")
         adjacency = _read_only_copy(self.adjacency)
         params = {name: _read_only_copy(p) for name, p in self.params.items()}
-        operands = enc.GemmOperands.build(params, adjacency, self.dtype,
-                                          self.encoder_cfg.blocks, self.short_len)
-        for block in operands.blocks + operands.bias_rows:
+        operands = enc.GemmOperands.build(params, adjacency, self.dtype, cfg.blocks,
+                                          self.short_len)
+        for block in operands.blocks + operands.bias_rows + ((operands.pool,),):
             for a in block:
                 a.flags.writeable = False
+        tile_windows = enc.tile_windows(cfg, self.short_len, np.dtype(self.dtype).itemsize)
         decoder = {name: _read_only_copy(p) for name, p in self.decoder.items()}
         queue = copy.copy(self.queue)
         queue.features = _read_only_copy(queue.features)
@@ -169,7 +186,8 @@ class FrozenModel:
         for a in (basis, keys, readout, mean):
             a.flags.writeable = False
         for name, value in (("adjacency", adjacency), ("params", params),
-                            ("operands", operands), ("decoder", decoder),
+                            ("operands", operands), ("tile_windows", tile_windows),
+                            ("decoder", decoder),
                             ("queue", queue), ("basis", basis), ("keys", keys),
                             ("readout", readout), ("readout_mean", mean)):
             object.__setattr__(self, name, value)
@@ -196,25 +214,32 @@ def _read_only_copy(a):
 
 
 def window_features(model, windows):
-    """Unit-norm encoder features [B, feature_dim] of [B, C, T, V] windows.
-
-    The windows must have the model's length (:class:`StructuralError`); they
-    are preprocessed as in training, which keeps a non-finite one non-finite
-    for the encoder's check (:class:`NonFiniteError`), and encoded in one pass.
-    """
+    """Unit-norm encoder features [B, feature_dim] of [B, C, T, V] windows,
+    by the served forward (see the module docstring). Windows of another
+    length are a :class:`StructuralError`; a window that is non-finite, or
+    that the input transform takes past the model dtype's range, is a
+    :class:`NonFiniteError`."""
     windows = np.asarray(windows)
     shape = (NUM_CHANNELS, model.short_len, NUM_JOINTS)
     if windows.ndim != 4 or windows.shape[1:] != shape:
         raise StructuralError(f"expected [B, C, T, V] windows with (C, T, V) = "
                               f"{shape}, got shape {windows.shape}")
-    x = preprocess(windows, model.center, model.input_scale, model.dtype)
-    return enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)[0]
+    ops = model.operands
+    # a finite value past the dtype's range becomes inf, refused here or at
+    # the feature norm, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        frames = input_frames(windows, model.center, model.input_scale, model.dtype)
+        if not np.isfinite(frames).all():
+            raise NonFiniteError("non-finite value in encoder input")
+        z = enc.encode_frames(ops, frames, model.encoder_cfg,
+                              ops.window_terms(model.short_len), model.tile_windows)
+        return enc.unit_rows(z)[0]
 
 
 def exp_logits(model, features):
     """``exp((f @ basis) @ keys)`` [B, fill] of features f: the exponentiated
     addressing logits, read in the query's subspace; ``e / Σe`` is addressing."""
-    e = (features @ model.basis) @ model.keys
+    e = np.dot(np.dot(features, model.basis), model.keys)
     return np.exp(e, out=e)
 
 
@@ -237,8 +262,9 @@ def predict_batch(model, windows):
     f = window_features(model, windows)
     memory_logits = None
     if model.use_recall and model.queue.fill > 0:
-        s = exp_logits(model, f) @ model.readout.T
-        memory_logits = s[:, :-1] / s[:, -1:] + model.readout_mean
+        s = np.dot(exp_logits(model, f), model.readout.T)
+        memory_logits = s[:, :-1] / s[:, -1:]
+        memory_logits += model.readout_mean
     probs = enc.classify(model.decoder, f, memory_logits)
     return probs.argmax(axis=1), probs
 

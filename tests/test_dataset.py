@@ -57,14 +57,26 @@ UNWRITABLE = {
     "spaced_class_name": dict(names=("standing ",)),
     "line_break_class_name": dict(names=("stand\ning",)),
     "repeated_class_name": dict(names=("a", "a")),
+    # load_recordings drops a recording without frames, refuses a non-finite
+    # coordinate, and a label the label map does not name
+    "recording_without_frames": dict(labels=[]),
+    "nan_coordinate": dict(coordinate=np.nan),
+    "infinite_coordinate": dict(coordinate=-np.inf),
+    "label_past_the_names": dict(labels=[0, 0, 5], names=tuple("abcde")),
+    "negative_label": dict(labels=[0, -1, 0]),
+    "negative_label_without_names": dict(labels=[-1], names=None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE))
 def test_write_frames_refuses_what_would_not_read_back(tmp_path, case):
-    fields = dict(rec_id="r0", subject="s0", names=("standing",), copies=1)
+    fields = dict(rec_id="r0", subject="s0", names=("standing",), copies=1,
+                  labels=[0] * 6, coordinate=0.5)
     fields.update(UNWRITABLE[case])
-    rec = make_recording([0] * 6, rec_id=fields["rec_id"], subject=fields["subject"])
+    rec = make_recording(fields["labels"], rec_id=fields["rec_id"],
+                         subject=fields["subject"])
+    if len(rec):
+        rec.joints[-1, 2, 1] = fields["coordinate"]
     with pytest.raises(DataIntegrityError):
         write_frames(tmp_path / "out" / "frames.csv", [rec] * fields["copies"],
                      fields["names"])
@@ -82,9 +94,11 @@ def recording_sets(draw):
     names = draw(st.lists(FIELD_TEXT, min_size=1, max_size=3))
     recordings = []
     for _ in range(draw(st.integers(1, 3))):
-        labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=4))
-        recordings.append(Recording(draw(FIELD_TEXT), draw(FIELD_TEXT),
-                                    np.zeros((len(labels), 3, 3)),
+        # labels one past either end of the names, and recordings without frames
+        labels = draw(st.lists(st.integers(-1, len(names)), max_size=4))
+        joints = np.zeros((len(labels), 3, 3))
+        joints[..., 0] = draw(st.sampled_from([0.0, 0.0, np.nan, np.inf]))
+        recordings.append(Recording(draw(FIELD_TEXT), draw(FIELD_TEXT), joints,
                                     np.asarray(labels, dtype=np.int64)))
     return recordings, names
 
@@ -105,6 +119,13 @@ def test_what_write_frames_accepts_reads_back(case):
     fields = lambda recs: sorted((r.recording_id, r.subject_id, r.labels.tolist())
                                  for r in recs)
     assert fields(loaded) == fields(recordings)
+
+
+def test_write_frames_without_names_keeps_any_label_that_is_not_negative(tmp_path):
+    rec = make_recording([0, 7, 7])
+    write_frames(tmp_path / "frames.csv", [rec])
+    loaded, names = load_recordings(tmp_path)
+    assert loaded[0].labels.tolist() == [0, 7, 7] and len(names) == 8
 
 
 def test_load_rejects_nan_with_line_number(tmp_path):

@@ -294,8 +294,11 @@ def test_gemm_operands_match_the_oracle_bitwise(case):
     ops = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t)
     oracle = oracle_gemm_blocks(params, GRAPH.normalized, dtype, cfg.blocks)
     assert ops.window_len == t and len(ops.bias_rows) == cfg.blocks
-    per_call = ops.bias_rows_for(t + 1)
+    per_call, pool = ops.window_terms(t + 1)
     other = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t + 1)
+    # the mean over a window's T*V rows, in the activations' dtype
+    for got, n in ((ops.pool, t * v), (pool, (t + 1) * v), (other.pool, (t + 1) * v)):
+        assert_same_bits(got, np.full(n, 1.0 / n, dtype=dtype), ("pool", n))
     for i, ((k_s, taps), (row_s, row_t), (k_o, b_s, taps_o, b_t)) in enumerate(
             zip(ops.blocks, ops.bias_rows, oracle)):
         assert_same_bits(k_s, k_o, ("spatial weight", i))
@@ -307,8 +310,9 @@ def test_gemm_operands_match_the_oracle_bitwise(case):
             assert_same_bits(rows[0].ravel(), np.tile(b_s, t + 1), ("spatial row t+1", i))
             assert_same_bits(rows[1].ravel(), np.tile(b_t, (t + 1) * v),
                              ("temporal row t+1", i))
-    assert ops.bias_rows_for(t) is ops.bias_rows
-    assert ops.window_len == t  # building rows for another length kept none
+    rows_t, pool_t = ops.window_terms(t)
+    assert rows_t is ops.bias_rows and pool_t is ops.pool
+    assert ops.window_len == t  # building terms for another length kept none
 
 
 @given(encoder_cases(), st.integers(1, 30), st.sampled_from(["dict", "rows", "no rows"]))

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from gesturemem import encoder as enc
 from gesturemem import inference
-from gesturemem.dataset import (SplitSpec, SynthesisConfig,
+from gesturemem.dataset import (SplitSpec, SynthesisConfig, preprocess,
                                 synthesize_recordings, window_dataset)
 from gesturemem.errors import ConfigError, ContractError, NonFiniteError, StructuralError
 from gesturemem.memory import recall_for_query
@@ -378,6 +379,74 @@ def test_window_features_validation():
     f = window_features(model, list(bad[:1]))
     assert f.shape == (1, 8)
     assert np.allclose(np.linalg.norm(f, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("batch", ["empty", "one", "one tile", "one tile + 1"])
+@pytest.mark.parametrize("input_scale", [1.0, 1000.0])
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_served_features_are_encode_forward_of_preprocess_bitwise(
+        monkeypatch, dtype, center, input_scale, batch):
+    """The served forward (one transform into channels-last frames, the
+    model's operands, pooling vector and tile count) gives the bits of
+    ``encode_forward`` on the raw parameters of ``preprocess``'s output, for
+    every batch size: none, one window, one whole tile and one tile plus one
+    window, whose two tiles run on the calling thread and a helper."""
+    _, state = untrained_model(dtype=dtype, center=center, input_scale=input_scale)
+    rng = np.random.default_rng(31)
+    for name, p in state.params_s.items():  # biases too, which start at zero
+        p[...] = rng.normal(scale=0.5, size=p.shape)
+    model = FrozenModel.from_state(state)
+    per_tile = model.tile_windows
+    b = {"empty": 0, "one": 1, "one tile": per_tile, "one tile + 1": per_tile + 1}[batch]
+    # meter-scale positions with centimeter-scale motion, as the sensors give
+    windows = 1.5 + 0.02 * rng.normal(size=(b, 3, model.short_len, 3))
+    monkeypatch.setattr(enc, "TILE_THREADS", 2)
+    tiles = []
+    kernel = enc._forward
+
+    def spy(ops, frames, *args):
+        tiles.append((ops is model.operands, frames.shape[0], threading.get_ident()))
+        return kernel(ops, frames, *args)
+
+    monkeypatch.setattr(enc, "_forward", spy)
+    served = window_features(model, windows)
+    x = preprocess(windows, center, input_scale, model.dtype)
+    expect, _ = enc.encode_forward(dict(model.params), x, model.adjacency,
+                                   model.encoder_cfg)
+    assert served.dtype == expect.dtype == np.dtype(dtype) and served.shape == (b, 8)
+    assert served.tobytes() == expect.tobytes()
+    served_tiles = [(size, ident) for on_model, size, ident in tiles if on_model]
+    if b > per_tile:
+        assert sorted(size for size, _ in served_tiles) == [1, per_tile]
+        assert len({ident for _, ident in served_tiles}) == 2
+    else:
+        assert [size for size, _ in served_tiles] == [b]
+
+
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("big", [1e36, 1e306])
+def test_a_window_the_scale_takes_past_the_dtype_is_refused_without_warning(center, big):
+    """A finite coordinate that the scaling (1e306 * 1000 in float64) or the
+    float32 cast (1e36 * 1000) takes past the float range is the encoder
+    input's NonFiniteError, and no RuntimeWarning leaves the served forward."""
+    model, _ = untrained_model(dtype="float32", input_scale=1000.0, center=center)
+    windows = np.zeros((2, 3, model.short_len, 3))
+    windows[1, 2, 3, 0] = big
+    assert np.isfinite(windows).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (window_features, predict_batch):
+            with pytest.raises(NonFiniteError, match="^non-finite value in encoder input$"):
+                call(model, windows)
+        with pytest.raises(NonFiniteError, match="^non-finite value in encoder input$"):
+            predict(model, windows[1])
+
+
+def test_model_refuses_a_window_shorter_than_the_temporal_kernel():
+    model, _ = untrained_model()
+    with pytest.raises(StructuralError, match="shorter than the temporal kernel"):
+        dataclasses.replace(model, short_len=model.encoder_cfg.temporal_kernel - 1)
 
 
 def filled_state(fill=10, seed=17, **overrides):
