@@ -33,11 +33,12 @@ transform writes that layout; :func:`encode_forward` transposes its
   ``np.errstate``: :func:`encode_forward` holds one around the norm, a served
   model one around its whole forward.
 
-:class:`GemmOperands` holds the bias rows and pooling vector of one window
-length: a served model builds its ``short_len`` ones once; training builds the
-short windows' each step with the operands, and the long windows' with each
-call. Other lengths get theirs per call, so operands shared between sessions
-are never written to.
+:class:`GemmOperands` belong to one window length, fixed when they are
+built: they hold that length's bias rows, pooling vector and tile count. A
+served model builds its ``short_len`` ones once; training builds the short
+windows' once per step, and the long windows' with each call. Windows of
+another length get operands of their own, built for the call, so operands
+shared between sessions are never written to.
 
 Without a cache, a batch runs in tiles of whole windows, in the one tile loop
 of :func:`encode_frames` that :func:`encode_forward` and the served model share
@@ -45,11 +46,11 @@ of :func:`encode_frames` that :func:`encode_forward` and the served model share
 encoder pass). A window counts ``T*V*k*width*itemsize`` bytes, k activations
 of one block: for k = 3 about what a block holds at once (the padded buffer,
 a tap product and the output). A tile's count stays within ``TILE_BYTES``, so
-its working set stays in a 2 MiB per-core L2 (:func:`tile_windows`). The cost
-per window plateaus over a wide range of tile sizes, so the constant is not
-tuned per host. A batch that fits runs as one tile. The cached (training)
-forward is never tiled: its batches fit anyway, and :func:`encode_backward`
-reads whole-batch intermediates.
+its working set stays in a 2 MiB per-core L2 (``GemmOperands.per_tile``).
+The cost per window plateaus over a wide range of tile sizes, so the constant
+is not tuned per host. A batch that fits runs as one tile. The cached
+(training) forward is never tiled: its batches fit anyway, and
+:func:`encode_backward` reads whole-batch intermediates.
 
 When BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, or where it is
 unset or empty ``OMP_NUM_THREADS``, reads exactly ``1``), the tiles of a batch
@@ -216,6 +217,9 @@ def init_encoders(cfg, n_classes, rng, dtype=np.float32):
 
 
 def _check_input(x, cfg):
+    # integers would truncate the adjacency cast to their dtype
+    if x.dtype.kind != "f":
+        raise StructuralError(f"encoder input must be floating point, got {x.dtype}")
     if x.ndim != 4:
         raise StructuralError(f"expected [B, C, T, V] input, got shape {x.shape}")
     b, c, t, v = x.shape
@@ -251,112 +255,86 @@ def _column_sums(a):
 class GemmOperands:
     """An encoder's parameters as the operands of the forward kernel's GEMMs.
 
-    Built for one adjacency array and one activation dtype. ``blocks`` holds,
-    per block, the spatial weight ``kron(adj, w_s.T)`` and the temporal taps
-    (``w_t`` as a [k, C_in, C_out] array); the biases and the projection are
-    read from ``params``, the dict they were built from. For
-    ``window_len``-frame windows, ``bias_rows`` holds, per block, the spatial
-    and the temporal bias tiled over every frame and joint of a window, and
-    ``pool`` the window's mean over its T*V rows as a vector (see
-    :meth:`window_terms`).
+    Built for one adjacency array, one activation dtype and one window length
+    ``window_len``. ``blocks`` holds, per block, the spatial weight
+    ``kron(adj, w_s.T)`` and the temporal taps (``w_t`` as a [k, C_in, C_out]
+    array); the biases and the projection are read from ``params``, the dict
+    they were built from. ``bias_rows`` holds, per block, the spatial and the
+    temporal bias tiled into a [T*V, C] array, the bias of a whole window's
+    block; ``pool`` is the window's mean over its T*V rows as a vector, in the
+    dtype the activations take; ``per_tile`` is the number of windows in one
+    tile of the uncached forward: as many as keep ``T*V*k*width*itemsize``
+    bytes each within ``TILE_BYTES``, and at least one.
     """
 
     params: dict
     adj: np.ndarray
     dtype: np.dtype
+    window_len: int
     blocks: tuple
-    window_len: int | None = None
-    bias_rows: tuple = ()
-    pool: np.ndarray | None = None
+    bias_rows: tuple
+    pool: np.ndarray
+    per_tile: int
 
     @classmethod
-    def build(cls, params, adj, dtype, n_blocks, window_len=None):
-        """Operands of ``params``, with the bias rows and pooling vector of
-        ``window_len``-frame windows when it is given."""
+    def build(cls, params, adj, dtype, n_blocks, window_len):
+        """Operands of ``params`` for ``window_len``-frame windows."""
         dtype = np.dtype(dtype)
         adj_d = adj.astype(dtype, copy=False)
-        blocks = tuple(
-            (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
-             np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0)))
-            for i in range(n_blocks))
-        rows, pool = (), None
-        if window_len is not None:
-            rows, pool = _window_terms(params, blocks, dtype, window_len * adj.shape[0])
-        return cls(params=params, adj=adj, dtype=dtype, blocks=blocks,
-                   window_len=window_len, bias_rows=rows, pool=pool)
+        rows = window_len * adj.shape[0]
+        blocks, bias_rows = [], []
+        for i in range(n_blocks):
+            blocks.append(
+                (_spatial_weight(params[f"block{i}.spatial.w"], adj_d),
+                 np.ascontiguousarray(params[f"block{i}.temporal.w"].transpose(2, 1, 0))))
+            # np.repeat costs half what np.tile does on these small arrays
+            bias_rows.append(tuple(np.repeat(params[f"block{i}.{conv}.b"][None], rows, 0)
+                                   for conv in ("spatial", "temporal")))
+        act_dtype = np.result_type(dtype, *(a for block in blocks for a in block))
+        k, _, width = blocks[0][1].shape
+        return cls(params=params, adj=adj, dtype=dtype, window_len=window_len,
+                   blocks=tuple(blocks), bias_rows=tuple(bias_rows),
+                   pool=np.full(rows, 1.0 / rows, dtype=act_dtype),
+                   per_tile=max(1, TILE_BYTES // (rows * k * width * dtype.itemsize)))
 
     @classmethod
-    def for_call(cls, params, adj, dtype, n_blocks):
-        """The operands one encode with ``adj`` and ``dtype`` runs on.
+    def for_call(cls, params, adj, dtype, n_blocks, window_len):
+        """The operands one encode of ``window_len``-frame windows with ``adj``
+        and ``dtype`` runs on.
 
         ``params`` is returned as is when it is a :class:`GemmOperands` built
-        from this very adjacency array for this dtype and block count; any
-        other operands are rebuilt from their ``params``, so they are never
-        used with an adjacency or dtype they were not built for. A parameter
-        dict is always built.
+        from this very adjacency array for this dtype, block count and window
+        length; any other operands are rebuilt from their ``params``, so they
+        are never used for windows they were not built for, and operands
+        shared between threads are never written to. A parameter dict is
+        always built.
         """
         if isinstance(params, cls):
             if (params.adj is adj and params.dtype == dtype
-                    and len(params.blocks) == n_blocks):
+                    and len(params.blocks) == n_blocks
+                    and params.window_len == window_len):
                 return params
             params = params.params
-        return cls.build(params, adj, dtype, n_blocks)
-
-    def window_terms(self, window_len):
-        """``(bias_rows, pool)`` of a ``window_len``-frame window (see
-        :func:`_window_terms`): the ones built with the operands for their
-        length, else built for this call only, so operands shared between
-        threads never change."""
-        if window_len == self.window_len:
-            return self.bias_rows, self.pool
-        return _window_terms(self.params, self.blocks, self.dtype,
-                             window_len * self.adj.shape[0])
-
-
-def _window_terms(params, blocks, dtype, rows):
-    """``(bias_rows, pool)`` of windows of ``rows`` frame-joint rows:
-    ``bias_rows`` holds per block its spatial and temporal bias, each tiled
-    into a [rows, C] array, the bias of a whole window's block; ``pool`` is
-    ``1/rows`` repeated ``rows`` times, in the dtype that activations take
-    from ``dtype`` input and the block operands."""
-    bias_rows = []
-    for i in range(len(blocks)):
-        pair = []
-        for bias in (params[f"block{i}.spatial.b"], params[f"block{i}.temporal.b"]):
-            row = np.empty((rows, bias.shape[0]), bias.dtype)
-            row[...] = bias
-            pair.append(row)
-        bias_rows.append(tuple(pair))
-    act_dtype = np.result_type(dtype, *(a for block in blocks for a in block))
-    return tuple(bias_rows), np.full(rows, 1.0 / rows, dtype=act_dtype)
-
-
-def tile_windows(cfg, window_len, itemsize):
-    """Windows per tile of the uncached forward: as many ``window_len``-frame
-    windows of ``itemsize``-byte input as keep ``T*V*k*width*itemsize`` bytes
-    each within ``TILE_BYTES``, and at least one."""
-    window_bytes = window_len * NUM_JOINTS * cfg.temporal_kernel * cfg.width * itemsize
-    return max(1, TILE_BYTES // window_bytes)
+        return cls.build(params, adj, dtype, n_blocks, window_len)
 
 
 def encode_forward(params, x, adj, cfg, want_cache=False):
     """Batched forward pass. x: [B, C, T, V] -> unit-norm features [B, feature_dim].
 
     ``params`` is a parameter dict or the :class:`GemmOperands` built from
-    one. With ``want_cache`` the returned cache holds every intermediate
-    needed by :func:`encode_backward`, and the batch runs as one tile;
-    otherwise it runs in tiles of whole windows (see the module docstring).
+    one; operands built for another length, adjacency or dtype are rebuilt
+    from their ``params`` (:meth:`GemmOperands.for_call`). With
+    ``want_cache`` the returned cache holds every intermediate needed by
+    :func:`encode_backward`, and the batch runs as one tile; otherwise it runs
+    in tiles of whole windows (see the module docstring).
     """
     _check_input(x, cfg)
-    ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks)
-    t = x.shape[2]
+    ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks, x.shape[2])
     frames = x.transpose(0, 2, 3, 1)                       # [B, T, V, C], a view
-    terms = ops.window_terms(t)
     if want_cache:
-        z, cache = _forward(ops, frames, cfg, terms, True)
+        z, cache = _forward(ops, frames, cfg, True)
     else:
-        per_tile = tile_windows(cfg, t, x.itemsize)
-        z, cache = encode_frames(ops, frames, cfg, terms, per_tile), None
+        z, cache = encode_frames(ops, frames, cfg), None
     # a finite input far past the dtype's range can overflow the squares or
     # their sum; that is refused, so numpy need not warn of it
     with np.errstate(over="ignore"):
@@ -366,20 +344,20 @@ def encode_forward(params, x, adj, cfg, want_cache=False):
     return f, cache
 
 
-def encode_frames(ops, frames, cfg, terms, per_tile):
+def encode_frames(ops, frames, cfg):
     """Pre-normalization features z [B, feature_dim] of checked channels-last
-    [B, T, V, C] windows, ``per_tile`` windows at a time (see the module
-    docstring), with ``terms = ops.window_terms(T)``. :func:`unit_rows`
-    turns them into features."""
-    b = frames.shape[0]
+    [B, T, V, C] windows of the operands' length, ``ops.per_tile`` windows at
+    a time (see the module docstring). :func:`unit_rows` turns them into
+    features."""
+    b, per_tile = frames.shape[0], ops.per_tile
     if per_tile >= b:
-        return _forward(ops, frames, cfg, terms, False)[0]
+        return _forward(ops, frames, cfg, False)[0]
     z = np.empty((b, ops.params["proj.w"].shape[0]),
                  np.result_type(frames, *ops.params.values()))
 
     def run(starts):
         for lo in starts:
-            z[lo:lo + per_tile] = _forward(ops, frames[lo:lo + per_tile], cfg, terms, False)[0]
+            z[lo:lo + per_tile] = _forward(ops, frames[lo:lo + per_tile], cfg, False)[0]
 
     starts = range(0, b, per_tile)
     workers = min(TILE_THREADS, len(starts))
@@ -415,12 +393,11 @@ def unit_rows(z):
     return z / r, r
 
 
-def _forward(ops, frames, cfg, terms, want_cache):
-    """The forward kernel on checked channels-last [B, T, V, C] windows and
-    operands, with ``terms = ops.window_terms(T)``: pre-normalization
-    features and, with ``want_cache``, the cache without ``f`` and ``r``."""
+def _forward(ops, frames, cfg, want_cache):
+    """The forward kernel on checked channels-last [B, T, V, C] windows of
+    the operands' length: pre-normalization features and, with
+    ``want_cache``, the cache without ``f`` and ``r``."""
     params = ops.params
-    bias_rows, pool = terms
     b, t, v, c_in = frames.shape
     k = cfg.temporal_kernel
     pad_l = (k - 1) // 2
@@ -429,7 +406,7 @@ def _forward(ops, frames, cfg, terms, want_cache):
     h = frames.reshape(b * t, v * c_in)
     block_caches = []
     xp = None
-    for (k_s, taps), (row_s, row_t) in zip(ops.blocks, bias_rows):
+    for (k_s, taps), (row_s, row_t) in zip(ops.blocks, ops.bias_rows):
         c = k_s.shape[1] // v
         pre_s = (h @ k_s).reshape(b, t * v, c)              # [B, T*V, C]
         pre_s += row_s                                      # [T*V, C], whole windows
@@ -446,7 +423,7 @@ def _forward(ops, frames, cfg, terms, want_cache):
         if want_cache:
             block_caches.append((h, k_s, xp, taps, act_t))
         h = act_t.reshape(b * t, v * c)
-    pooled = pool @ h.reshape(b, t * v, c)
+    pooled = ops.pool @ h.reshape(b, t * v, c)
     z = np.dot(pooled, params["proj.w"].T) + params["proj.b"]
     if not want_cache:
         return z, None

@@ -97,10 +97,9 @@ class FrozenModel:
     A model is a read-only snapshot of the state it was made from. Construction
     copies the encoder parameters, the adjacency, the decoder and the memory
     queue (its features, labels, ``fill`` and ``head``) into read-only arrays,
-    and builds from them, once, the encoder's GEMM operands with the bias
-    rows and pooling vector of ``short_len``-frame windows, ``tile_windows``
-    (the windows in one tile of the forward), ``basis``, ``keys`` and
-    ``readout`` (``dataclasses.replace`` copies and builds again):
+    and builds from them, once, the encoder's GEMM operands for
+    ``short_len``-frame windows, ``basis``, ``keys`` and ``readout``
+    (``dataclasses.replace`` copies and builds again):
 
     - ``basis``, ``B`` in the module docstring, [feature_dim, r] with
       ``r = min(width + 1, feature_dim)``, has orthonormal columns spanning
@@ -125,7 +124,8 @@ class FrozenModel:
     Every filled slot must be finite with norm within ``memory.NORM_TOL`` of 1,
     else :class:`ContractError`; that bounds the logits, the projected slots'
     as well (see the module docstring). A ``short_len`` shorter than the
-    temporal kernel is a :class:`StructuralError`.
+    temporal kernel, and a ``dtype`` that is not floating point, are a
+    :class:`StructuralError`.
 
     Changing the state's encoder, decoder or queue afterwards, in place or by
     reassignment, does not reach the model, and writing into the model's own
@@ -145,7 +145,6 @@ class FrozenModel:
     input_scale: float
     dtype: type
     operands: enc.GemmOperands = field(init=False, repr=False, compare=False)
-    tile_windows: int = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     keys: np.ndarray = field(init=False, repr=False, compare=False)
     readout: np.ndarray = field(init=False, repr=False, compare=False)
@@ -157,6 +156,10 @@ class FrozenModel:
             raise StructuralError(
                 f"window of {self.short_len} frames is shorter than the temporal "
                 f"kernel ({cfg.temporal_kernel})")
+        # integer operands would truncate the normalized adjacency
+        if np.dtype(self.dtype).kind != "f":
+            raise StructuralError(
+                f"model dtype must be floating point, got {np.dtype(self.dtype)}")
         adjacency = _read_only_copy(self.adjacency)
         params = {name: _read_only_copy(p) for name, p in self.params.items()}
         operands = enc.GemmOperands.build(params, adjacency, self.dtype, cfg.blocks,
@@ -164,7 +167,6 @@ class FrozenModel:
         for block in operands.blocks + operands.bias_rows + ((operands.pool,),):
             for a in block:
                 a.flags.writeable = False
-        tile_windows = enc.tile_windows(cfg, self.short_len, np.dtype(self.dtype).itemsize)
         decoder = {name: _read_only_copy(p) for name, p in self.decoder.items()}
         queue = copy.copy(self.queue)
         queue.features = _read_only_copy(queue.features)
@@ -186,8 +188,7 @@ class FrozenModel:
         for a in (basis, keys, readout, mean):
             a.flags.writeable = False
         for name, value in (("adjacency", adjacency), ("params", params),
-                            ("operands", operands), ("tile_windows", tile_windows),
-                            ("decoder", decoder),
+                            ("operands", operands), ("decoder", decoder),
                             ("queue", queue), ("basis", basis), ("keys", keys),
                             ("readout", readout), ("readout_mean", mean)):
             object.__setattr__(self, name, value)
@@ -224,15 +225,13 @@ def window_features(model, windows):
     if windows.ndim != 4 or windows.shape[1:] != shape:
         raise StructuralError(f"expected [B, C, T, V] windows with (C, T, V) = "
                               f"{shape}, got shape {windows.shape}")
-    ops = model.operands
     # a finite value past the dtype's range becomes inf, refused here or at
     # the feature norm, so numpy need not warn of it
     with np.errstate(over="ignore"):
         frames = input_frames(windows, model.center, model.input_scale, model.dtype)
         if not np.isfinite(frames).all():
             raise NonFiniteError("non-finite value in encoder input")
-        z = enc.encode_frames(ops, frames, model.encoder_cfg,
-                              ops.window_terms(model.short_len), model.tile_windows)
+        z = enc.encode_frames(model.operands, frames, model.encoder_cfg)
         return enc.unit_rows(z)[0]
 
 
@@ -278,8 +277,9 @@ def predict(model, window):
 
 def latency_estimate(frames, frame_period_ms, inference_ms):
     """End-to-end latency: window fill time plus single-sample inference time."""
-    if frames < 0 or frame_period_ms < 0 or inference_ms < 0:
-        raise StructuralError("latency inputs must be non-negative")
+    if not all(math.isfinite(v) and v >= 0
+               for v in (frames, frame_period_ms, inference_ms)):
+        raise StructuralError("latency inputs must be finite and non-negative")
     return float(frames * frame_period_ms + inference_ms)
 
 

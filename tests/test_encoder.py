@@ -64,18 +64,30 @@ def test_encode_length_agnostic():
 
 
 def test_operands_are_never_used_with_another_adjacency_or_dtype():
+    """Nor with another window length: operands built for T are rebuilt for
+    a T+1 input, and their own arrays stay as they were."""
     params, _, _, x = tiny_setup()
     adj = GRAPH.normalized
-    ops = GemmOperands.build(params, adj, np.float64, TINY.blocks)
-    assert GemmOperands.for_call(ops, adj, np.dtype(np.float64), TINY.blocks) is ops
+    t = x.shape[2]
+    ops = GemmOperands.build(params, adj, np.float64, TINY.blocks, t)
+    assert GemmOperands.for_call(ops, adj, np.dtype(np.float64), TINY.blocks, t) is ops
+    rebuilt = GemmOperands.for_call(ops, adj, np.dtype(np.float64), TINY.blocks, t + 1)
+    assert rebuilt.params is params and rebuilt.window_len == t + 1
+    arrays = [a for pair in ops.blocks + ops.bias_rows for a in pair] + [ops.pool]
+    before = [a.copy() for a in arrays]
     f_ops, _ = encode_forward(ops, x, adj, TINY)
     assert np.array_equal(f_ops, encode_forward(params, x, adj, TINY)[0])
     other = normalize_adjacency(np.ones((3, 3)))
-    for a, xx in ((other, x), (adj.copy(), x), (adj, x.astype(np.float32))):
-        f_ops, _ = encode_forward(ops, xx, a, TINY)
-        f_raw, _ = encode_forward(params, xx, a, TINY)
-        assert np.array_equal(f_ops, f_raw)
+    longer = np.random.default_rng(3).normal(size=(2, 3, t + 1, 3))
+    for a, xx in ((other, x), (adj.copy(), x), (adj, x.astype(np.float32)), (adj, longer)):
+        for want_cache in (False, True):
+            f, _ = encode_forward(ops, xx, a, TINY, want_cache)
+            f_raw, _ = encode_forward(params, xx, a, TINY, want_cache)
+            assert_same_bits(f, f_raw, (xx.shape, xx.dtype, want_cache))
     assert not np.allclose(encode_forward(ops, x, other, TINY)[0], f_ops)
+    assert ops.window_len == t
+    for i, (a, copied) in enumerate(zip(arrays, before, strict=True)):
+        assert_same_bits(a, copied, i)
 
 
 def test_encode_input_validation():
@@ -89,6 +101,12 @@ def test_encode_input_validation():
                   (1, 4, 6, 3)):        # wrong C
         with pytest.raises(StructuralError):
             encode_forward(params, np.zeros(shape), GRAPH.normalized, TINY)
+    # an integer input would cast the normalized adjacency to integers, every
+    # entry below 1 to 0, and encode without an error
+    x = 3 * np.random.default_rng(2).normal(size=(1, 3, 6, 3))
+    for dtype in (np.int64, np.int32, np.bool_, np.complex128):
+        with pytest.raises(StructuralError, match="floating point"):
+            encode_forward(params, x.astype(dtype), GRAPH.normalized, TINY)
 
 
 @pytest.mark.parametrize("big", [7.657517846804133e18, 1e25, 1e30])
@@ -294,11 +312,14 @@ def test_gemm_operands_match_the_oracle_bitwise(case):
     ops = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t)
     oracle = oracle_gemm_blocks(params, GRAPH.normalized, dtype, cfg.blocks)
     assert ops.window_len == t and len(ops.bias_rows) == cfg.blocks
-    per_call, pool = ops.window_terms(t + 1)
     other = GemmOperands.build(params, GRAPH.normalized, dtype, cfg.blocks, t + 1)
     # the mean over a window's T*V rows, in the activations' dtype
-    for got, n in ((ops.pool, t * v), (pool, (t + 1) * v), (other.pool, (t + 1) * v)):
+    for got, n in ((ops.pool, t * v), (other.pool, (t + 1) * v)):
         assert_same_bits(got, np.full(n, 1.0 / n, dtype=dtype), ("pool", n))
+    # the windows in one tile, T*V*k*width*itemsize bytes each
+    for got, n in ((ops, t), (other, t + 1)):
+        window_bytes = n * v * cfg.temporal_kernel * cfg.width * np.dtype(dtype).itemsize
+        assert got.per_tile == max(1, enc.TILE_BYTES // window_bytes), n
     for i, ((k_s, taps), (row_s, row_t), (k_o, b_s, taps_o, b_t)) in enumerate(
             zip(ops.blocks, ops.bias_rows, oracle)):
         assert_same_bits(k_s, k_o, ("spatial weight", i))
@@ -306,29 +327,28 @@ def test_gemm_operands_match_the_oracle_bitwise(case):
         # the spatial bias, tiled over the joints, once per frame
         assert_same_bits(row_s.ravel(), np.tile(b_s, t), ("spatial row", i))
         assert_same_bits(row_t.ravel(), np.tile(b_t, t * v), ("temporal row", i))
-        for rows in (per_call[i], other.bias_rows[i]):
-            assert_same_bits(rows[0].ravel(), np.tile(b_s, t + 1), ("spatial row t+1", i))
-            assert_same_bits(rows[1].ravel(), np.tile(b_t, (t + 1) * v),
-                             ("temporal row t+1", i))
-    rows_t, pool_t = ops.window_terms(t)
-    assert rows_t is ops.bias_rows and pool_t is ops.pool
-    assert ops.window_len == t  # building terms for another length kept none
+        row_s, row_t = other.bias_rows[i]
+        assert_same_bits(row_s.ravel(), np.tile(b_s, t + 1), ("spatial row t+1", i))
+        assert_same_bits(row_t.ravel(), np.tile(b_t, (t + 1) * v), ("temporal row t+1", i))
 
 
-@given(encoder_cases(), st.integers(1, 30), st.sampled_from(["dict", "rows", "no rows"]))
+@given(encoder_cases(), st.integers(1, 30),
+       st.sampled_from(["dict", "this length", "another length"]))
 @settings(max_examples=120, deadline=None)
 def test_forward_and_backward_match_the_oracle_bitwise(case, per_tile, source):
     """Uncached forwards over one or several tiles, and cached forwards with
-    their backward, from a dict, from operands holding this length's bias
-    rows, and from operands that build them per call."""
+    their backward, from a dict, from operands built for the input's window
+    length, and from operands of another length, which are rebuilt."""
     cfg, params, x, dtype = case
     adj = GRAPH.normalized
     b, _, t, v = x.shape
-    encoder_in = {"dict": params,
-                  "rows": GemmOperands.build(params, adj, dtype, cfg.blocks, t),
-                  "no rows": GemmOperands.build(params, adj, dtype, cfg.blocks)}[source]
     window_bytes = t * v * cfg.temporal_kernel * cfg.width * x.itemsize
     with mock.patch.object(enc, "TILE_BYTES", per_tile * window_bytes):
+        # operands fix their tile count when they are built
+        encoder_in = {"dict": params,
+                      "this length": GemmOperands.build(params, adj, dtype, cfg.blocks, t),
+                      "another length": GemmOperands.build(params, adj, dtype, cfg.blocks,
+                                                           t + 1)}[source]
         f, cache = encode_forward(encoder_in, x, adj, cfg)
         f_o, _ = oracle_encode_forward(params, x, adj, cfg)
     assert cache is None

@@ -59,8 +59,10 @@ def test_latency_estimate_paper_settings():
 
 
 def test_latency_estimate_rejects_negative():
-    with pytest.raises(StructuralError):
-        latency_estimate(-1, 30, 12)
+    for args in ((-1, 30, 12), (math.nan, 30, 12), (6, math.inf, 12), (6, 30, math.nan),
+                 (math.inf, 30, 12), (6, -math.inf, 12)):
+        with pytest.raises(StructuralError, match="finite and non-negative"):
+            latency_estimate(*args)
 
 
 def test_predict_cold_start_reduces_to_decoder_path():
@@ -397,7 +399,7 @@ def test_served_features_are_encode_forward_of_preprocess_bitwise(
     for name, p in state.params_s.items():  # biases too, which start at zero
         p[...] = rng.normal(scale=0.5, size=p.shape)
     model = FrozenModel.from_state(state)
-    per_tile = model.tile_windows
+    per_tile = model.operands.per_tile
     b = {"empty": 0, "one": 1, "one tile": per_tile, "one tile + 1": per_tile + 1}[batch]
     # meter-scale positions with centimeter-scale motion, as the sensors give
     windows = 1.5 + 0.02 * rng.normal(size=(b, 3, model.short_len, 3))
@@ -447,6 +449,16 @@ def test_model_refuses_a_window_shorter_than_the_temporal_kernel():
     model, _ = untrained_model()
     with pytest.raises(StructuralError, match="shorter than the temporal kernel"):
         dataclasses.replace(model, short_len=model.encoder_cfg.temporal_kernel - 1)
+
+
+def test_model_refuses_a_non_floating_dtype():
+    """Integer operands would hold the normalized adjacency truncated to
+    zeros (boolean ones, to ones), and the model would serve features far
+    from the float ones."""
+    model, _ = untrained_model()
+    for dtype in (np.int64, np.int32, np.bool_):
+        with pytest.raises(StructuralError, match="floating point"):
+            dataclasses.replace(model, dtype=dtype)
 
 
 def filled_state(fill=10, seed=17, **overrides):
