@@ -12,7 +12,7 @@ from .errors import (CheckpointError, ConfigError, ContractError,
                      DataIntegrityError, EmptyMemoryError, NonFiniteError,
                      ParseError, StructuralError, ToolkitError)
 from .inference import (FrozenModel, StreamSession, latency_estimate, predict,
-                        predict_batch, serve_tcp, tcp_server, window_features)
+                        predict_batch, tcp_server, window_features)
 from .memory import MemoryQueue, address, address_batch, recall, recall_for_query
 from .evaluation import ConfusionMatrix, evaluate, export_addressing, run_grid
 from .training import (TrainConfig, TrainResult, TrainState, init_state,

@@ -1,9 +1,10 @@
 """Command-line entry points tying the toolkit together.
 
 Subcommands: generate, train, eval, ablate, infer, serve, export-addressing.
-Every subcommand accepts ``--config <file>`` (flat ``key = value`` text) plus
-repeated ``--set key=value`` overrides. Exit codes: 0 success, 1 usage error,
-2 runtime error.
+Only generate, train and ablate read settings: each accepts ``--config <file>``
+(flat ``key = value`` text) plus repeated ``--set key=value`` overrides, and
+the other subcommands refuse both as unrecognized arguments. Exit codes: 0
+success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _resolve_split(mapping, recordings):
     if fraction is None:
         raise ConfigError("config must set train_subjects/test_subjects "
                           "or train_fraction")
-    fraction = coerce(fraction, float, "train_fraction")
+    fraction = coerce(fraction, "float", "train_fraction")
     if not 0 < fraction < 1:
         raise ConfigError(f"train_fraction must be in (0, 1), got {fraction}")
     if len(subjects) < 2:
@@ -76,10 +77,6 @@ def _resolve_split(mapping, recordings):
                           f"the data has {len(subjects)}")
     n_train = min(max(int(round(fraction * len(subjects))), 1), len(subjects) - 1)
     return SplitSpec.from_lists(subjects[:n_train], subjects[n_train:])
-
-
-def _train_config(mapping):
-    return dataclass_from_mapping(TrainConfig, mapping, extra_keys=SPLIT_KEYS)
 
 
 def _eval_windows(model, recordings, label_names, subjects=None, stride=None):
@@ -112,7 +109,7 @@ def _eval_windows(model, recordings, label_names, subjects=None, stride=None):
 
 def cmd_generate(args):
     mapping = _load_mapping(args)
-    seed = coerce(mapping.pop("seed", "0"), int, "seed")
+    seed = coerce(mapping.pop("seed", "0"), "int", "seed")
     cfg = dataclass_from_mapping(SynthesisConfig, mapping)
     path = synthesize_gestures(cfg, seed, args.out)
     print(f"wrote {path}")
@@ -123,7 +120,7 @@ def cmd_train(args):
     mapping = _load_mapping(args)
     recordings, label_names = load_recordings(args.data)
     split = _resolve_split(mapping, recordings)
-    config = _train_config(mapping)
+    config = dataclass_from_mapping(TrainConfig, mapping, extra_keys=SPLIT_KEYS)
     result = training.train(config, recordings, label_names, split,
                             log_path=args.log, resume_from=args.resume)
     if args.out:
@@ -176,7 +173,7 @@ def cmd_ablate(args):
     seeds = _parse_seeds(args.seeds)
     recordings, label_names = load_recordings(args.data)
     split = _resolve_split(mapping, recordings)
-    config = _train_config(mapping)
+    config = dataclass_from_mapping(TrainConfig, mapping, extra_keys=SPLIT_KEYS)
     result = run_grid(config, recordings, label_names, split, seeds=seeds)
     print(format_grid_table(result))
     if args.json_out:
@@ -203,12 +200,13 @@ def cmd_infer(args):
 
 def cmd_serve(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
-    if args.port is not None:
-        inference.serve_tcp(model, args.host, args.port,
-                            stride_ms=args.stride_ms, frame_hz=args.frame_hz)
+    timing = dict(stride_ms=args.stride_ms, frame_hz=args.frame_hz)
+    if args.port is None:
+        inference.serve_connection(model, sys.stdin.buffer, sys.stdout.buffer, **timing)
     else:
-        inference.serve_connection(model, sys.stdin.buffer, sys.stdout.buffer,
-                                   stride_ms=args.stride_ms, frame_hz=args.frame_hz)
+        with inference.tcp_server(model, args.host, args.port, **timing) as server:
+            log.info("serving on %s:%d (stride %.0f ms)", args.host, args.port, args.stride_ms)
+            server.serve_forever()
     return 0
 
 
@@ -232,18 +230,19 @@ def build_parser():
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, settings=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
-                       help="override a config key (repeatable)")
+        if settings:
+            p.add_argument("--config", help="flat key = value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
+                           help="override a config key (repeatable)")
         p.set_defaults(func=func)
         return p
 
-    p = add("generate", cmd_generate, "synthesize a labeled gesture dataset")
+    p = add("generate", cmd_generate, "synthesize a labeled gesture dataset", settings=True)
     p.add_argument("--out", required=True, help="output dataset directory")
 
-    p = add("train", cmd_train, "train a model on a dataset directory")
+    p = add("train", cmd_train, "train a model on a dataset directory", settings=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="checkpoint output path")
     p.add_argument("--log", help="metrics JSONL output path")
@@ -257,7 +256,7 @@ def build_parser():
     p.add_argument("--confusion-out", help="write the confusion matrix as CSV")
 
     p = add("ablate", cmd_ablate,
-            "train the six-cell recall x contrast-loss grid")
+            "train the six-cell recall x contrast-loss grid", settings=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", help="comma-separated seeds (default: config seed)")
     p.add_argument("--json-out", help="write raw results as JSON")

@@ -1,24 +1,45 @@
 """Flat ``key = value`` config files and ``--set key=value`` overrides.
 
-Values are coerced to the target dataclass field types (bool, int, float, str,
-tuples of strings, and Optional[int]); unknown keys are rejected.
+Each value is read as its field's annotation (``bool``, ``int``, ``float``,
+``str``, ``tuple`` of strings or ``int | None``); unknown keys are rejected.
+:data:`FIELD_TYPES` says which Python values each annotation admits.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import types
-import typing
+import sys
 
 from .errors import ConfigError
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
+# what the text of a scalar annotation must spell, and how it is read
+_PARSERS = {"bool": ("a boolean", lambda text: _BOOL_WORDS[text.lower()]),
+            "int": ("an integer", int), "float": ("a number", float)}
+# Python types a config field accepts, by its annotation (a string under
+# ``from __future__ import annotations``); booleans only where it says bool.
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "int | None": (int, type(None)), "tuple": (tuple, list)}
+
+
+def check_field_types(config):
+    """Raise :class:`ConfigError` naming the first field of the dataclass
+    ``config`` that its annotation does not admit, or a float that is not finite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not (isinstance(value, FIELD_TYPES[f.type])
+                and isinstance(value, bool) == (f.type == "bool")):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # exact for an int, so one past the float range is refused too
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def read_kv_file(path):
-    """Parse a flat key = value text file; '#' starts a comment line."""
-    mapping = {}
+    """Parse a flat key = value text file; '#' starts a comment line. A key
+    set on two lines is a :class:`ConfigError` naming both."""
+    mapping, key_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -34,6 +55,8 @@ def read_kv_file(path):
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{line_no}: empty key")
+        if (first := key_line.setdefault(key, line_no)) != line_no:
+            raise ConfigError(f"{path}:{line_no}: {key!r} already set on line {first}")
         mapping[key] = value.strip()
     return mapping
 
@@ -49,52 +72,38 @@ def apply_overrides(mapping, assignments):
     return out
 
 
-def coerce(value, target, key):
-    """``value``, a string, as the field type ``target``; a value that does not
-    parse as that type is a :class:`ConfigError` naming ``key``."""
-    if typing.get_origin(target) in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(target) if a is not type(None)]
-        if value.lower() in ("none", ""):
-            return None
-        return coerce(value, args[0], key)
-    if target is bool:
+def coerce(value, kind, key):
+    """``value``, a string, as a value of the field annotation ``kind``, a key
+    of :data:`FIELD_TYPES`; a value that does not parse as one is a
+    :class:`ConfigError` naming ``key``."""
+    if kind == "int | None":
+        return None if value.lower() in ("none", "") else coerce(value, "int", key)
+    if kind in _PARSERS:
+        what, parse = _PARSERS[kind]
         try:
-            return _BOOL_WORDS[value.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {value!r}") from None
-    if target is int:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    if target is float:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    if target is str:
+            return parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
+    if kind == "str":
         return value
-    if typing.get_origin(target) in (tuple, list) or target in (tuple, list):
+    if kind == "tuple":
         return tuple(v.strip() for v in value.split(",") if v.strip())
-    raise ConfigError(f"{key}: unsupported config field type {target!r}")
+    raise ConfigError(f"{key}: unsupported config field type {kind!r}")
 
 
 def dataclass_from_mapping(cls, mapping, extra_keys=()):
-    """Build a dataclass from string values, coercing per field annotation.
+    """Build a dataclass from the string values of ``mapping``, coercing each
+    per field annotation.
 
     ``extra_keys`` are tolerated (and ignored) so one file can feed several
     consumers; any other unknown key is an error.
     """
-    hints = typing.get_type_hints(cls)
-    field_names = {f.name for f in dataclasses.fields(cls)}
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
         if key in extra_keys:
             continue
-        if key not in field_names:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
-        if isinstance(value, str):
-            kwargs[key] = coerce(value, hints[key], key)
-        else:
-            kwargs[key] = value
+        kwargs[key] = coerce(value, kinds[key], key)
     return cls(**kwargs)

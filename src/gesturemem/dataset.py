@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_field_types
 from .errors import ConfigError, DataIntegrityError, NonFiniteError, ParseError
 
 NUM_JOINTS = 3
@@ -404,6 +405,7 @@ class SynthesisConfig:
     subject_prefix: str = "s"
 
     def __post_init__(self):
+        check_field_types(self)
         self.classes = tuple(self.classes)
         unknown = [c for c in self.classes if c not in GESTURE_CLASSES]
         if unknown:
@@ -417,8 +419,8 @@ class SynthesisConfig:
             raise ConfigError("need at least 1 subject")
         if self.frames_per_class < 1:
             raise ConfigError("frames_per_class must be >= 1")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
     def subject_ids(self):
         width = max(2, len(str(self.subjects - 1)))

@@ -58,8 +58,8 @@ that spans more than one run on one thread per usable CPU, at most one per
 tile: the calling thread and helpers from a thread pool, each taking every
 n-th tile. numpy's GEMMs and large ufuncs release the interpreter lock, so the
 tiles use the cores BLAS leaves idle. Under a multi-threaded BLAS the two
-compete for the cores (a 2-CPU queue fill ran 67% slower with the pool), so
-the tiles run one after another on the calling thread and no thread starts.
+compete for the cores, so the tiles run one after another on the calling
+thread and no thread starts.
 The setting is read once, at import, as BLAS reads it when numpy loads;
 ``MKL_NUM_THREADS`` is not read. The thread count was measured only on 2 CPUs;
 whether one thread per CPU pays on larger hosts, or under a CPU quota smaller
@@ -75,8 +75,8 @@ calling thread takes a share rather than waiting idle.
 The projection and :func:`classify`'s decoder product call ``np.dot``, which
 costs less per call than ``@`` on their small operands, with the same bits;
 the tests' oracles use ``@``, so a numpy where the two differ fails them. The
-spatial conv keeps ``@``: at a long window's [960, 48] rows ``np.dot`` took
-41 us against 33 us.
+spatial conv keeps ``@``, which is the faster of the two at a long window's
+[960, 48] rows.
 
 The backward pass runs the same products transposed. It lays the output
 gradient where tap 0 reads each output frame, with zeros in the (k-1)*V rows

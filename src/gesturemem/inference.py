@@ -60,6 +60,7 @@ import logging
 import math
 import numbers
 import socketserver
+import sys
 import threading
 import time
 from collections import deque
@@ -276,11 +277,13 @@ def predict(model, window):
 
 
 def latency_estimate(frames, frame_period_ms, inference_ms):
-    """End-to-end latency: window fill time plus single-sample inference time."""
-    if not all(math.isfinite(v) and v >= 0
-               for v in (frames, frame_period_ms, inference_ms)):
+    """End-to-end latency: window fill time plus single-sample inference time.
+    Each input is a real number, not a boolean, from 0 to the largest float."""
+    inputs = (frames, frame_period_ms, inference_ms)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 0 <= v <= sys.float_info.max for v in inputs):
         raise StructuralError("latency inputs must be finite and non-negative")
-    return float(frames * frame_period_ms + inference_ms)
+    return float(frames) * float(frame_period_ms) + float(inference_ms)
 
 
 def _holds_bool(value):
@@ -511,10 +514,3 @@ def tcp_server(model, host, port, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
                 self.wfile.write(b'{"error": "idle timeout"}\n')
 
     return _SessionServer((host, port), Handler, MAX_SESSIONS)
-
-
-def serve_tcp(model, host, port, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
-    """Serve concurrent NDJSON sessions over TCP; blocks until interrupted."""
-    with tcp_server(model, host, port, stride_ms, frame_hz) as server:
-        log.info("serving on %s:%d (stride %.0f ms)", host, port, stride_ms)
-        server.serve_forever()

@@ -32,6 +32,7 @@ import numpy as np
 from . import encoder as enc
 from . import memory as mem
 from . import losses
+from .config import check_field_types
 from .dataset import window_dataset, window_starts
 from .errors import CheckpointError, ConfigError, NonFiniteError, StructuralError
 from .inference import FrozenModel, predict_batch
@@ -42,10 +43,6 @@ CHECKPOINT_VERSION = 1
 DTYPES = {"float32": np.float32, "float64": np.float64}
 CONTRAST_KINDS = ("memory", "views")
 DENOMINATOR_MODES = ("negatives", "all")
-# Python types a TrainConfig field accepts, by its annotation (a string under
-# ``from __future__ import annotations``); booleans only where it says bool.
-FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "int | None": (int, type(None))}
 
 
 @dataclass
@@ -89,13 +86,7 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, FIELD_TYPES[f.type])
-                    and isinstance(value, bool) == (f.type == "bool")):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        check_field_types(self)
         if self.eval_stride is not None and self.eval_stride < 1:
             raise ConfigError("eval_stride must be >= 1")
         for name in ("short_len", "window_scale", "stride", "batch_size", "width", "blocks",

@@ -415,6 +415,34 @@ def test_serve_refuses_stdin_and_port_together(tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+UNSETTABLE = {
+    "eval": ["--model", "m.ckpt", "--data", "d"],
+    "infer": ["--model", "m.ckpt", "--data", "d"],
+    "serve": ["--model", "m.ckpt"],
+    "export-addressing": ["--model", "m.ckpt", "--data", "d", "--out", "a.csv"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--set", "--config"])
+@pytest.mark.parametrize("command", sorted(UNSETTABLE))
+def test_commands_without_settings_refuse_config_and_set(tmp_path, capsys, command, flag):
+    # these read no config key, so a --config or --set would do nothing
+    value = "stride=3" if flag == "--set" else write_cfg(tmp_path / "c.cfg", "stride = 3\n")
+    assert main([command, *UNSETTABLE[command], flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_serve_port_serves_the_bound_server_and_closes_it(tmp_path, monkeypatch):
+    _, ckpt = generate_and_train(tmp_path)
+    served = []
+    monkeypatch.setattr(cli.inference._SessionServer, "serve_forever",
+                        lambda server: served.append(server))
+    assert main(["serve", "--model", ckpt, "--port", "0"]) == 0
+    [server] = served
+    assert server.server_address[0] == "127.0.0.1" and server.server_address[1] > 0
+    assert server.socket.fileno() == -1
+
+
 def test_read_kv_file_and_overrides(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg", "a = 1\n# comment\nb = two words\n")
     mapping = read_kv_file(cfg)
@@ -423,6 +451,15 @@ def test_read_kv_file_and_overrides(tmp_path):
     assert merged == {"a": "5", "b": "two words", "c": "x"}
     with pytest.raises(ConfigError):
         apply_overrides(mapping, ["oops"])
+
+
+def test_read_kv_file_refuses_a_repeated_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", "epochs = 1\n# again\nepochs = 2\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:3: 'epochs' already set on line 1"):
+        read_kv_file(cfg)
+    assert main(["train", "--config", cfg, "--data", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'epochs' already set on line 1" in err, err
 
 
 def test_dataclass_from_mapping_coercion():

@@ -332,6 +332,17 @@ def test_synthesis_refuses_noise_sigma_that_is_not_finite_and_non_negative(sigma
         SynthesisConfig(noise_sigma=sigma)
 
 
+@pytest.mark.parametrize("field,value", [("subjects", 2.5), ("subjects", "3"),
+                                         ("noise_sigma", "0.1"), ("frames_per_class", True)])
+def test_synthesis_config_fields_are_type_checked(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        SynthesisConfig(**{field: value})
+
+
+def test_synthesis_classes_may_be_a_list():
+    assert SynthesisConfig(classes=["standing", "walking"]).classes == ("standing", "walking")
+
+
 def test_synthesis_refuses_a_negative_seed(tmp_path):
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         synthesize_gestures(SynthesisConfig(), -1, tmp_path / "out")

@@ -65,6 +65,12 @@ def test_latency_estimate_rejects_negative():
             latency_estimate(*args)
 
 
+@pytest.mark.parametrize("frames", [True, 10**400, "6"], ids=["bool", "int_past_float", "str"])
+def test_latency_estimate_refuses_what_is_not_a_finite_real(frames):
+    with pytest.raises(StructuralError, match="finite and non-negative"):
+        latency_estimate(frames, 30, 1)
+
+
 def test_predict_cold_start_reduces_to_decoder_path():
     model, state = untrained_model(use_recall=True)
     assert model.queue.fill == 0
