@@ -137,7 +137,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_names = load_recordings(args.data)
-    subjects = _names(args.subjects) if args.subjects else None
+    subjects = None if args.subjects is None else _names(args.subjects)
     samples = _eval_windows(model, recordings, label_names, subjects, args.stride)
     result = evaluate(model, samples)
     print(f"accuracy: {result.accuracy:.4f} over {len(samples)} windows")
@@ -213,7 +213,7 @@ def cmd_serve(args):
 def cmd_export_addressing(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_names = load_recordings(args.data)
-    subjects = _names(args.subjects) if args.subjects else None
+    subjects = None if args.subjects is None else _names(args.subjects)
     samples = _eval_windows(model, recordings, label_names, subjects)
     stats = export_addressing(model, samples, args.n_slots, args.n_samples,
                               args.seed, args.out)

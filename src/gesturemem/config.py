@@ -3,6 +3,7 @@
 Each value is read as its field's annotation (``bool``, ``int``, ``float``,
 ``str``, ``tuple`` of strings or ``int | None``); unknown keys are rejected.
 :data:`FIELD_TYPES` says which Python values each annotation admits.
+:func:`text_records` reads the lines of the config, frames and label files.
 """
 
 from __future__ import annotations
@@ -36,19 +37,25 @@ def check_field_types(config):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def text_records(path, error):
+    """Yield (line number, stripped line) of every line of a UTF-8 text file
+    that is neither blank nor a '#' comment. The whole file is decoded first,
+    a leading BOM dropped; bytes that are not UTF-8 raise ``error``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise error(f"{path} is not UTF-8 text ({e.reason})") from None
+    for line_no, raw in enumerate(lines, start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield line_no, line
+
+
 def read_kv_file(path):
     """Parse a flat key = value text file; '#' starts a comment line. A key
     set on two lines is a :class:`ConfigError` naming both."""
     mapping, key_line = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path} is not UTF-8 text ({e.reason})") from None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in text_records(path, ConfigError):
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, value = line.split("=", 1)

@@ -15,7 +15,8 @@ Frames file: one frame per line,
 ``recording_id,subject_id,frame_index,label_id,hx,hy,hz,lx,ly,lz,rx,ry,rz``
 (head, left thigh, right thigh; y is vertical). ``#`` lines are comments.
 Label map file: lines of ``label_id,gesture_name``. A dataset directory holds
-``frames.csv`` plus ``labels.csv``.
+``frames.csv`` plus ``labels.csv``. Every file is read as UTF-8, whole, with a
+leading BOM ignored.
 
 Synthetic recordings are sampled at ``FRAME_HZ``, also a stream's default
 frame rate, and each moving gesture follows its fixed ``GAITS`` entry.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import check_field_types
+from .config import check_field_types, text_records
 from .errors import ConfigError, DataIntegrityError, NonFiniteError, ParseError
 
 NUM_JOINTS = 3
@@ -38,6 +39,7 @@ NUM_CHANNELS = 3
 
 FRAMES_FILENAME = "frames.csv"
 LABELS_FILENAME = "labels.csv"
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -92,25 +94,29 @@ class SampleSet:
     shorts: list
 
 
+def _non_negative(text, field, line_no):
+    """The non-negative integer that a frames field spells, or a :class:`ParseError`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"bad {field} {text!r}", line_no) from None
+    if value < 0:
+        raise ParseError(f"negative {field} {value}", line_no)
+    return value
+
+
 def _parse_frame_line(line, line_no):
+    """The ids, frame index, label and 9 coordinates of one frames line."""
     parts = line.split(",")
     if len(parts) != 4 + NUM_JOINTS * NUM_CHANNELS:
         raise ParseError(f"expected 13 comma-separated fields, got {len(parts)}", line_no)
     rec_id, subj_id = parts[0].strip(), parts[1].strip()
     if not rec_id or not subj_id:
         raise ParseError("empty recording_id or subject_id", line_no)
-    try:
-        frame_index = int(parts[2])
-    except ValueError:
-        raise ParseError(f"bad frame_index {parts[2]!r}", line_no) from None
-    if frame_index < 0:
-        raise ParseError(f"negative frame_index {frame_index}", line_no)
-    try:
-        label = int(parts[3])
-    except ValueError:
-        raise ParseError(f"bad label_id {parts[3]!r}", line_no) from None
-    if label < 0:
-        raise ParseError(f"negative label_id {label}", line_no)
+    frame_index = _non_negative(parts[2], "frame_index", line_no)
+    label = _non_negative(parts[3], "label_id", line_no)
+    if label > _INT64_MAX:  # a recording's labels are int64
+        raise ParseError(f"label_id {label} is past the int64 range", line_no)
     try:
         coords = [float(p) for p in parts[4:]]
     except ValueError:
@@ -118,8 +124,7 @@ def _parse_frame_line(line, line_no):
     for v in coords:
         if not math.isfinite(v):
             raise NonFiniteError(f"line {line_no}: non-finite coordinate {v!r}")
-    joints = np.asarray(coords, dtype=np.float64).reshape(NUM_JOINTS, NUM_CHANNELS)
-    return rec_id, subj_id, frame_index, label, joints
+    return rec_id, subj_id, frame_index, label, coords
 
 
 def _resolve_frames_path(path):
@@ -128,25 +133,11 @@ def _resolve_frames_path(path):
     return path
 
 
-def _records(path):
-    """Yield (line number, stripped line) of every record in a UTF-8 text file;
-    blank and '#' comment lines are skipped. Bytes that are not UTF-8 are a
-    :class:`ParseError`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield line_no, line
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
-
-
 def load_label_map(path):
     """Read a ``label_id,gesture_name`` file into the tuple of class names, in
     id order; ids must be 0..N-1 without gaps, and no name may repeat."""
-    entries = {}
-    for line_no, line in _records(path):
+    entries, names = {}, set()
+    for line_no, line in text_records(path, ParseError):
         parts = line.split(",", 1)
         if len(parts) != 2:
             raise ParseError("expected 'label_id,gesture_name'", line_no)
@@ -157,8 +148,9 @@ def load_label_map(path):
         if label in entries:
             raise ParseError(f"duplicate label_id {label}", line_no)
         name = parts[1].strip()
-        if name in entries.values():
+        if name in names:
             raise ParseError(f"duplicate gesture_name {name!r}", line_no)
+        names.add(name)
         entries[label] = name
     if sorted(entries) != list(range(len(entries))):
         raise DataIntegrityError(f"label ids not contiguous from 0: {sorted(entries)}")
@@ -174,19 +166,17 @@ def load_recordings(path):
     present, otherwise made up from the labels observed in the data.
     """
     frames_path = _resolve_frames_path(path)
-    groups = {}  # rec_id -> (subject, list[(frame_index, label, joints)])
-    for line_no, line in _records(frames_path):
-        rec_id, subj_id, frame_index, label, joints = _parse_frame_line(line, line_no)
-        if rec_id not in groups:
-            groups[rec_id] = (subj_id, [])
-        elif groups[rec_id][0] != subj_id:
+    groups = {}  # rec_id -> (subject, list[(frame_index, label, coordinates)])
+    for line_no, line in text_records(frames_path, ParseError):
+        rec_id, subj_id, frame_index, label, coords = _parse_frame_line(line, line_no)
+        subject, rows = groups.setdefault(rec_id, (subj_id, []))
+        if subject != subj_id:
             raise DataIntegrityError(
                 f"recording {rec_id!r} claims two subjects: "
-                f"{groups[rec_id][0]!r} and {subj_id!r} (line {line_no})")
-        groups[rec_id][1].append((frame_index, label, joints))
+                f"{subject!r} and {subj_id!r} (line {line_no})")
+        rows.append((frame_index, label, coords))
 
     recordings = []
-    max_label = -1
     for rec_id, (subj_id, rows) in groups.items():
         rows.sort(key=lambda r: r[0])
         indices = [r[0] for r in rows]
@@ -196,13 +186,12 @@ def load_recordings(path):
             if cur != prev + 1:
                 raise DataIntegrityError(
                     f"recording {rec_id!r}: frame_index gap between {prev} and {cur}")
-        joints = np.stack([r[2] for r in rows]) if rows else np.zeros((0, NUM_JOINTS, NUM_CHANNELS))
-        labels = np.asarray([r[1] for r in rows], dtype=np.int64)
-        if len(labels):
-            max_label = max(max_label, int(labels.max()))
+        joints = np.array([r[2] for r in rows]).reshape(-1, NUM_JOINTS, NUM_CHANNELS)
+        labels = np.array([r[1] for r in rows], dtype=np.int64)
         recordings.append(Recording(rec_id, subj_id, joints, labels,
-                                    first_frame_index=indices[0] if indices else 0))
+                                    first_frame_index=indices[0]))
     recordings.sort(key=lambda r: r.recording_id)
+    max_label = max((int(r.labels.max()) for r in recordings), default=-1)
 
     labels_path = os.path.join(os.path.dirname(frames_path), LABELS_FILENAME)
     if os.path.exists(labels_path):

@@ -283,7 +283,10 @@ def latency_estimate(frames, frame_period_ms, inference_ms):
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                and 0 <= v <= sys.float_info.max for v in inputs):
         raise StructuralError("latency inputs must be finite and non-negative")
-    return float(frames) * float(frame_period_ms) + float(inference_ms)
+    latency = float(frames) * float(frame_period_ms) + float(inference_ms)
+    if latency > sys.float_info.max:
+        raise StructuralError("latency estimate overflows the float range")
+    return latency
 
 
 def _holds_bool(value):

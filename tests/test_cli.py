@@ -16,8 +16,8 @@ from gesturemem import cli, evaluation
 from gesturemem.cli import main
 from gesturemem.config import (apply_overrides, dataclass_from_mapping,
                                read_kv_file)
-from gesturemem.dataset import (SynthesisConfig, load_recordings, synthesize_recordings,
-                                window_dataset)
+from gesturemem.dataset import (Recording, SynthesisConfig, load_recordings,
+                                synthesize_recordings, window_dataset, write_frames)
 from gesturemem.errors import ConfigError, ParseError
 from gesturemem.training import TrainConfig
 
@@ -164,7 +164,7 @@ def test_subjects_lists_are_stripped_and_checked(tmp_path, capsys):
     for command in (["eval", "--model", ckpt, "--data", data], export):
         for subjects, needle in (("s03, s99", "no subject s99 in the data"),
                                  ("s3", "no subject s3 in the data"),
-                                 (" , ", "lists no subject")):
+                                 (" , ", "lists no subject"), ("", "lists no subject")):
             assert main(command + ["--subjects", subjects]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and needle in err, err
@@ -462,6 +462,67 @@ def test_read_kv_file_refuses_a_repeated_key(tmp_path, capsys):
     assert err.startswith("error: ") and "'epochs' already set on line 1" in err, err
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("epochs = 1\n\nepochs 2\n", 3, "expected 'key = value'"),
+    ("# settings\n = 2\n", 2, "empty key"),
+], ids=["no_equals_sign", "empty_key"])
+def test_config_file_refusals(tmp_path, text, where, message):
+    cfg = write_cfg(tmp_path / "c.cfg", text)
+    with pytest.raises(ConfigError) as info:
+        read_kv_file(cfg)
+    assert str(info.value) == f"{cfg}:{where}: {message}"
+
+
+def test_read_kv_file_ignores_a_leading_bom(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfepochs = 2\n# \xef\xbb\xbf kept in a comment\n")
+    mapping = read_kv_file(cfg)
+    assert mapping == {"epochs": "2"}
+    assert dataclass_from_mapping(TrainConfig, mapping).epochs == 2
+
+
+def four_subject_data(tmp_path):
+    """A dataset directory of four one-frame recordings, subjects out of order."""
+    recordings = [Recording(f"r{s}", s, np.zeros((1, 3, 3)), np.zeros(1, dtype=np.int64))
+                  for s in "bdac"]
+    write_frames(tmp_path / "data" / "frames.csv", recordings, ("standing",))
+    return str(tmp_path / "data")
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["train_subjects=a"], "train_subjects and test_subjects must be set together"),
+    (["test_subjects=a,b"], "train_subjects and test_subjects must be set together"),
+    ([], "config must set train_subjects/test_subjects or train_fraction"),
+    (["train_fraction=1"], "train_fraction must be in (0, 1), got 1.0"),
+    (["train_fraction=0"], "train_fraction must be in (0, 1), got 0.0"),
+    (["train_fraction=nan"], "train_fraction must be in (0, 1), got nan"),
+], ids=["train_alone", "test_alone", "no_split", "fraction_one", "fraction_zero",
+        "fraction_nan"])
+def test_split_refusals(tmp_path, settings, message):
+    argv = ["train", "--data", four_subject_data(tmp_path)]
+    args = cli.build_parser().parse_args(argv + [f"--set={s}" for s in settings])
+    with pytest.raises(ConfigError) as info:
+        args.func(args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fraction, train", [("0.5", "ab"), ("0.1", "a"), ("0.9", "abc")])
+def test_train_fraction_trains_on_a_sorted_prefix_of_subjects(tmp_path, monkeypatch,
+                                                              fraction, train):
+    splits = []
+
+    def fake_train(config, recordings, label_names, split, **kwargs):
+        splits.append(split)
+        return SimpleNamespace(state=None, metrics=[])
+
+    monkeypatch.setattr(cli.training, "train", fake_train)
+    assert main(["train", "--data", four_subject_data(tmp_path),
+                 "--set", f"train_fraction={fraction}"]) == 0
+    [split] = splits
+    assert split.train_subjects == frozenset(train)
+    assert split.test_subjects == frozenset("abcd") - frozenset(train)
+
+
 def test_dataclass_from_mapping_coercion():
     cfg = dataclass_from_mapping(TrainConfig, {
         "short_len": "8", "learning_rate": "0.1", "use_recall": "false",
@@ -493,6 +554,8 @@ BAD_INPUTS = {
     "labels_not_utf8": (["train", "--set", "train_fraction=0.5"], "labels.csv"),
     "labels_name_repeated": (["train", "--set", "train_fraction=0.5"],
                              "line 3: duplicate gesture_name 'walking'"),
+    "frames_label_past_int64": (["train", "--set", "train_fraction=0.5"],
+                                f"line 2: label_id {10**30} is past the int64 range"),
     # neither would read back: inf coordinates, and subject ids with a comma
     "generate_noise_sigma_inf": (["generate", "--set", "noise_sigma=inf"], "noise_sigma"),
     "generate_subject_prefix_comma": (["generate", "--set", "subject_prefix=a,b"],
@@ -509,6 +572,10 @@ def test_bad_input_is_an_error_line_and_exit_2(tmp_path, capsys, case):
     if case == "labels_name_repeated":
         labels = data / "labels.csv"
         labels.write_text(labels.read_text().replace("jumping", "walking"))
+    elif case == "frames_label_past_int64":
+        frames = data / "frames.csv"
+        header, rest = frames.read_text().split("\n", 1)
+        frames.write_text(f"{header}\nr0,s0,0,{10**30},{','.join(['0'] * 9)}\n{rest}")
     elif case.startswith(("frames", "labels")):
         _corrupt(data / f"{case.split('_')[0]}.csv")
     argv, needle = BAD_INPUTS[case]

@@ -163,6 +163,87 @@ def test_load_rejects_conflicting_subject(tmp_path):
         load_recordings(path)
 
 
+COORDS = ",".join(["0.5"] * 9)
+# a frames line (line 3, after a comment and a good frame) and what reading
+# the dataset directory raises; labels.csv names two classes
+BAD_FRAMES = {
+    "empty_subject_id": (f"r0,,1,0,{COORDS}", ParseError,
+                         "line 3: empty recording_id or subject_id"),
+    "bad_frame_index": (f"r0,s0,x,0,{COORDS}", ParseError, "line 3: bad frame_index 'x'"),
+    "negative_frame_index": (f"r0,s0,-1,0,{COORDS}", ParseError,
+                             "line 3: negative frame_index -1"),
+    "bad_label_id": (f"r0,s0,1,1.0,{COORDS}", ParseError, "line 3: bad label_id '1.0'"),
+    "negative_label_id": (f"r0,s0,1,-2,{COORDS}", ParseError, "line 3: negative label_id -2"),
+    "bad_coordinate": ("r0,s0,1,0," + ",".join(["0.5"] * 8 + ["abc"]), ParseError,
+                       "line 3: bad coordinate value"),
+    "label_past_int64": (f"r0,s0,1,{2**63},{COORDS}", ParseError,
+                         f"line 3: label_id {2**63} is past the int64 range"),
+    "largest_int64_label": (f"r0,s0,1,{2**63 - 1},{COORDS}", DataIntegrityError,
+                            f"frames reference label {2**63 - 1} but label map has 2 classes"),
+    "duplicate_frame_index": (f"r0,s0,0,1,{COORDS}", DataIntegrityError,
+                              "recording 'r0': duplicate frame_index 0"),
+    "label_past_the_label_map": (f"r0,s0,1,2,{COORDS}", DataIntegrityError,
+                                 "frames reference label 2 but label map has 2 classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+def test_frames_file_refusals(tmp_path, case):
+    line, error, message = BAD_FRAMES[case]
+    (tmp_path / "frames.csv").write_text(f"# header\nr0,s0,0,0,{COORDS}\n{line}\n")
+    (tmp_path / "labels.csv").write_text("0,standing\n1,walking\n")
+    with pytest.raises(error) as info:
+        load_recordings(tmp_path)
+    assert str(info.value) == message
+
+
+# labels.csv text and what reading the dataset directory raises
+BAD_LABELS = {
+    "no_comma": ("0,standing\n1 walking\n", ParseError,
+                 "line 2: expected 'label_id,gesture_name'"),
+    "bad_label_id": ("# ids\n0,standing\none,walking\n", ParseError,
+                     "line 3: bad label_id 'one'"),
+    "duplicate_label_id": ("0,standing\n\n0,walking\n", ParseError,
+                           "line 3: duplicate label_id 0"),
+    "ids_not_contiguous": ("0,standing\n2,walking\n", DataIntegrityError,
+                           "label ids not contiguous from 0: [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_label_file_refusals(tmp_path, case):
+    text, error, message = BAD_LABELS[case]
+    (tmp_path / "frames.csv").write_text(f"r0,s0,0,0,{COORDS}\n")
+    (tmp_path / "labels.csv").write_text(text)
+    with pytest.raises(error) as info:
+        load_recordings(tmp_path)
+    assert str(info.value) == message
+
+
+def test_load_ignores_a_leading_bom(tmp_path):
+    synthesize_gestures(SynthesisConfig(subjects=2, frames_per_class=10), 5, tmp_path / "a")
+    bom = tmp_path / "b"
+    bom.mkdir()
+    for name in ("frames.csv", "labels.csv"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / "a" / name).read_bytes())
+    (plain, plain_names), (read, names) = load_recordings(tmp_path / "a"), load_recordings(bom)
+    assert names == plain_names and len(read) == len(plain) == 2
+    for a, b in zip(plain, read):
+        assert (a.recording_id, a.subject_id) == (b.recording_id, b.subject_id)
+        assert np.array_equal(a.joints, b.joints) and np.array_equal(a.labels, b.labels)
+
+
+def test_a_non_utf8_byte_is_reported_before_any_record_fault(tmp_path):
+    # longer than one 8 KiB decode chunk: the whole file is decoded before
+    # its first record is read
+    path = tmp_path / "frames.csv"
+    lines = [f"r0,s0,{i},0,{COORDS}" for i in range(2000)]
+    path.write_bytes(("r0,s0,x,0\n" + "\n".join(lines) + "\n").encode() + b"\xff\n")
+    with pytest.raises(ParseError) as info:
+        load_recordings(path)
+    assert str(info.value) == f"{path} is not UTF-8 text (invalid start byte)"
+
+
 # --- windowing --------------------------------------------------------------------
 
 def test_split_windows_single_class():

@@ -71,6 +71,14 @@ def test_latency_estimate_refuses_what_is_not_a_finite_real(frames):
         latency_estimate(frames, 30, 1)
 
 
+def test_latency_estimate_refuses_a_result_past_the_float_range():
+    assert latency_estimate(1e154, 1e154, 0) == 1e308
+    with pytest.raises(StructuralError, match="overflows"):
+        latency_estimate(1e200, 1e200, 0)
+    with pytest.raises(StructuralError, match="overflows"):
+        latency_estimate(1, sys.float_info.max, sys.float_info.max)
+
+
 def test_predict_cold_start_reduces_to_decoder_path():
     model, state = untrained_model(use_recall=True)
     assert model.queue.fill == 0
