@@ -39,6 +39,8 @@ NUM_CHANNELS = 3
 
 FRAMES_FILENAME = "frames.csv"
 LABELS_FILENAME = "labels.csv"
+# Most class names load_recordings makes up for frames with no labels.csv
+MAX_UNNAMED_CLASSES = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -163,7 +165,9 @@ def load_recordings(path):
     Returns ``(recordings, label_names)``. Frames are grouped by recording_id
     and sorted by frame_index; indices must be strictly increasing and
     gapless. The class names are read from a sibling ``labels.csv`` when
-    present, otherwise made up from the labels observed in the data.
+    present, otherwise made up from the labels observed in the data:
+    ``class_0`` up to the largest label, which must lie below
+    ``MAX_UNNAMED_CLASSES``.
     """
     frames_path = _resolve_frames_path(path)
     groups = {}  # rec_id -> (subject, list[(frame_index, label, coordinates)])
@@ -200,21 +204,38 @@ def load_recordings(path):
             raise DataIntegrityError(
                 f"frames reference label {max_label} but label map has "
                 f"{len(label_names)} classes")
+    elif max_label >= MAX_UNNAMED_CLASSES:
+        raise DataIntegrityError(
+            f"frames reference label {max_label}, and without a {LABELS_FILENAME} at "
+            f"most {MAX_UNNAMED_CLASSES} class names are made up: write a "
+            f"{LABELS_FILENAME} that names the classes")
     else:
         label_names = tuple(f"class_{i}" for i in range(max_label + 1))
     return recordings, label_names
+
+
+def refuse_unnamed_labels(recordings, n_classes):
+    """:class:`DataIntegrityError` naming the first recording with a label
+    outside ``[0, n_classes)``, and that label."""
+    for rec in recordings:
+        labels = np.asarray(rec.labels)
+        bad = labels[(labels < 0) | (labels >= n_classes)]
+        if bad.size:
+            raise DataIntegrityError(f"recording {rec.recording_id!r} has label "
+                                     f"{bad[0]}, which is no class id")
 
 
 def _check_writable(recordings, label_names):
     """:class:`DataIntegrityError` for what :func:`load_recordings` would not
     read back as written: an id that is empty, holds a comma or a line
     break, has surrounding whitespace, or is a recording id that starts with
-    ``#`` (a comment line) or repeats another; a recording with no frames, a
-    non-finite coordinate, a negative label, or, when ``label_names`` is
-    given, a label that names no class; a class name with a line break or
-    surrounding whitespace, or one that repeats another."""
+    ``#`` (a comment line) or repeats another; a recording with no frames or
+    a non-finite coordinate; a label that names no class of ``label_names``,
+    or without them, a label outside ``[0, MAX_UNNAMED_CLASSES)``; a class
+    name with a line break or surrounding whitespace, or one that repeats
+    another."""
     names = label_names or ()
-    top = math.inf if label_names is None else len(names)
+    top = MAX_UNNAMED_CLASSES if label_names is None else len(names)
     for rec in recordings:
         for kind, text in (("recording", rec.recording_id), ("subject", rec.subject_id)):
             if not text or text != text.strip() or any(c in text for c in ",\r\n"):
@@ -226,11 +247,7 @@ def _check_writable(recordings, label_names):
         if not np.isfinite(rec.joints).all():
             raise DataIntegrityError(f"recording {rec.recording_id!r} has a non-finite "
                                      f"coordinate")
-        labels = np.asarray(rec.labels)
-        bad = labels[(labels < 0) | (labels >= top)]
-        if bad.size:
-            raise DataIntegrityError(f"recording {rec.recording_id!r} has label "
-                                     f"{bad[0]}, which is no class id")
+    refuse_unnamed_labels(recordings, top)
     if len({r.recording_id for r in recordings}) != len(recordings):
         raise DataIntegrityError("two recordings share an id")
     for name in names:

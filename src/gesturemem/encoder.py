@@ -34,11 +34,10 @@ transform writes that layout; :func:`encode_forward` transposes its
   model one around its whole forward.
 
 :class:`GemmOperands` belong to one window length, fixed when they are
-built: they hold that length's bias rows, pooling vector and tile count. A
-served model builds its ``short_len`` ones once; training builds the short
-windows' once per step, and the long windows' with each call. Windows of
-another length get operands of their own, built for the call, so operands
-shared between sessions are never written to.
+built: they hold that length's bias rows, pooling vector and tile count.
+:func:`encode_forward` builds them from a parameter dict on every call; a
+served model builds its ``short_len`` ones once, read-only, and runs
+:func:`encode_frames` on them.
 
 Without a cache, a batch runs in tiles of whole windows, in the one tile loop
 of :func:`encode_frames` that :func:`encode_forward` and the served model share
@@ -91,10 +90,9 @@ the short-term and long-term encoders hold structurally identical dicts. They
 keep their conventional shapes (``w_s`` [C_out, C_in], ``w_t`` [C_out, C_in, k]),
 so checkpoints and training's flat parameter buffers do not depend on the
 activation layout. :meth:`GemmOperands.build` rearranges them into the
-kernel's operands. Training changes its parameters every step and builds the
-operands on each call (the long encoder's inside :func:`encode_forward`); a
-served model, whose parameters never change, builds them once and passes them
-in place of the dict.
+kernel's operands, inside each :func:`encode_forward`, since training changes
+its parameters every step. A served model, whose parameters never change,
+builds them once.
 """
 
 from __future__ import annotations
@@ -255,22 +253,21 @@ def _column_sums(a):
 class GemmOperands:
     """An encoder's parameters as the operands of the forward kernel's GEMMs.
 
-    Built for one adjacency array, one activation dtype and one window length
-    ``window_len``. ``blocks`` holds, per block, the spatial weight
-    ``kron(adj, w_s.T)`` and the temporal taps (``w_t`` as a [k, C_in, C_out]
-    array); the biases and the projection are read from ``params``, the dict
-    they were built from. ``bias_rows`` holds, per block, the spatial and the
-    temporal bias tiled into a [T*V, C] array, the bias of a whole window's
-    block; ``pool`` is the window's mean over its T*V rows as a vector, in the
-    dtype the activations take; ``per_tile`` is the number of windows in one
-    tile of the uncached forward: as many as keep ``T*V*k*width*itemsize``
-    bytes each within ``TILE_BYTES``, and at least one.
+    Built for one adjacency array ``adj``, one activation dtype and one
+    window length, which only the arrays record. ``blocks`` holds, per
+    block, the spatial weight ``kron(adj, w_s.T)`` and the temporal taps
+    (``w_t`` as a [k, C_in, C_out] array); the biases and the projection are
+    read from ``params``, the dict they were built from. ``bias_rows`` holds,
+    per block, the spatial and the temporal bias tiled into a [T*V, C] array,
+    the bias of a whole window's block; ``pool`` is the window's mean over
+    its T*V rows as a vector, in the dtype the activations take; ``per_tile``
+    is the number of windows in one tile of the uncached forward: as many as
+    keep ``T*V*k*width*itemsize`` bytes each within ``TILE_BYTES``, and at
+    least one.
     """
 
     params: dict
     adj: np.ndarray
-    dtype: np.dtype
-    window_len: int
     blocks: tuple
     bias_rows: tuple
     pool: np.ndarray
@@ -292,44 +289,23 @@ class GemmOperands:
                                    for conv in ("spatial", "temporal")))
         act_dtype = np.result_type(dtype, *(a for block in blocks for a in block))
         k, _, width = blocks[0][1].shape
-        return cls(params=params, adj=adj, dtype=dtype, window_len=window_len,
-                   blocks=tuple(blocks), bias_rows=tuple(bias_rows),
+        return cls(params=params, adj=adj, blocks=tuple(blocks),
+                   bias_rows=tuple(bias_rows),
                    pool=np.full(rows, 1.0 / rows, dtype=act_dtype),
                    per_tile=max(1, TILE_BYTES // (rows * k * width * dtype.itemsize)))
-
-    @classmethod
-    def for_call(cls, params, adj, dtype, n_blocks, window_len):
-        """The operands one encode of ``window_len``-frame windows with ``adj``
-        and ``dtype`` runs on.
-
-        ``params`` is returned as is when it is a :class:`GemmOperands` built
-        from this very adjacency array for this dtype, block count and window
-        length; any other operands are rebuilt from their ``params``, so they
-        are never used for windows they were not built for, and operands
-        shared between threads are never written to. A parameter dict is
-        always built.
-        """
-        if isinstance(params, cls):
-            if (params.adj is adj and params.dtype == dtype
-                    and len(params.blocks) == n_blocks
-                    and params.window_len == window_len):
-                return params
-            params = params.params
-        return cls.build(params, adj, dtype, n_blocks, window_len)
 
 
 def encode_forward(params, x, adj, cfg, want_cache=False):
     """Batched forward pass. x: [B, C, T, V] -> unit-norm features [B, feature_dim].
 
-    ``params`` is a parameter dict or the :class:`GemmOperands` built from
-    one; operands built for another length, adjacency or dtype are rebuilt
-    from their ``params`` (:meth:`GemmOperands.for_call`). With
-    ``want_cache`` the returned cache holds every intermediate needed by
-    :func:`encode_backward`, and the batch runs as one tile; otherwise it runs
-    in tiles of whole windows (see the module docstring).
+    ``params`` is a parameter dict; the call builds its operands for ``x``'s
+    dtype and window length. With ``want_cache`` the returned cache holds
+    every intermediate needed by :func:`encode_backward`, and the batch runs
+    as one tile; otherwise it runs in tiles of whole windows (see the module
+    docstring).
     """
     _check_input(x, cfg)
-    ops = GemmOperands.for_call(params, adj, x.dtype, cfg.blocks, x.shape[2])
+    ops = GemmOperands.build(params, adj, x.dtype, cfg.blocks, x.shape[2])
     frames = x.transpose(0, 2, 3, 1)                       # [B, T, V, C], a view
     if want_cache:
         z, cache = _forward(ops, frames, cfg, True)

@@ -33,7 +33,7 @@ from . import encoder as enc
 from . import memory as mem
 from . import losses
 from .config import check_field_types
-from .dataset import window_dataset, window_starts
+from .dataset import refuse_unnamed_labels, window_dataset, window_starts
 from .errors import CheckpointError, ConfigError, NonFiniteError, StructuralError
 from .inference import FrozenModel, predict_batch
 
@@ -310,10 +310,8 @@ def train_step(state, x_short, x_long, labels):
     labels = np.asarray(labels)
     flat = flat_params(state)
 
-    # built once: the views loss runs the short encoder on the same operands
-    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
-                                   x_short.shape[2])
-    feats_s, cache_s = enc.encode_forward(ops_s, x_short, adj, enc_cfg, want_cache=True)
+    feats_s, cache_s = enc.encode_forward(state.params_s, x_short, adj, enc_cfg,
+                                          want_cache=True)
     feats_l, _ = enc.encode_forward(state.params_l, x_long, adj, enc_cfg)
 
     if cfg.use_recall:
@@ -344,8 +342,8 @@ def train_step(state, x_short, x_long, labels):
             views = _augment_views(x_short, state.rng, cfg.jitter_sigma,
                                    min_len=max(cfg.temporal_kernel, x_short.shape[2] - 2))
             view_labels = np.concatenate([labels, labels])
-            view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
-                                                       want_cache=True)
+            view_feats, aug_cache = enc.encode_forward(state.params_s, views, adj,
+                                                       enc_cfg, want_cache=True)
             contrast, g_views = losses.supervised_contrastive_loss_with_grad(
                 view_feats, view_labels, cfg)
             g_aug = cfg.mal_weight * g_views
@@ -451,8 +449,12 @@ def train(config, recordings, label_names, split, log_path=None, resume_from=Non
 
     Deterministic for a fixed config and seed: data order, augmentation, and
     initialization all derive from one seeded generator whose state rides along
-    in checkpoints.
+    in checkpoints. A label of the split's recordings that names no class of
+    ``label_names`` is a :class:`DataIntegrityError` before any step.
     """
+    subjects = split.train_subjects | split.test_subjects
+    refuse_unnamed_labels([r for r in recordings if r.subject_id in subjects],
+                          len(label_names))
     data = prepare_data(config, recordings, label_names, split)
     if resume_from is not None:
         state = load_checkpoint(resume_from)

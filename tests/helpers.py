@@ -450,9 +450,8 @@ def oracle_train_step(state, x_short, x_long, labels):
     enc_cfg = cfg.encoder_config()
     adj = state.graph.normalized
     labels = np.asarray(labels)
-    ops_s = enc.GemmOperands.build(state.params_s, adj, x_short.dtype, enc_cfg.blocks,
-                                   x_short.shape[2])
-    feats_s, cache_s = enc.encode_forward(ops_s, x_short, adj, enc_cfg, want_cache=True)
+    feats_s, cache_s = enc.encode_forward(state.params_s, x_short, adj, enc_cfg,
+                                          want_cache=True)
     feats_l, _ = enc.encode_forward(state.params_l, x_long, adj, enc_cfg)
     combined, recall_cache = feats_s, None
     if cfg.use_recall:
@@ -475,8 +474,8 @@ def oracle_train_step(state, x_short, x_long, labels):
             views = oracle_augment_views(x_short, state.rng, cfg.jitter_sigma,
                                          min_len=max(cfg.temporal_kernel,
                                                      x_short.shape[2] - 2))
-            view_feats, aug_cache = enc.encode_forward(ops_s, views, adj, enc_cfg,
-                                                       want_cache=True)
+            view_feats, aug_cache = enc.encode_forward(state.params_s, views, adj,
+                                                       enc_cfg, want_cache=True)
             contrast, g_views = losses.supervised_contrastive_loss_with_grad(
                 view_feats, np.concatenate([labels, labels]), cfg)
             g_aug = cfg.mal_weight * g_views

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturemem.dataset import (Recording, SplitSpec,
+from gesturemem.dataset import (MAX_UNNAMED_CLASSES, Recording, SplitSpec,
                                 SynthesisConfig, load_recordings, mean_center,
                                 split_windows,
                                 synthesize_gestures, synthesize_recordings,
@@ -126,6 +126,24 @@ def test_write_frames_without_names_keeps_any_label_that_is_not_negative(tmp_pat
     write_frames(tmp_path / "frames.csv", [rec])
     loaded, names = load_recordings(tmp_path)
     assert loaded[0].labels.tolist() == [0, 7, 7] and len(names) == 8
+
+
+@pytest.mark.parametrize("label", [MAX_UNNAMED_CLASSES, 10**6, 2**63 - 1])
+def test_load_without_names_refuses_a_label_past_the_made_up_names(tmp_path, label):
+    coords = ",".join(["0.1"] * 9)
+    (tmp_path / "frames.csv").write_text(f"r0,s0,0,{label},{coords}\n")
+    with pytest.raises(DataIntegrityError, match=f"label {label}, .*write a labels.csv"):
+        load_recordings(tmp_path)
+    # nor is it written without names, as it would not read back
+    with pytest.raises(DataIntegrityError, match=f"label {label}, which is no class id"):
+        write_frames(tmp_path / "out" / "frames.csv", [make_recording([0, label])])
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_without_names_makes_up_names_below_the_bound(tmp_path):
+    write_frames(tmp_path / "frames.csv", [make_recording([MAX_UNNAMED_CLASSES - 1])])
+    _, names = load_recordings(tmp_path)
+    assert len(names) == MAX_UNNAMED_CLASSES and names[-1] == f"class_{len(names) - 1}"
 
 
 def test_load_rejects_nan_with_line_number(tmp_path):

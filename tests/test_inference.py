@@ -373,7 +373,7 @@ def test_model_rejects_a_slot_off_unit_norm(fault):
 def test_empty_batch_gives_empty_results():
     model, _ = untrained_model(dtype="float32")
     x = np.zeros((0, 3, 6, 3), dtype=np.float32)
-    f, _ = enc.encode_forward(model.operands, x, model.adjacency, model.encoder_cfg)
+    f, _ = enc.encode_forward(model.params, x, model.adjacency, model.encoder_cfg)
     assert f.shape == (0, 8) and f.dtype == np.float32
     assert window_features(model, x).shape == (0, 8)
     for m in (model, FrozenModel.from_state(filled_state(dtype="float32"))):

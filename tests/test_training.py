@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
+from gesturemem import training
 from gesturemem.dataset import (Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
-from gesturemem.errors import (CheckpointError, ConfigError, NonFiniteError,
-                               StructuralError)
+from gesturemem.errors import (CheckpointError, ConfigError, DataIntegrityError,
+                               NonFiniteError, StructuralError)
 from gesturemem.evaluation import evaluate
 from gesturemem.inference import FrozenModel
 from gesturemem.training import (TrainConfig, _augment_views, _sgd_update,
@@ -302,6 +303,26 @@ def test_train_zero_epochs_equals_initialization():
         assert np.array_equal(result.state.params_s[k], fresh.params_s[k])
     assert result.state.queue.fill == 0
     assert result.metrics == []
+
+
+@pytest.mark.parametrize("fault", ["past the names", "negative"])
+def test_train_refuses_a_label_that_names_no_class_before_any_step(monkeypatch, fault):
+    recordings, names = tiny_dataset(subjects=2)
+    if fault == "negative":
+        recordings[1].labels[7] = -1
+        rec, label = recordings[1], -1
+    else:
+        names = names[:2]
+        rec, label = recordings[0], 2
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(training, "train_step", no_step)
+    with pytest.raises(DataIntegrityError) as err:
+        train(tiny_config(), recordings, names, SplitSpec.from_lists(["s00"], ["s01"]))
+    assert str(err.value) == (f"recording {rec.recording_id!r} has label {label}, "
+                              f"which is no class id")
 
 
 def test_train_same_seed_reproduces_metrics(tmp_path):
