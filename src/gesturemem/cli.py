@@ -12,14 +12,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
+import os
+import subprocess
 import sys
+import time
 
 from . import inference, training
 from .config import apply_overrides, coerce, dataclass_from_mapping, read_kv_file
 from .dataset import (FRAME_HZ, SplitSpec, SynthesisConfig, load_recordings,
-                      synthesize_gestures, window_dataset)
+                      resolve_frames_path, synthesize_gestures, window_dataset)
 from .errors import ConfigError, ToolkitError
 from .evaluation import (check_distinct_seeds, evaluate, export_addressing,
                          format_grid_table, run_grid)
@@ -168,15 +172,32 @@ def _parse_seeds(text):
     return seeds
 
 
+def _git_commit():
+    """HEAD of the git checkout holding this package's source, or None without one."""
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                              check=True, cwd=os.path.dirname(os.path.abspath(__file__)),
+                              timeout=10).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def cmd_ablate(args):
+    start = time.monotonic()
     mapping = _load_mapping(args)
     seeds = _parse_seeds(args.seeds)
     recordings, label_names = load_recordings(args.data)
+    with open(resolve_frames_path(args.data), "rb") as fh:
+        data_sha256 = hashlib.sha256(fh.read()).hexdigest()
     split = _resolve_split(mapping, recordings)
     config = dataclass_from_mapping(TrainConfig, mapping, extra_keys=SPLIT_KEYS)
     result = run_grid(config, recordings, label_names, split, seeds=seeds)
     print(format_grid_table(result))
     if args.json_out:
+        result.update(config=dataclasses.asdict(config), data_sha256=data_sha256,
+                      split={"train_subjects": sorted(split.train_subjects),
+                             "test_subjects": sorted(split.test_subjects)},
+                      git_commit=_git_commit(), wall_s=time.monotonic() - start)
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
     return 0
@@ -259,7 +280,7 @@ def build_parser():
             "train the six-cell recall x contrast-loss grid", settings=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", help="comma-separated seeds (default: config seed)")
-    p.add_argument("--json-out", help="write raw results as JSON")
+    p.add_argument("--json-out", help="write the results and their provenance as JSON")
 
     p = add("infer", cmd_infer, "batch-predict windows of a dataset as NDJSON")
     p.add_argument("--model", required=True)

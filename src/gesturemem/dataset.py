@@ -129,7 +129,8 @@ def _parse_frame_line(line, line_no):
     return rec_id, subj_id, frame_index, label, coords
 
 
-def _resolve_frames_path(path):
+def resolve_frames_path(path):
+    """The frames file of ``path``: the file itself, or a directory's ``frames.csv``."""
     if os.path.isdir(path):
         return os.path.join(path, FRAMES_FILENAME)
     return path
@@ -169,7 +170,7 @@ def load_recordings(path):
     ``class_0`` up to the largest label, which must lie below
     ``MAX_UNNAMED_CLASSES``.
     """
-    frames_path = _resolve_frames_path(path)
+    frames_path = resolve_frames_path(path)
     groups = {}  # rec_id -> (subject, list[(frame_index, label, coordinates)])
     for line_no, line in text_records(frames_path, ParseError):
         rec_id, subj_id, frame_index, label, coords = _parse_frame_line(line, line_no)
@@ -262,7 +263,7 @@ def write_frames(path, recordings, label_names=None):
     format. Content that would not read back as written is refused (see
     :func:`_check_writable`) before any directory or file is made."""
     _check_writable(recordings, label_names)
-    frames_path = _resolve_frames_path(path)
+    frames_path = resolve_frames_path(path)
     os.makedirs(os.path.dirname(frames_path) or ".", exist_ok=True)
     with open(frames_path, "w", encoding="utf-8") as fh:
         fh.write("# recording_id,subject_id,frame_index,label_id,"
@@ -286,20 +287,17 @@ def _run_ends(labels):
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 
-def window_starts(recording, short_len, stride=1, window_scale=1, at=None,
-                  purity_required=True):
-    """Window start frames and which are kept. Without ``at``: short windows
-    at ``0, stride, ...``, kept when label-pure. Given short starts ``at``:
+def window_starts(recording, short_len, stride=1, window_scale=1, at=None):
+    """Window start frames and which are kept, the label-pure ones. Without
+    ``at``: short windows at ``0, stride, ...``. Given short starts ``at``:
     their S*T-frame long windows, ``floor(S/2) * T`` frames earlier, shifted
-    into the recording (which must hold them), kept unless ``purity_required``
-    and they mix labels. A long window holds its short window, so a pure one
-    has its short window's label."""
+    into the recording (which must hold them). A long window holds its short
+    window, so a pure one has its short window's label."""
     if at is None:
         at = np.arange(0, len(recording) - short_len + 1, stride)
     total = window_scale * short_len
     starts = np.clip(at - window_scale // 2 * short_len, 0, len(recording) - total)
-    keep = (not purity_required) | (_run_ends(recording.labels)[starts] >= starts + total)
-    return starts, keep
+    return starts, _run_ends(recording.labels)[starts] >= starts + total
 
 
 def _windows(joints, starts, length):

@@ -10,12 +10,12 @@ encoder; then enqueue the batch's long-term features. Only the enqueue mutates
 the queue, so a sample never recalls features produced by its own batch.
 
 The parameters a step changes live in flat buffers (:class:`FlatParams`): the
-short encoder and the decoder in one, their SGD velocities in a twin, the long
-encoder in a third. The state's parameter dicts hold views into them, so
-checkpoints, :class:`FrozenModel` and the encoder read plain dicts, while the
-update is a handful of whole-buffer operations that change the arrays in
-place: an array held across a step sees the step's update. Each float goes
-through the same elementwise operations as a per-tensor update would.
+short encoder and the decoder in one, the long encoder in another. The state's
+parameter dicts hold views into them, so checkpoints, :class:`FrozenModel` and
+the encoder read plain dicts, while the update is a handful of whole-buffer
+operations that change the arrays in place: an array held across a step sees
+the step's update. Each float goes through the same elementwise operations as
+a per-tensor update would.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ from .inference import FrozenModel, predict_batch
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DTYPES = {"float32": np.float32, "float64": np.float64}
 CONTRAST_KINDS = ("memory", "views")
 DENOMINATOR_MODES = ("negatives", "all")
+# Most frames a long window (short_len * window_scale) may span
+MAX_WINDOW_FRAMES = 1 << 16
 
 
 @dataclass
@@ -54,7 +56,6 @@ class TrainConfig:
     window_scale: int = 10
     stride: int = 1
     eval_stride: int | None = None      # None -> non-overlapping (short_len)
-    purity_required: bool = True
     center: bool = False
     input_scale: float = 1.0
     # encoder / decoder
@@ -72,7 +73,6 @@ class TrainConfig:
     # optimization
     learning_rate: float = 0.005
     weight_decay: float = 1e-4
-    sgd_momentum: float = 0.0
     batch_size: int = 64
     epochs: int = 50
     seed: int = 0
@@ -96,6 +96,9 @@ class TrainConfig:
         for name in ("epochs", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if self.short_len * self.window_scale > MAX_WINDOW_FRAMES:
+            raise ConfigError(f"short_len * window_scale must be at most {MAX_WINDOW_FRAMES}, "
+                              f"got {self.short_len} * {self.window_scale}")
         if self.short_len < self.temporal_kernel:
             raise ConfigError(f"short_len ({self.short_len}) must be >= temporal_kernel "
                               f"({self.temporal_kernel})")
@@ -109,8 +112,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0 and weight_decay >= 0")
         if self.input_scale <= 0:
             raise ConfigError("input_scale must be positive")
-        if not (0.0 <= self.sgd_momentum < 1.0):
-            raise ConfigError("sgd_momentum must be in [0, 1)")
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
         if self.temperature <= 0:
@@ -151,10 +152,10 @@ class TrainConfig:
 class TrainState:
     """Everything a training run mutates, plus what checkpoints persist.
 
-    ``params_s``, ``params_l``, ``decoder`` and ``velocities`` are dicts of
-    arrays. After a step their arrays are views into ``flat``'s buffers,
-    which each step updates in place; assigning a dict or an entry is safe,
-    as the next step packs the buffers anew (see :func:`flat_params`).
+    ``params_s``, ``params_l`` and ``decoder`` are dicts of arrays. After a
+    step their arrays are views into ``flat``'s buffers, which each step
+    updates in place; assigning a dict or an entry is safe, as the next step
+    packs the buffers anew (see :func:`flat_params`).
     """
 
     config: TrainConfig
@@ -164,7 +165,6 @@ class TrainState:
     params_l: dict
     decoder: dict
     queue: mem.MemoryQueue
-    velocities: dict | None
     rng: np.random.Generator
     epoch: int = 0
     step: int = 0
@@ -186,13 +186,9 @@ def init_state(config, label_names):
     params_s, params_l, decoder = enc.init_encoders(
         config.encoder_config(), len(label_names), rng, dtype)
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
-    velocities = None
-    if config.sgd_momentum > 0:
-        velocities = {f"encoder_s/{k}": np.zeros_like(v) for k, v in params_s.items()}
-        velocities.update({f"decoder/{k}": np.zeros_like(v) for k, v in decoder.items()})
     return TrainState(config=config, label_names=label_names, graph=enc.skeleton_graph(),
                       params_s=params_s, params_l=params_l, decoder=decoder,
-                      queue=queue, velocities=velocities, rng=rng)
+                      queue=queue, rng=rng)
 
 
 def _augment_views(x, rng, jitter_sigma, min_len):
@@ -232,16 +228,13 @@ class FlatParams:
     """A state's training parameters as contiguous buffers of the config dtype.
 
     ``trained`` holds the short encoder (``encoder``, a view of its head) and
-    then the decoder, in the order of ``encoder_keys`` and ``decoder_keys``;
-    ``velocity`` holds their SGD velocities in the same layout (None without
-    SGD momentum), and ``long`` the long encoder in the short encoder's. The
-    state's ``params_s``, ``decoder``, ``velocities`` and ``params_l`` hold
-    views into these buffers.
+    then the decoder, in the order of ``encoder_keys`` and ``decoder_keys``,
+    and ``long`` the long encoder in the short encoder's layout. The state's
+    ``params_s``, ``decoder`` and ``params_l`` hold views into these buffers.
     """
 
     trained: np.ndarray
     encoder: np.ndarray
-    velocity: np.ndarray | None
     long: np.ndarray
     encoder_keys: tuple
     decoder_keys: tuple
@@ -250,7 +243,7 @@ class FlatParams:
     def pack(cls, state):
         """Copy ``state``'s parameters into new buffers and make its dict
         entries views into them."""
-        params_s, params_l, vel = state.params_s, state.params_l, state.velocities
+        params_s, params_l = state.params_s, state.params_l
         if ({k: v.shape for k, v in params_l.items()}
                 != {k: v.shape for k, v in params_s.items()}):
             raise StructuralError("the long and short encoders differ in structure")
@@ -258,21 +251,14 @@ class FlatParams:
         dtype = state.config.np_dtype
         trained = _pack([(params_s, k) for k in enc_keys]
                         + [(state.decoder, k) for k in dec_keys], dtype)
-        velocity = None if vel is None else _pack(
-            [(vel, f"encoder_s/{k}") for k in enc_keys]
-            + [(vel, f"decoder/{k}") for k in dec_keys], dtype)
         long = _pack([(params_l, k) for k in enc_keys], dtype)
-        return cls(trained=trained, encoder=trained[:long.size], velocity=velocity,
-                   long=long, encoder_keys=enc_keys, decoder_keys=dec_keys)
+        return cls(trained=trained, encoder=trained[:long.size], long=long,
+                   encoder_keys=enc_keys, decoder_keys=dec_keys)
 
     def holds(self, state):
         """Whether every parameter array of ``state`` is a view into these buffers."""
         groups = [(state.params_s, self.trained), (state.decoder, self.trained),
                   (state.params_l, self.long)]
-        if (state.velocities is None) != (self.velocity is None):
-            return False
-        if self.velocity is not None:
-            groups.append((state.velocities, self.velocity))
         return all(v.base is buf for d, buf in groups for v in d.values())
 
 
@@ -291,10 +277,6 @@ def _sgd_update(flat, grad, cfg):
     gradient ``grad`` in its layout (which it overwrites). With zero data
     gradient a parameter contracts by exactly (1 - lr * weight_decay)."""
     grad += cfg.weight_decay * flat.trained
-    if cfg.sgd_momentum > 0:
-        flat.velocity *= cfg.sgd_momentum
-        flat.velocity += grad
-        grad = flat.velocity
     flat.trained -= cfg.learning_rate * grad
 
 
@@ -405,9 +387,9 @@ def _refuse_stray(stray, short_len, stride):
 def prepare_data(config, recordings, label_names, split):
     """Window recordings into training pairs and a non-overlapping test set.
 
-    Training keeps only samples whose long-term context window exists (and is
-    label-pure when required). Returns a dict of the preprocessed training
-    arrays ``x_short``, ``x_long`` and ``y_train``, plus the held-out
+    Training keeps only samples whose long-term context window exists and is
+    label-pure. Returns a dict of the preprocessed training arrays
+    ``x_short``, ``x_long`` and ``y_train``, plus the held-out
     ``test_samples``, raw windows that prediction preprocesses itself. The
     split selects recordings before any windowing: the arrays are gathered
     from the training subjects' frames in one pass, with no sample objects,
@@ -426,8 +408,7 @@ def prepare_data(config, recordings, label_names, split):
     for rec in train_recs:
         at, pure = window_starts(rec, short_len, config.stride)
         at = at[pure]
-        starts, keep = window_starts(rec, short_len, window_scale=scale, at=at,
-                                     purity_required=config.purity_required)
+        starts, keep = window_starts(rec, short_len, window_scale=scale, at=at)
         shorts.append(offset + at[keep])
         longs.append(offset + starts[keep])
         offset += len(rec)
@@ -517,8 +498,7 @@ def write_metrics(path, metrics):
 # :func:`_manifest` lays them back to back in name order. A tensor is named
 # ``<group>/<key>``: ``key`` of the TrainState dict STATE_GROUPS maps ``group``
 # to, or ``memory/features`` and ``memory/labels``, the queue's arrays.
-STATE_GROUPS = {"decoder": "decoder", "encoder_l": "params_l", "encoder_s": "params_s",
-                "velocity": "velocities"}
+STATE_GROUPS = {"decoder": "decoder", "encoder_l": "params_l", "encoder_s": "params_s"}
 
 
 def _wire_dtype(config):
@@ -530,8 +510,6 @@ def _layout(config, n_classes):
     params = enc.param_shapes(config.encoder_config())
     shapes = {"decoder/w": (n_classes, config.feature_dim), "decoder/b": (n_classes,)}
     shapes.update({f"encoder_s/{k}": v for k, v in params.items()})
-    if config.sgd_momentum > 0:
-        shapes.update({f"velocity/{k}": v for k, v in shapes.items()})
     shapes.update({f"encoder_l/{k}": v for k, v in params.items()})
     shapes["memory/features"] = (config.queue_capacity, config.feature_dim)
     shapes["memory/labels"] = (config.queue_capacity,)
@@ -556,7 +534,7 @@ def save_checkpoint(state, path):
     :class:`StructuralError`, and no file is written."""
     config = state.config
     tensors = {f"{group}/{key}": a for group, field in STATE_GROUPS.items()
-               for key, a in (getattr(state, field) or {}).items()}
+               for key, a in getattr(state, field).items()}
     tensors.update({"memory/features": state.queue.features,
                     "memory/labels": state.queue.labels})
     layout = _layout(config, len(state.label_names))
@@ -575,7 +553,6 @@ def save_checkpoint(state, path):
         "rng_state": state.rng.bit_generator.state,
         "memory": {"fill": state.queue.fill, "head": state.queue.head},
         "labels": state.label_names,
-        "has_velocities": config.sgd_momentum > 0,
         "tensors": manifest,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -586,8 +563,8 @@ def save_checkpoint(state, path):
     return path
 
 
-HEADER_KEYS = ("config", "epoch", "step", "rng_state", "memory", "labels",
-               "has_velocities", "tensors", "payload_sha256")
+HEADER_KEYS = ("config", "epoch", "step", "rng_state", "memory", "labels", "tensors",
+               "payload_sha256")
 
 
 def _is_count(v):
@@ -633,12 +610,15 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint labels {labels} repeat a name")
     try:
         config = TrainConfig(**header["config"])
-        wire = _wire_dtype(config)
-        manifest, size = _manifest(_layout(config, len(labels)), wire)
     except (TypeError, ValueError, ConfigError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
-    if header["has_velocities"] is not (config.sgd_momentum > 0):
-        raise CheckpointError("has_velocities disagrees with the config's sgd_momentum")
+    # two encoders of 4 tensors per block and 2 for the projection, the
+    # decoder's 2 and the memory's 2: refused before _layout builds them all
+    if not (isinstance(header["tensors"], list)
+            and len(header["tensors"]) == 8 * config.blocks + 8):
+        raise CheckpointError("the tensor manifest is not the layout of the config")
+    wire = _wire_dtype(config)
+    manifest, size = _manifest(_layout(config, len(labels)), wire)
     if not (isinstance(memory, dict) and _is_count(memory.get("fill"))
             and _is_count(memory.get("head"))
             and memory["fill"] <= config.queue_capacity
@@ -671,7 +651,6 @@ def load_checkpoint(path):
         group, key = name.split("/", 1)
         if group in STATE_GROUPS:
             groups[STATE_GROUPS[group]][key] = a.astype(dtype)
-    velocities = groups.pop("velocities") or None
 
     queue = mem.MemoryQueue(config.queue_capacity, config.feature_dim, dtype=dtype)
     queue.features[:] = arrays["memory/features"].astype(dtype)
@@ -682,9 +661,9 @@ def load_checkpoint(path):
     bitgen = np.random.PCG64()
     try:
         bitgen.state = header["rng_state"]
-    except (TypeError, ValueError, KeyError) as e:
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
         raise CheckpointError(f"invalid RNG state: {e}") from None
     rng = np.random.Generator(bitgen)
     return TrainState(config=config, label_names=tuple(labels),
-                      graph=enc.skeleton_graph(), queue=queue, velocities=velocities,
-                      rng=rng, epoch=header["epoch"], step=header["step"], **groups)
+                      graph=enc.skeleton_graph(), queue=queue, rng=rng,
+                      epoch=header["epoch"], step=header["step"], **groups)

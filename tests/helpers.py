@@ -397,18 +397,12 @@ def oracle_sgd_apply(state, grads):
     ``grads`` keys are prefixed parameter names (``encoder_s/...``,
     ``decoder/...``)."""
     cfg = state.config
-    lr, wd, momentum = cfg.learning_rate, cfg.weight_decay, cfg.sgd_momentum
+    lr, wd = cfg.learning_rate, cfg.weight_decay
     for name, g in grads.items():
         group, key = name.split("/", 1)
         params = state.params_s if group == "encoder_s" else state.decoder
         p = params[key]
-        step_dir = g + wd * p
-        if momentum > 0:
-            vel = state.velocities[name]
-            vel *= momentum
-            vel += step_dir
-            step_dir = vel
-        params[key] = p - lr * step_dir
+        params[key] = p - lr * (g + wd * p)
 
 
 def oracle_momentum_update(params_l, params_s, coef):
@@ -517,11 +511,11 @@ def ref_split_windows(recording, short_len, stride):
     return samples
 
 
-def ref_build_long_term(sample, recording, window_scale, purity_required=True):
+def ref_build_long_term(sample, recording, window_scale):
     """The ``window_scale * T``-frame context window [C, S*T, V] of a short
     sample: it starts ``floor(S/2) * T`` frames before the sample, is shifted
     to fit inside the recording, and is None when the recording is too short
-    or, with ``purity_required``, when it mixes labels."""
+    or when it mixes labels."""
     short_len = sample.data.shape[1]
     total = window_scale * short_len
     n = len(recording)
@@ -531,7 +525,7 @@ def ref_build_long_term(sample, recording, window_scale, purity_required=True):
     start = (sample.start_frame - recording.first_frame_index) - half * short_len
     start = min(max(start, 0), n - total)
     window_labels = recording.labels[start:start + total]
-    if purity_required and not (window_labels == sample.label).all():
+    if not (window_labels == sample.label).all():
         return None
     return np.ascontiguousarray(recording.joints[start:start + total].transpose(2, 0, 1))
 
@@ -553,8 +547,7 @@ def ref_prepare_data(config, recordings, label_map, split):
             raise ConfigError(f"subjects not covered by the split: {uncovered}")
         return [(s, rec) for s, rec in pairs if rec.subject_id in subjects]
 
-    longs = [(short, ref_build_long_term(short, rec, config.window_scale,
-                                         config.purity_required))
+    longs = [(short, ref_build_long_term(short, rec, config.window_scale))
              for short, rec in windowed(config.stride, split.train_subjects)]
     longs = [(short, long) for short, long in longs if long is not None]
     if not longs:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
@@ -171,6 +172,24 @@ def test_subjects_lists_are_stripped_and_checked(tmp_path, capsys):
     assert not (tmp_path / "addr.csv").exists()
 
 
+@pytest.mark.parametrize("path,value", [(("rng_state", "state", "inc"), -1),
+                                        (("config", "short_len"), 2**70)],
+                         ids=["negative_rng_inc", "huge_short_len"])
+def test_eval_of_a_checkpoint_whose_header_is_out_of_range_exits_2(tmp_path, capsys,
+                                                                   path, value):
+    data, ckpt = generate_and_train(tmp_path)
+    header_line, payload = Path(ckpt).read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    Path(ckpt).write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    capsys.readouterr()
+    assert main(["eval", "--model", ckpt, "--data", data]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 FIVE_CLASSES = DEMO_SYNTH.replace("standing,walking,jumping",
                                   "standing,walking,jogging,jumping,squatting")
 
@@ -256,8 +275,8 @@ def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
     data = str(tmp_path / "data")
     assert main(["generate", "--config", write_cfg(tmp_path / "synth.cfg", DEMO_SYNTH),
                  "--out", data]) == 0
-    ablate = ["ablate", "--config", write_cfg(tmp_path / "train.cfg", DEMO_TRAIN),
-              "--data", data]
+    cfg = write_cfg(tmp_path / "train.cfg", DEMO_TRAIN)
+    ablate = ["ablate", "--config", cfg, "--data", data]
     capsys.readouterr()
     for seeds, needle in (("1,x", "--seeds must list integers"),
                           (",", "--seeds lists no seed"), ("", "--seeds lists no seed"),
@@ -276,6 +295,15 @@ def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
         "full/memory", "full/views"}
     assert all(key in table for key in result["accuracies"])
     assert "full/memory vs full/views" in table
+    # what reproduces the grid rides along with it
+    assert TrainConfig(**result["config"]) == dataclass_from_mapping(
+        TrainConfig, read_kv_file(cfg), extra_keys=cli.SPLIT_KEYS)
+    assert result["split"] == {"train_subjects": ["s00", "s01", "s02"],
+                               "test_subjects": ["s03", "s04"]}
+    frames = Path(data, "frames.csv").read_bytes()
+    assert result["data_sha256"] == hashlib.sha256(frames).hexdigest()
+    assert result["git_commit"] is None or re.fullmatch("[0-9a-f]{40}", result["git_commit"])
+    assert isinstance(result["wall_s"], float) and result["wall_s"] > 0
 
 
 def test_serve_refuses_bad_frame_rate_before_reading(tmp_path, capsys, monkeypatch):

@@ -314,32 +314,34 @@ def test_split_windows_stride_one_equals_enumeration(labels, short_len):
 @given(st.integers(0, 1000), st.integers(1, 5), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_build_long_term_always_full_length_within_recording(seed, short_len, scale):
-    """Without purity, every pure short window of a recording that holds S*T
-    frames gets a long window of exactly S*T frames inside the recording that
-    holds the short one; a shorter recording gives no training pair."""
+    """Every pure short window of a recording that holds S*T frames gets a
+    long window of exactly S*T frames inside the recording that holds the
+    short one, kept when label-pure; a shorter recording, or one whose long
+    windows all mix labels, gives no training pair."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     rec = make_recording(rng.integers(0, 2, size=n), seed=seed)
     shorts = [s.start_frame for s in split_windows(rec, short_len, stride=1)]
     # windowing reads no temporal_kernel; 1 admits every short_len drawn
-    config = TrainConfig(short_len=short_len, window_scale=scale, stride=1,
-                         purity_required=False, center=False, input_scale=1.0,
-                         dtype="float64", temporal_kernel=1)
+    config = TrainConfig(short_len=short_len, window_scale=scale, stride=1, center=False,
+                         input_scale=1.0, dtype="float64", temporal_kernel=1)
     build = lambda: prepare_data(config, [rec], ("a", "b"),
                                  SplitSpec.from_lists(["s0"], ["s1"]))
     total = scale * short_len
-    if n < total or not shorts:
+    keep = np.zeros(0, dtype=bool)
+    if n >= total and shorts:
+        starts, keep = window_starts(rec, short_len, window_scale=scale,
+                                     at=np.asarray(shorts))
+        assert ((0 <= starts) & (starts + total <= n)).all()
+        assert ((starts <= shorts) & (np.asarray(shorts) + short_len <= starts + total)).all()
+        assert keep.tolist() == [len(set(rec.labels[s:s + total])) == 1 for s in starts]
+    if not keep.any():
         with pytest.raises(ConfigError, match="long-term window"):
             build()
         return
-    starts, keep = window_starts(rec, short_len, window_scale=scale,
-                                 at=np.asarray(shorts), purity_required=False)
-    assert keep.all()
-    assert ((0 <= starts) & (starts + total <= n)).all()
-    assert ((starts <= shorts) & (np.asarray(shorts) + short_len <= starts + total)).all()
     data = build()
-    assert data["x_long"].shape == (len(shorts), 3, total, 3)
-    for i, start in enumerate(starts):
+    assert data["x_long"].shape == (keep.sum(), 3, total, 3)
+    for i, start in enumerate(starts[keep]):
         assert np.array_equal(data["x_long"][i],
                               rec.joints[start:start + total].transpose(2, 0, 1))
 

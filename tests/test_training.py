@@ -2,6 +2,11 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,9 +20,9 @@ from gesturemem import training
 from gesturemem.dataset import (Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
 from gesturemem.errors import (CheckpointError, ConfigError, DataIntegrityError,
-                               NonFiniteError, StructuralError)
+                               NonFiniteError, StructuralError, ToolkitError)
 from gesturemem.evaluation import evaluate
-from gesturemem.inference import FrozenModel
+from gesturemem.inference import FrozenModel, predict
 from gesturemem.training import (TrainConfig, _augment_views, _sgd_update,
                                  flat_params, init_state, load_checkpoint,
                                  prepare_data, save_checkpoint, train,
@@ -28,6 +33,8 @@ from helpers import (assert_same_bits, fd_param_grads, oracle_augment_views,
                      ref_prepare_data, rel_error, relu_preactivations)
 
 SPLIT = SplitSpec.from_lists(["s00", "s01", "s02"], ["s03", "s04"])
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
+SRC_DIR = pathlib.Path(training.__file__).resolve().parents[1]
 
 
 def tiny_config(**overrides):
@@ -180,12 +187,11 @@ def test_long_encoder_follows_exact_recursion_over_steps():
 # --- flat parameter buffers -------------------------------------------------------
 
 def assert_same_state(got, want):
-    """Every parameter, velocity, queue slot and cursor, and the RNG, bit for bit."""
-    for name in ("params_s", "params_l", "decoder", "velocities"):
+    """Every parameter, queue slot and cursor, and the RNG, bit for bit."""
+    for name in ("params_s", "params_l", "decoder"):
         g, w = getattr(got, name), getattr(want, name)
-        assert (g is None) == (w is None), name
-        assert set(g or {}) == set(w or {}), name
-        for k in w or {}:
+        assert set(g) == set(w), name
+        for k in w:
             assert_same_bits(g[k], w[k], (name, k))
     assert_same_bits(got.queue.features, want.queue.features, "queue features")
     assert_same_bits(got.queue.labels, want.queue.labels, "queue labels")
@@ -196,11 +202,8 @@ def assert_same_state(got, want):
 def assert_packed(state):
     """Every parameter array of ``state`` is a view into its own flat buffers."""
     flat = state.flat
-    groups = [(state.params_s, flat.trained), (state.decoder, flat.trained),
-              (state.params_l, flat.long)]
-    if state.velocities is not None:
-        groups.append((state.velocities, flat.velocity))
-    for params, buf in groups:
+    for params, buf in ((state.params_s, flat.trained), (state.decoder, flat.trained),
+                        (state.params_l, flat.long)):
         for k, v in params.items():
             assert v.base is buf, k
 
@@ -219,12 +222,10 @@ def packed_pair(config, seed=0):
 @pytest.mark.parametrize("contrast_loss, mal_weight", [
     pytest.param("memory", 1.0, id="memory"), pytest.param("views", 1.0, id="views"),
     pytest.param("memory", 0.5, id="memory-mal_weight0.5")])
-@pytest.mark.parametrize("sgd_momentum", [0.0, 0.9])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_train_step_matches_the_per_tensor_update_bitwise(dtype, sgd_momentum,
-                                                          contrast_loss, mal_weight):
-    config = tiny_config(dtype=dtype, sgd_momentum=sgd_momentum, mal_weight=mal_weight,
-                         contrast_loss=contrast_loss, momentum_coef=0.9)
+def test_train_step_matches_the_per_tensor_update_bitwise(dtype, contrast_loss, mal_weight):
+    config = tiny_config(dtype=dtype, mal_weight=mal_weight, contrast_loss=contrast_loss,
+                         momentum_coef=0.9)
     (state, oracle), batches = packed_pair(config)
     for batch in batches:
         assert train_step(state, *batch) == oracle_train_step(oracle, *batch)
@@ -233,7 +234,7 @@ def test_train_step_matches_the_per_tensor_update_bitwise(dtype, sgd_momentum,
 
 
 def test_a_step_packs_the_buffers_anew_when_an_array_is_not_their_view(tmp_path):
-    config = tiny_config(dtype="float32", sgd_momentum=0.9, momentum_coef=0.9)
+    config = tiny_config(dtype="float32", momentum_coef=0.9)
     (state, oracle), batches = packed_pair(config, seed=3)
     train_step(state, *batches[0])
     oracle_train_step(oracle, *batches[0])
@@ -372,7 +373,9 @@ def test_in_training_accuracy_equals_evaluate(dtype):
     ("learning_rate", "0.1"), ("use_recall", 1), ("center", "no"),
     ("dtype", None), ("contrast_loss", 0), ("window_scale", 0),
     # values of the right type that training cannot run
-    ("eval_every", -3), ("short_len", 2)])
+    ("eval_every", -3), ("short_len", 2),
+    # a long window past training.MAX_WINDOW_FRAMES
+    ("short_len", 2**70), ("window_scale", 2**16)])
 def test_config_fields_are_type_checked(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
@@ -403,6 +406,7 @@ def test_config_accepts_ints_for_floats_and_none_eval_stride():
     config = TrainConfig(input_scale=1000, temperature=1, eval_stride=None)
     assert config.input_scale == 1000 and config.eval_stride is None
     assert TrainConfig(eval_stride=3).eval_stride == 3
+    assert TrainConfig(short_len=training.MAX_WINDOW_FRAMES, window_scale=1).window_scale == 1
 
 
 # --- checkpointing ----------------------------------------------------------------
@@ -431,12 +435,12 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 def test_float64_checkpoint_round_trips_bitwise(tmp_path):
     recordings, label_map = tiny_dataset()
-    config = tiny_config(epochs=1, dtype="float64", sgd_momentum=0.9)
+    config = tiny_config(epochs=1, dtype="float64")
     state = train(config, recordings, label_map, SPLIT).state
     path = tmp_path / "f64.ckpt"
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
-    for name in ("params_s", "params_l", "decoder", "velocities"):
+    for name in ("params_s", "params_l", "decoder"):
         want, got = getattr(state, name), getattr(loaded, name)
         assert set(got) == set(want)
         for k in want:
@@ -459,17 +463,18 @@ def test_checkpoint_detects_corruption(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_unknown_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_checkpoint_rejects_unknown_version(tmp_path, version):
     state = trained_state()
     path = tmp_path / "v.ckpt"
     save_checkpoint(state, path)
     raw = path.read_bytes()
     header_line, payload = raw.split(b"\n", 1)
     header = json.loads(header_line)
-    header["version"] = 99
+    header["version"] = version
     path.write_bytes(json.dumps(header, sort_keys=True,
                                 separators=(",", ":")).encode() + b"\n" + payload)
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="no migration path"):
         load_checkpoint(path)
 
 
@@ -483,14 +488,27 @@ def test_checkpoint_detects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+DROP = "<drop>"  # a value for _set that deletes the entry
+
+
 def _set(path, value):
     def mutate(header):
         *keys, last = path
         node = header
         for k in keys:
             node = node[k]
-        node[last] = value
+        if value == DROP:
+            del node[last]
+        else:
+            node[last] = value
     return mutate
+
+
+def _write_mutant(path, header, payload, mutate):
+    """Write ``payload`` under a copy of ``header`` that ``mutate`` edited."""
+    mutant = copy.deepcopy(header)
+    mutate(mutant)
+    path.write_bytes(json.dumps(mutant).encode() + b"\n" + payload)
 
 
 def _manifest(mutate_entries):
@@ -510,7 +528,7 @@ def _proj_bias_offsets(edit):
 HEADER_FAULTS = {
     **{f"no_{key}": (lambda key: lambda h: h.pop(key))(key)
        for key in ("payload_sha256", "tensors", "memory", "labels", "config",
-                   "has_velocities", "rng_state", "epoch")},
+                   "rng_state", "epoch")},
     "unknown_config_key": lambda h: h["config"].update(bogus=1),
     "invalid_config_value": _set(["config", "dtype"], "float16"),
     # wrong-typed values that every range and shape check lets through
@@ -529,15 +547,20 @@ HEADER_FAULTS = {
     "negative_eval_every": _set(["config", "eval_every"], -3),
     "negative_seed": _set(["config", "seed"], -1),
     "short_len_below_temporal_kernel": _set(["config", "short_len"], 2),
+    "short_len_past_the_window_bound": _set(["config", "short_len"], 2**70),
     **{f"zero_{field}": _set(["config", field], 0)
        for field in ("width", "blocks", "temporal_kernel", "feature_dim", "queue_capacity")},
     "labels_not_names": _set(["labels"], "abc"),
     "labels_repeat_name": _set(["labels"], ["a", "a", "c"]),
-    "has_velocities_disagrees": _set(["has_velocities"], False),
     "fill_past_capacity": _set(["memory", "fill"], 33),
     "head_not_integer": _set(["memory", "head"], 1.5),
     "negative_step": _set(["step"], -1),
     "rng_state_garbage": _set(["rng_state", "state"], "x"),
+    # numpy's PCG64 state setter raises OverflowError for these
+    "rng_negative_inc": _set(["rng_state", "state", "inc"], -1),
+    "rng_negative_uinteger": _set(["rng_state", "uinteger"], -1),
+    "rng_huge_uinteger": _set(["rng_state", "uinteger"], 2**70),
+    "rng_huge_has_uint32": _set(["rng_state", "has_uint32"], 2**70),
     "manifest_not_list": _set(["tensors"], {}),
     "entry_not_object": _manifest(lambda t: t.__setitem__(0, "decoder/b")),
     "entry_lacks_shape": _manifest(lambda t: t[0].pop("shape")),
@@ -556,15 +579,80 @@ HEADER_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
 def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path, fault):
-    state = init_state(tiny_config(sgd_momentum=0.5), ("a", "b", "c"))
+    state = init_state(tiny_config(), ("a", "b", "c"))
     path = tmp_path / "m.ckpt"
     save_checkpoint(state, path)
     header_line, payload = path.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    HEADER_FAULTS[fault](header)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    _write_mutant(path, json.loads(header_line), payload, HEADER_FAULTS[fault])
     with pytest.raises(CheckpointError):
         FrozenModel.from_state(load_checkpoint(path))
+
+
+def _node_paths(node, path=()):
+    """The path of every value in a JSON document, nested ones included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _node_paths(value, path + (key,))
+
+
+MUTANT_VALUES = (-1, 0, 2**70, True, None, "x", 1.5)
+
+
+def header_mutations_refuse_or_predict():
+    """Each header value set to one of MUTANT_VALUES, or dropped, loads to a
+    model that predicts, or is refused with a ToolkitError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "m.ckpt")
+        _filled_checkpoint(path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        window = np.random.default_rng(0).normal(size=(3, 6, 3))
+
+        @given(st.sampled_from(list(_node_paths(header))),
+               st.sampled_from(MUTANT_VALUES + (DROP,)))
+        @settings(max_examples=1000, deadline=None, database=None)
+        def check(node, value):
+            _write_mutant(path, header, payload, _set(node, value))
+            try:
+                model = FrozenModel.from_state(load_checkpoint(path))
+                predict(model, window[:, :model.short_len])
+            except ToolkitError:
+                pass
+
+        check()
+
+
+def huge_block_counts_are_refused():
+    """A block count far past the manifest's is refused before its layout is built."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "m.ckpt")
+        _filled_checkpoint(path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        for blocks in (10**6, 2**70):
+            _write_mutant(path, json.loads(header_line), payload,
+                          _set(["config", "blocks"], blocks))
+            with pytest.raises(CheckpointError, match="not the layout"):
+                load_checkpoint(path)
+
+
+@pytest.mark.parametrize("check", ["header_mutations_refuse_or_predict",
+                                   "huge_block_counts_are_refused"])
+def test_checkpoint_header_check_under_a_memory_cap(check):
+    """Runs ``check`` in a child python whose address space is capped at 2 GiB,
+    so a header that makes the loader allocate without bound fails the test
+    instead of exhausting the machine. One BLAS thread keeps the buffers
+    numpy reserves at import far below the cap."""
+    pytest.importorskip("resource")
+    cap = 2 << 30
+    code = ("import resource, sys, warnings\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "warnings.simplefilter('error', RuntimeWarning)\n"
+            f"sys.path[:0] = {[str(TESTS_DIR), str(SRC_DIR)]!r}\n"
+            f"import test_training\ntest_training.{check}()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 def _filled_checkpoint(path, fill=10, **overrides):
@@ -577,34 +665,30 @@ def _filled_checkpoint(path, fill=10, **overrides):
     save_checkpoint(state, path)
 
 
-# SHA-256 of _filled_checkpoint files, by (dtype, sgd_momentum), in the
-# version-1 format. A change that moves one changes the format, and so bumps
-# CHECKPOINT_VERSION.
+# SHA-256 of _filled_checkpoint files, by dtype, in the version-2 format. A
+# change that moves one changes the format, and so bumps CHECKPOINT_VERSION.
 GOLDEN_CHECKPOINTS = {
-    ("float32", 0.0): "ade5d9bd133b7edb5fe04516782adc163eedea7c953854358fccd8fbf133fa16",
-    ("float32", 0.5): "d10c5ca2014296ece4dfe552df76f360541862a8c273e6dfe95488f9dd4ed95d",
-    ("float64", 0.0): "60baf35c7382a88e4470716d9fda70da780a3b3899dc29f45a4774f66d5fc2dd",
-    ("float64", 0.5): "6d0bf6014b4db355904c8dc0957f138933c142e803ef0eb9fafd0451ccd322aa",
+    "float32": "bf4417d53b0aac466d67bc88cfa878bd8bce9dc18ebb98dd91941d3e869a6573",
+    "float64": "4f7b4aabc500629f9c33e372f13316d6d2a17cfa02613916eec50c225562c281",
 }
 
 
-@pytest.mark.parametrize("dtype,sgd_momentum", sorted(GOLDEN_CHECKPOINTS))
-def test_checkpoint_bytes_are_pinned(tmp_path, dtype, sgd_momentum):
+@pytest.mark.parametrize("dtype", sorted(GOLDEN_CHECKPOINTS))
+def test_checkpoint_bytes_are_pinned(tmp_path, dtype):
     path = tmp_path / "g.ckpt"
-    _filled_checkpoint(path, dtype=dtype, sgd_momentum=sgd_momentum)
+    _filled_checkpoint(path, dtype=dtype)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_CHECKPOINTS[dtype, sgd_momentum]
+    assert digest == GOLDEN_CHECKPOINTS[dtype]
     assert load_checkpoint(path).config.dtype == dtype
 
 
-# (sgd_momentum of the state, edit that leaves it unlike its config's layout)
+# edits that leave a state unlike its config's layout
 STATE_FAULTS = {
-    "decoder_tensor_missing": (0.0, lambda s: s.decoder.pop("b")),
-    "decoder_tensor_misshapen": (0.0, lambda s: s.decoder.update(w=s.decoder["w"][:2])),
-    "velocities_lacking": (0.0, lambda s: setattr(
-        s, "config", dataclasses.replace(s.config, sgd_momentum=0.5))),
-    "velocities_unasked": (0.5, lambda s: setattr(
-        s, "config", dataclasses.replace(s.config, sgd_momentum=0.0))),
+    "decoder_tensor_missing": lambda s: s.decoder.pop("b"),
+    "decoder_tensor_misshapen": lambda s: s.decoder.update(w=s.decoder["w"][:2]),
+    "encoder_tensor_extra": lambda s: s.params_s.update(extra=np.zeros(3)),
+    "encoder_blocks_unlike_config": lambda s: setattr(
+        s, "config", dataclasses.replace(s.config, blocks=3)),
 }
 
 
@@ -612,10 +696,8 @@ STATE_FAULTS = {
 def test_save_refuses_a_state_unlike_its_config_layout(tmp_path, fault):
     """save writes only what load accepts: a state missing, adding or
     misshaping a tensor of its config's layout is refused, and no file made."""
-    sgd_momentum, edit = STATE_FAULTS[fault]
-    state = init_state(tiny_config(sgd_momentum=sgd_momentum),
-                       ("a", "b", "c"))
-    edit(state)
+    state = init_state(tiny_config(), ("a", "b", "c"))
+    STATE_FAULTS[fault](state)
     path = tmp_path / "s.ckpt"
     with pytest.raises(StructuralError):
         save_checkpoint(state, path)
@@ -772,23 +854,21 @@ def test_prepare_data_drops_samples_without_long_windows():
     assert data["x_short"].shape[0] > 0
 
 
-@pytest.mark.parametrize("labels,scale,purity,pairs", [
-    ([0] * 12, 1, True, {s: s for s in range(10)}),  # S=1: the short window itself
-    ([0] * 20, 2, True, {6: 3}),  # floor(S/2)*T frames earlier: start 6 spans [3, 9)
-    ([0] * 20, 4, True, {0: 0}),  # clamped at the left edge
-    ([0] * 15, 4, True, {12: 3}),  # clamped at the right edge
-    ([0] * 5, 2, True, {}),  # the recording cannot hold S*T frames: no pair at all
-    ([0] * 6 + [1] * 6, 2, True, {6: None, 9: 6}),  # [3, 9) mixes labels
-    ([0] * 6 + [1] * 6, 2, False, {6: 3}),
-], ids=["scale_one", "centered", "left_clamp", "right_clamp", "too_short", "impure",
-        "impure_kept"])
-def test_prepare_data_long_windows(labels, scale, purity, pairs):
+@pytest.mark.parametrize("labels,scale,pairs", [
+    ([0] * 12, 1, {s: s for s in range(10)}),  # S=1: the short window itself
+    ([0] * 20, 2, {6: 3}),  # floor(S/2)*T frames earlier: start 6 spans [3, 9)
+    ([0] * 20, 4, {0: 0}),  # clamped at the left edge
+    ([0] * 15, 4, {12: 3}),  # clamped at the right edge
+    ([0] * 5, 2, {}),  # the recording cannot hold S*T frames: no pair at all
+    ([0] * 6 + [1] * 6, 2, {6: None, 9: 6}),  # [3, 9) mixes labels
+], ids=["scale_one", "centered", "left_clamp", "right_clamp", "too_short", "impure"])
+def test_prepare_data_long_windows(labels, scale, pairs):
     """``pairs`` maps a short window's start (T=3, stride 1) to its long
     window's start, or to None when the pair is dropped."""
     rec = Recording("r0", "s0", np.random.default_rng(1).normal(size=(len(labels), 3, 3)),
                     np.asarray(labels, dtype=np.int64))
-    config = TrainConfig(short_len=3, window_scale=scale, stride=1, purity_required=purity,
-                         center=False, input_scale=1.0, dtype="float64")
+    config = TrainConfig(short_len=3, window_scale=scale, stride=1, center=False,
+                         input_scale=1.0, dtype="float64")
     build = lambda: prepare_data(config, [rec], ("a", "b"),
                                  SplitSpec.from_lists(["s0"], ["s1"]))
     if not pairs:
@@ -840,17 +920,17 @@ def subject_recordings(draw):
 
 
 @given(subject_recordings(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 10),
-       st.sampled_from([None, 1, 3]), st.booleans(), st.booleans(),
+       st.sampled_from([None, 1, 3]), st.booleans(),
        st.sampled_from([1.0, 1000.0]), st.sampled_from(["float32", "float64"]),
        st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_prepare_data_equals_sample_reference(recordings, short_len, stride, scale,
-                                              eval_stride, purity, center, input_scale,
-                                              dtype, split_s1):
+                                              eval_stride, center, input_scale, dtype,
+                                              split_s1):
     # windowing reads no temporal_kernel; 1 admits every short_len drawn
     config = TrainConfig(short_len=short_len, window_scale=scale, stride=stride,
-                         eval_stride=eval_stride, purity_required=purity, center=center,
-                         input_scale=input_scale, dtype=dtype, temporal_kernel=1)
+                         eval_stride=eval_stride, center=center, input_scale=input_scale,
+                         dtype=dtype, temporal_kernel=1)
     split = SplitSpec.from_lists(["s0", "s1"] if split_s1 else ["s0"],
                                  ["s2"] if split_s1 else ["s1", "s2"])
     label_map = ("a", "b", "c")
@@ -890,15 +970,3 @@ def test_stray_window_found_only_at_the_eval_stride_fails_the_split():
         with pytest.raises(ConfigError) as err:
             build(config, recordings, label_map, split)
         assert str(err.value) == "subjects not covered by the split: ['s2']"
-
-
-def test_sgd_momentum_velocity_is_checkpointed(tmp_path):
-    recordings, label_map = tiny_dataset()
-    config = tiny_config(epochs=1, sgd_momentum=0.9)
-    result = train(config, recordings, label_map, SPLIT)
-    assert result.state.velocities is not None
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(result.state, path)
-    loaded = load_checkpoint(path)
-    for k, v in result.state.velocities.items():
-        assert np.array_equal(loaded.velocities[k], v)
