@@ -83,9 +83,9 @@ def _resolve_split(mapping, recordings):
     return SplitSpec.from_lists(subjects[:n_train], subjects[n_train:])
 
 
-def _eval_windows(model, recordings, label_names, subjects=None, stride=None):
-    """Windows of the recordings of ``subjects`` (of all when None), each
-    labelled with the model's index of its data class, matched by name.
+def _eval_windows(model, recordings, label_names, subjects=None):
+    """Non-overlapping windows of the recordings of ``subjects`` (of all when
+    None), each labelled with the model's index of its data class, matched by name.
 
     An empty list, one naming a subject the data lacks, or a window of a
     class the model lacks is a :class:`ConfigError`.
@@ -98,8 +98,8 @@ def _eval_windows(model, recordings, label_names, subjects=None, stride=None):
         if unknown:
             raise ConfigError(f"--subjects: no subject {', '.join(unknown)} in the data")
         recordings = [r for r in recordings if r.subject_id in keep]
-    stride = stride if stride is not None else model.short_len
-    samples = window_dataset(recordings, label_names, model.short_len, stride=stride).shorts
+    samples = window_dataset(recordings, label_names, model.short_len,
+                             stride=model.short_len).shorts
     to_model = {}
     for label in sorted({s.label for s in samples}):
         name = label_names[label]
@@ -132,9 +132,7 @@ def cmd_train(args):
         print(f"checkpoint: {args.out}")
     test_rows = [m for m in result.metrics if m["split"] == "test"]
     if test_rows:
-        epoch, last = test_rows[-1]["epoch"], result.state.epoch
-        when = "final" if epoch == last else f"epoch {epoch} of {last}"
-        print(f"{when} test accuracy: {test_rows[-1]['accuracy']:.4f}")
+        print(f"final test accuracy: {test_rows[-1]['accuracy']:.4f}")
     return 0
 
 
@@ -142,7 +140,7 @@ def cmd_eval(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_names = load_recordings(args.data)
     subjects = None if args.subjects is None else _names(args.subjects)
-    samples = _eval_windows(model, recordings, label_names, subjects, args.stride)
+    samples = _eval_windows(model, recordings, label_names, subjects)
     result = evaluate(model, samples)
     print(f"accuracy: {result.accuracy:.4f} over {len(samples)} windows")
     for name, recall in zip(model.label_names, result.per_class_recall):
@@ -172,14 +170,19 @@ def _parse_seeds(text):
     return seeds
 
 
-def _git_commit():
-    """HEAD of the git checkout holding this package's source, or None without one."""
+def _git_provenance():
+    """``git_commit``, HEAD of the git checkout holding this package's source,
+    and ``git_dirty``, whether a tracked file there differs from it; both None
+    without git or a checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True, check=True,
+                              cwd=os.path.dirname(os.path.abspath(__file__)),
+                              timeout=10).stdout
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                              check=True, cwd=os.path.dirname(os.path.abspath(__file__)),
-                              timeout=10).stdout.strip()
+        return {"git_commit": git("rev-parse", "HEAD").strip(),
+                "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
     except (OSError, subprocess.SubprocessError):
-        return None
+        return {"git_commit": None, "git_dirty": None}
 
 
 def cmd_ablate(args):
@@ -197,7 +200,7 @@ def cmd_ablate(args):
         result.update(config=dataclasses.asdict(config), data_sha256=data_sha256,
                       split={"train_subjects": sorted(split.train_subjects),
                              "test_subjects": sorted(split.test_subjects)},
-                      git_commit=_git_commit(), wall_s=time.monotonic() - start)
+                      **_git_provenance(), wall_s=time.monotonic() - start)
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
     return 0
@@ -206,7 +209,7 @@ def cmd_ablate(args):
 def cmd_infer(args):
     model = FrozenModel.from_state(training.load_checkpoint(args.model))
     recordings, label_names = load_recordings(args.data)
-    samples = _eval_windows(model, recordings, label_names, stride=args.stride)
+    samples = _eval_windows(model, recordings, label_names)
     correct = 0
     for s in samples:
         cls, probs = inference.predict(model, s.data)
@@ -273,7 +276,6 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--subjects", help="comma-separated subject filter")
-    p.add_argument("--stride", type=int, help="window stride (default: window length)")
     p.add_argument("--confusion-out", help="write the confusion matrix as CSV")
 
     p = add("ablate", cmd_ablate,
@@ -285,14 +287,12 @@ def build_parser():
     p = add("infer", cmd_infer, "batch-predict windows of a dataset as NDJSON")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--stride", type=int)
 
     p = add("serve", cmd_serve, "stream NDJSON frames to predictions")
     p.add_argument("--model", required=True)
-    transport = p.add_mutually_exclusive_group()
-    transport.add_argument("--stdin", action="store_true",
-                           help="serve a single session over stdin/stdout (default)")
-    transport.add_argument("--port", type=int, help="serve NDJSON sessions over TCP")
+    p.add_argument("--port", type=int,
+                   help="serve NDJSON sessions over TCP (default: one session "
+                        "over stdin/stdout)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--stride-ms", type=float, default=inference.STRIDE_MS)
     p.add_argument("--frame-hz", type=float, default=FRAME_HZ)

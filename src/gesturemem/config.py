@@ -1,7 +1,7 @@
 """Flat ``key = value`` config files and ``--set key=value`` overrides.
 
 Each value is read as its field's annotation (``bool``, ``int``, ``float``,
-``str``, ``tuple`` of strings or ``int | None``); unknown keys are rejected.
+``str`` or ``tuple`` of strings); unknown keys are rejected.
 :data:`FIELD_TYPES` says which Python values each annotation admits.
 :func:`text_records` reads the lines of the config, frames and label files.
 """
@@ -21,7 +21,7 @@ _PARSERS = {"bool": ("a boolean", lambda text: _BOOL_WORDS[text.lower()]),
 # Python types a config field accepts, by its annotation (a string under
 # ``from __future__ import annotations``); booleans only where it says bool.
 FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "int | None": (int, type(None)), "tuple": (tuple, list)}
+               "tuple": (tuple, list)}
 
 
 def check_field_types(config):
@@ -83,8 +83,6 @@ def coerce(value, kind, key):
     """``value``, a string, as a value of the field annotation ``kind``, a key
     of :data:`FIELD_TYPES`; a value that does not parse as one is a
     :class:`ConfigError` naming ``key``."""
-    if kind == "int | None":
-        return None if value.lower() in ("none", "") else coerce(value, "int", key)
     if kind in _PARSERS:
         what, parse = _PARSERS[kind]
         try:

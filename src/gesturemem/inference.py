@@ -446,8 +446,8 @@ class StreamSession:
 
 def serve_connection(model, rfile, wfile, stride_ms=STRIDE_MS, frame_hz=FRAME_HZ):
     """Run one session over binary streams until ``rfile`` ends, flushing
-    ``wfile`` after each output line; ``serve --stdin`` and each TCP
-    connection run one. Bytes that are not UTF-8 decode to U+FFFD, so they
+    ``wfile`` after each output line; ``serve`` without ``--port`` and each
+    TCP connection run one. Bytes that are not UTF-8 decode to U+FFFD, so they
     reach the frame checks and never end the session.
 
     A line longer than ``MAX_LINE_BYTES`` is never held whole: it gets

@@ -2,13 +2,13 @@
 
 Two contrastive terms are provided. The memory-augmented loss contrasts each
 anchor feature against the frozen memory queue: positives are slots sharing the
-anchor's class, and the denominator covers (by default) only the
-different-class slots, so the loss is not bounded below by zero. The
-batch-views supervised contrastive loss is the in-batch baseline over two
-augmented views per sample. Both reduce by summation over anchors; the
-cross-entropy term averages over the batch. Their ``cfg`` is the training
-config (:class:`~gesturemem.training.TrainConfig`): both read its
-``temperature``, the memory loss also its ``denominator_mode``.
+anchor's class, and the denominator covers only the different-class slots, so
+the loss is not bounded below by zero. The batch-views supervised contrastive
+loss is the in-batch baseline over two augmented views per sample. Both reduce
+by summation over anchors; the cross-entropy term averages over the batch.
+Their ``cfg`` is the training config
+(:class:`~gesturemem.training.TrainConfig`), of which both read only the
+``temperature``.
 
 An anchor counts when it has a positive and a non-empty denominator. Both
 losses run one softmax over the whole [B, K] similarity arrays, exponentiated
@@ -98,11 +98,7 @@ def memory_augmented_loss_with_grad(features, labels, queue, cfg):
     sims = features @ mem.T
     sims /= cfg.temperature
     pos_mask = mem_labels[None, :] == labels[:, None]
-    if cfg.denominator_mode == "negatives":
-        den_mask = ~pos_mask
-    else:
-        den_mask = np.ones_like(pos_mask)
-    loss_rows, coeff = _anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    loss_rows, coeff = _anchor_loss_and_coeff(sims, pos_mask, ~pos_mask)
     grad = coeff @ mem
     grad /= cfg.temperature
     return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)

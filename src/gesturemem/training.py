@@ -39,23 +39,28 @@ from .inference import FrozenModel, predict_batch
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 DTYPES = {"float32": np.float32, "float64": np.float64}
 CONTRAST_KINDS = ("memory", "views")
-DENOMINATOR_MODES = ("negatives", "all")
+# standard deviation of the Gaussian jitter added to each augmented view
+JITTER_SIGMA = 0.01
 # Most frames a long window (short_len * window_scale) may span
 MAX_WINDOW_FRAMES = 1 << 16
 
 
 @dataclass
 class TrainConfig:
-    """Full training configuration; defaults are the paper-scale settings."""
+    """Full training configuration; defaults are the paper-scale settings.
+
+    The rest of a run is fixed: the memory loss divides by the different-class
+    slots, each augmented view gets :data:`JITTER_SIGMA` jitter, and the test
+    subjects are windowed at stride ``short_len`` and scored every epoch.
+    """
 
     # windowing
     short_len: int = 6
     window_scale: int = 10
     stride: int = 1
-    eval_stride: int | None = None      # None -> non-overlapping (short_len)
     center: bool = False
     input_scale: float = 1.0
     # encoder / decoder
@@ -69,7 +74,6 @@ class TrainConfig:
     # losses
     temperature: float = 0.07
     mal_weight: float = 1.0
-    denominator_mode: str = "negatives"
     # optimization
     learning_rate: float = 0.005
     weight_decay: float = 1e-4
@@ -80,20 +84,20 @@ class TrainConfig:
     use_recall: bool = True
     use_mal: bool = True
     contrast_loss: str = "memory"
-    jitter_sigma: float = 0.01
-    # numerics / logging cadence
+    # numerics
     dtype: str = "float32"
-    eval_every: int = 1
+
+    # Not a field, so no config, checkpoint or ``asdict`` holds it: nothing
+    # reads it but the benchmark's tracer in ``perfbench/spans.py``.
+    denominator_mode = "negatives"
 
     def __post_init__(self):
         check_field_types(self)
-        if self.eval_stride is not None and self.eval_stride < 1:
-            raise ConfigError("eval_stride must be >= 1")
         for name in ("short_len", "window_scale", "stride", "batch_size", "width", "blocks",
                      "temporal_kernel", "feature_dim", "queue_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("epochs", "eval_every", "seed"):
+        for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.short_len * self.window_scale > MAX_WINDOW_FRAMES:
@@ -112,16 +116,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0 and weight_decay >= 0")
         if self.input_scale <= 0:
             raise ConfigError("input_scale must be positive")
-        if self.jitter_sigma < 0:
-            raise ConfigError("jitter_sigma must be >= 0")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.mal_weight < 0:
             raise ConfigError(f"mal_weight must be >= 0, got {self.mal_weight}")
-        if self.denominator_mode not in DENOMINATOR_MODES:
-            raise ConfigError(
-                f"denominator_mode must be one of {DENOMINATOR_MODES}, "
-                f"got {self.denominator_mode!r}")
 
     @classmethod
     def desk_profile(cls, **overrides):
@@ -191,8 +189,9 @@ def init_state(config, label_names):
                       queue=queue, rng=rng)
 
 
-def _augment_views(x, rng, jitter_sigma, min_len):
-    """Two augmented views per sample: random temporal crop-and-pad plus jitter.
+def _augment_views(x, rng, min_len):
+    """Two augmented views per sample: random temporal crop-and-pad plus
+    Gaussian jitter of standard deviation :data:`JITTER_SIGMA`.
 
     View ``n`` (sample ``n % B``) crops ``length`` frames from ``start``, both
     drawn per view, and pads with its last frame: its frame ``j`` is the
@@ -206,8 +205,7 @@ def _augment_views(x, rng, jitter_sigma, min_len):
     frames = bounds[:, :1] + np.minimum(np.arange(t), bounds[:, 1:])     # [2B, T]
     sample = np.tile(np.arange(b), 2)
     views = x[sample[:, None, None], np.arange(c)[:, None], frames[:, None, :]]
-    if jitter_sigma > 0:
-        views += rng.normal(0.0, jitter_sigma, size=views.shape).astype(x.dtype)
+    views += rng.normal(0.0, JITTER_SIGMA, size=views.shape).astype(x.dtype)
     return views
 
 
@@ -321,7 +319,7 @@ def train_step(state, x_short, x_long, labels):
                 feats_s, labels, state.queue, cfg)
             g_feats += cfg.mal_weight * g_con
         else:
-            views = _augment_views(x_short, state.rng, cfg.jitter_sigma,
+            views = _augment_views(x_short, state.rng,
                                    min_len=max(cfg.temporal_kernel, x_short.shape[2] - 2))
             view_labels = np.concatenate([labels, labels])
             view_feats, aug_cache = enc.encode_forward(state.params_s, views, adj,
@@ -393,12 +391,11 @@ def prepare_data(config, recordings, label_names, split):
     ``test_samples``, raw windows that prediction preprocesses itself. The
     split selects recordings before any windowing: the arrays are gathered
     from the training subjects' frames in one pass, with no sample objects,
-    and the test subjects' recordings are windowed at the eval stride.
+    and the test subjects' recordings are windowed at stride ``short_len``.
     Nothing reads ``label_names``; the parameter stays because the benchmark
     in ``perfbench/`` passes it by position.
     """
     short_len, scale = config.short_len, config.window_scale
-    eval_stride = config.eval_stride or short_len
     stray = [r for r in recordings
              if r.subject_id not in split.train_subjects | split.test_subjects]
     _refuse_stray(stray, short_len, config.stride)
@@ -414,7 +411,7 @@ def prepare_data(config, recordings, label_names, split):
         offset += len(rec)
     if not sum(map(len, shorts)):
         raise ConfigError("no training samples with a constructible long-term window")
-    _refuse_stray(stray, short_len, eval_stride)
+    _refuse_stray(stray, short_len, short_len)
     shorts = np.concatenate(shorts)
     frames = np.concatenate([r.joints for r in train_recs], dtype=np.float64)
     test_recs = [r for r in recordings if r.subject_id in split.test_subjects]
@@ -422,7 +419,7 @@ def prepare_data(config, recordings, label_names, split):
             "x_long": _pair_windows(frames, np.concatenate(longs), scale * short_len, config),
             "y_train": np.concatenate([r.labels for r in train_recs])[shorts].astype(np.int64),
             "test_samples": window_dataset(test_recs, label_names, short_len,
-                                           stride=eval_stride).shorts}
+                                           stride=short_len).shorts}
 
 
 def train(config, recordings, label_names, split, log_path=None, resume_from=None):
@@ -468,7 +465,7 @@ def train(config, recordings, label_names, split, log_path=None, resume_from=Non
         row = {"epoch": epoch, "split": "train"}
         row.update({k: sums[k] / n for k in sums})
         metrics.append(row)
-        if config.eval_every and epoch % config.eval_every == 0 and len(test_labels):
+        if len(test_labels):
             # held-out accuracy against the current (frozen) queue
             model = FrozenModel.from_state(state)
             classes = np.concatenate([predict_batch(model, test_windows[lo:lo + 256])[0]

@@ -12,6 +12,7 @@ from gesturemem import memory as mem
 from gesturemem.dataset import ShortTermSample, preprocess
 from gesturemem.encoder import NORM_EPS, _check_input, encode_forward
 from gesturemem.errors import ConfigError
+from gesturemem.training import JITTER_SIGMA
 
 
 def rel_error(a, b, floor=1e-12):
@@ -369,8 +370,7 @@ def oracle_memory_augmented_loss(features, labels, queue, cfg):
     mem = queue.filled_features.astype(features.dtype, copy=False)
     sims = features @ mem.T / cfg.temperature
     pos_mask = queue.filled_labels[None, :] == labels[:, None]
-    den_mask = ~pos_mask if cfg.denominator_mode == "negatives" else np.ones_like(pos_mask)
-    loss_rows, coeff = oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    loss_rows, coeff = oracle_anchor_loss_and_coeff(sims, pos_mask, ~pos_mask)
     grad = (coeff @ mem) / cfg.temperature
     return float(loss_rows.sum()), grad.astype(features.dtype, copy=False)
 
@@ -417,7 +417,7 @@ def oracle_momentum_update(params_l, params_s, coef):
     return out
 
 
-def oracle_augment_views(x, rng, jitter_sigma, min_len):
+def oracle_augment_views(x, rng, min_len):
     """``training._augment_views`` one sample at a time: slice, repeat the
     last frame, concatenate."""
     b, c, t, v = x.shape
@@ -431,8 +431,7 @@ def oracle_augment_views(x, rng, jitter_sigma, min_len):
                 pad = np.repeat(crop[:, -1:, :], t - length, axis=1)
                 crop = np.concatenate([crop, pad], axis=1)
             views[view * b + i] = crop
-    if jitter_sigma > 0:
-        views += rng.normal(0.0, jitter_sigma, size=views.shape).astype(x.dtype)
+    views += rng.normal(0.0, JITTER_SIGMA, size=views.shape).astype(x.dtype)
     return views
 
 
@@ -465,7 +464,7 @@ def oracle_train_step(state, x_short, x_long, labels):
                 feats_s, labels, state.queue, cfg)
             g_feats += cfg.mal_weight * g_con
         else:
-            views = oracle_augment_views(x_short, state.rng, cfg.jitter_sigma,
+            views = oracle_augment_views(x_short, state.rng,
                                          min_len=max(cfg.temporal_kernel,
                                                      x_short.shape[2] - 2))
             view_feats, aug_cache = enc.encode_forward(state.params_s, views, adj,
@@ -535,7 +534,7 @@ def ref_prepare_data(config, recordings, label_map, split):
     by :func:`ref_split_windows`, the split applied to the samples, each
     training sample paired with its :func:`ref_build_long_term` window, the
     pairs stacked and put through ``preprocess``, then every recording
-    windowed again at the eval stride for the held-out samples."""
+    windowed again at stride ``short_len`` for the held-out samples."""
     def windowed(stride, subjects):
         """The (sample, recording) pairs of ``subjects``, after refusing a
         sample whose subject is on neither side of the split."""
@@ -558,6 +557,6 @@ def ref_prepare_data(config, recordings, label_map, split):
     x_long = preprocess([long for _, long in longs], config.center, config.input_scale, dtype)
     y_train = np.asarray([short.label for short, _ in longs], dtype=np.int64)
 
-    test = windowed(config.eval_stride or config.short_len, split.test_subjects)
+    test = windowed(config.short_len, split.test_subjects)
     return {"x_short": x_short, "x_long": x_long, "y_train": y_train,
             "test_samples": [s for s, _ in test]}

@@ -104,11 +104,6 @@ def test_full_pipeline_generate_train_eval(tmp_path, capsys):
                  "--out", ckpt, "--log", log]) == 0
     out = capsys.readouterr().out
     assert "final test accuracy" in out
-    # a held-out figure from before the last epoch is not called final
-    assert main(["train", "--config", traincfg, "--data", data,
-                 "--set", "epochs=3", "--set", "eval_every=2"]) == 0
-    out = capsys.readouterr().out
-    assert "epoch 2 of 3 test accuracy: " in out and "final" not in out, out
     assert main(["eval", "--model", ckpt, "--data", data,
                  "--subjects", "s03,s04"]) == 0
     out = capsys.readouterr().out
@@ -128,12 +123,12 @@ def test_eval_windows_only_the_requested_subjects(monkeypatch):
 
     monkeypatch.setattr(cli, "window_dataset", spy)
     key = lambda s: (s.data.tobytes(), s.label, s.recording_id, s.start_frame)
-    for subjects, stride, want_subjects in ((["s03", "s01"], 4, {"s01", "s03"}),
-                                            (None, None, {r.subject_id for r in recordings})):
+    every = window_dataset(recordings, label_map, 6, stride=6).shorts
+    for subjects, want_subjects in ((["s03", "s01"], {"s01", "s03"}),
+                                    (None, {r.subject_id for r in recordings})):
         windowed.clear()
-        samples = cli._eval_windows(model, recordings, label_map, subjects, stride)
+        samples = cli._eval_windows(model, recordings, label_map, subjects)
         assert set(windowed) == want_subjects and len(windowed) == len(want_subjects)
-        every = window_dataset(recordings, label_map, 6, stride=stride or 6).shorts
         subject_of = {r.recording_id: r.subject_id for r in recordings}
         assert [key(s) for s in samples] == [key(s) for s in every
                                              if subject_of[s.recording_id] in want_subjects]
@@ -303,6 +298,15 @@ def test_ablate_trains_the_grid_and_checks_seeds(tmp_path, capsys):
     frames = Path(data, "frames.csv").read_bytes()
     assert result["data_sha256"] == hashlib.sha256(frames).hexdigest()
     assert result["git_commit"] is None or re.fullmatch("[0-9a-f]{40}", result["git_commit"])
+    # a tracked file that differs from HEAD marks the grid as run on other code
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                                capture_output=True, text=True, check=True,
+                                cwd=os.path.dirname(cli.__file__)).stdout
+    except (OSError, subprocess.SubprocessError):
+        status = None
+    assert result["git_dirty"] is (None if status is None else bool(status))
+    assert (result["git_dirty"] is None) == (result["git_commit"] is None)
     assert isinstance(result["wall_s"], float) and result["wall_s"] > 0
 
 
@@ -356,12 +360,9 @@ def test_infer_emits_ndjson(tmp_path, capsys):
     assert {"recording", "start_frame", "true", "class", "name"} <= set(row)
 
 
-def test_out_of_range_stride_and_n_slots_exit_2(tmp_path, capsys):
+def test_out_of_range_n_slots_exit_2(tmp_path, capsys):
     data, ckpt = generate_and_train(tmp_path)
     capsys.readouterr()
-    for command in ("eval", "infer"):
-        assert main([command, "--model", ckpt, "--data", data, "--stride", "0"]) == 2
-        assert "stride must be >= 1" in capsys.readouterr().err
     export = ["export-addressing", "--model", ckpt, "--data", data, "--n-samples", "4"]
     for n_slots in ("-1", "0"):
         out = tmp_path / f"addr{n_slots}.csv"
@@ -399,14 +400,14 @@ def test_negative_seed_is_an_error_line_and_exit_2(tmp_path, capsys, monkeypatch
 
 
 def serve_stdin(ckpt, data, **env):
-    """``serve --stdin`` of the bytes ``data`` in a child process."""
+    """``serve`` over stdin of the bytes ``data`` in a child process."""
     # the child imports the same package as this process, however it was found
     src = os.path.dirname(os.path.dirname(gesturemem.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
     return subprocess.run(
         [sys.executable, "-m", "gesturemem.cli", "serve", "--model", ckpt,
-         "--stdin", "--stride-ms", "0"],
+         "--stride-ms", "0"],
         input=data, capture_output=True, timeout=120, env=env)
 
 
@@ -437,12 +438,6 @@ def test_serve_stdin_answers_a_line_that_is_not_utf8(tmp_path):
     assert all("class" in o for o in outs[1:])
 
 
-def test_serve_refuses_stdin_and_port_together(tmp_path, capsys):
-    assert main(["serve", "--model", str(tmp_path / "absent.ckpt"),
-                 "--stdin", "--port", "0"]) == 1
-    assert "not allowed with argument" in capsys.readouterr().err
-
-
 UNSETTABLE = {
     "eval": ["--model", "m.ckpt", "--data", "d"],
     "infer": ["--model", "m.ckpt", "--data", "d"],
@@ -457,6 +452,16 @@ def test_commands_without_settings_refuse_config_and_set(tmp_path, capsys, comma
     # these read no config key, so a --config or --set would do nothing
     value = "stride=3" if flag == "--set" else write_cfg(tmp_path / "c.cfg", "stride = 3\n")
     assert main([command, *UNSETTABLE[command], flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("eval", "--stride"), ("infer", "--stride"),
+                                           ("serve", "--stdin")])
+def test_deleted_options_are_unrecognized(capsys, command, flag):
+    # eval and infer window at the model's short_len; serve reads stdin unless
+    # given a --port
+    args = [flag] + (["3"] if flag == "--stride" else [])
+    assert main([command, *UNSETTABLE[command], *args]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -554,12 +559,12 @@ def test_train_fraction_trains_on_a_sorted_prefix_of_subjects(tmp_path, monkeypa
 def test_dataclass_from_mapping_coercion():
     cfg = dataclass_from_mapping(TrainConfig, {
         "short_len": "8", "learning_rate": "0.1", "use_recall": "false",
-        "eval_stride": "none", "dtype": "float64",
+        "dtype": "float64",
     })
     assert cfg.short_len == 8
     assert cfg.learning_rate == 0.1
     assert cfg.use_recall is False
-    assert cfg.eval_stride is None
+    assert cfg.dtype == "float64"
     with pytest.raises(ConfigError):
         dataclass_from_mapping(TrainConfig, {"short_len": "many"})
     with pytest.raises(ConfigError):

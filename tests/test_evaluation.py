@@ -31,7 +31,7 @@ def small_dataset(seed=0):
 def small_config(**overrides):
     base = dict(short_len=6, window_scale=2, stride=3, queue_capacity=64,
                 feature_dim=8, width=4, batch_size=8, epochs=1,
-                learning_rate=0.01, seed=0, eval_every=0)
+                learning_rate=0.01, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -262,8 +262,8 @@ def test_cells_without_the_contrast_loss_ignore_its_kind(use_recall):
     """The grid trains baseline and recall_only once per seed: with use_mal
     off, the contrast kind changes no metric, parameter or queue bit."""
     recordings, label_map = small_dataset()
-    runs = [train(small_config(epochs=2, eval_every=1, use_recall=use_recall,
-                               use_mal=False, contrast_loss=kind),
+    runs = [train(small_config(epochs=2, use_recall=use_recall, use_mal=False,
+                               contrast_loss=kind),
                   recordings, label_map, SPLIT) for kind in CONTRAST_KINDS]
     first, *others = runs
     assert any(m["split"] == "test" for m in first.metrics)

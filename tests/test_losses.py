@@ -27,14 +27,12 @@ def make_queue(features, labels):
 
 
 def brute_force_mal(features, labels, mem, mem_labels, cfg):
-    """Direct double-sum over (anchor, positive) with an explicit denominator."""
+    """Direct double-sum over (anchor, positive), the denominator summing the
+    different-class slots."""
     total = 0.0
     for i in range(len(features)):
         pos = [p for p in range(len(mem)) if mem_labels[p] == labels[i]]
-        if cfg.denominator_mode == "negatives":
-            den = [a for a in range(len(mem)) if mem_labels[a] != labels[i]]
-        else:
-            den = list(range(len(mem)))
+        den = [a for a in range(len(mem)) if mem_labels[a] != labels[i]]
         if not pos or not den:
             continue
         denom = sum(math.exp(float(features[i] @ mem[a]) / cfg.temperature)
@@ -131,9 +129,8 @@ def test_mal_single_anchor_closed_form():
     assert loss == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("mode", ["negatives", "all"])
-def test_mal_matches_brute_force_oracle(mode):
-    cfg = TrainConfig(temperature=0.07, denominator_mode=mode)
+def test_mal_matches_brute_force_oracle():
+    cfg = TrainConfig(temperature=0.07)
     rng = np.random.default_rng(4)
     for _ in range(200):
         b = int(rng.integers(1, 9))
@@ -267,8 +264,6 @@ def test_loss_config_validation():
         TrainConfig(temperature=0.0)
     with pytest.raises(ConfigError, match="mal_weight must be >= 0"):
         TrainConfig(mal_weight=-1.0)
-    with pytest.raises(ConfigError, match="denominator_mode must be one of"):
-        TrainConfig(denominator_mode="sometimes")
 
 
 # --- bitwise agreement with the gathered-anchor oracle --------------------------
@@ -277,7 +272,7 @@ def test_loss_config_validation():
 @st.composite
 def contrast_cases(draw):
     """Unit anchors, their labels and a filled queue where all, some or none of
-    the anchors have a positive slot (and, under "negatives", a negative one)."""
+    the anchors have both a positive and a negative slot."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     validity = draw(st.sampled_from(["all", "some", "none"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -296,8 +291,7 @@ def contrast_cases(draw):
     queue = MemoryQueue(len(slot_labels), dim, dtype=dtype)
     queue.enqueue_batch(random_unit_rows(rng, len(slot_labels), dim, dtype), slot_labels)
     features = random_unit_rows(rng, b, dim, dtype)
-    cfg = TrainConfig(temperature=draw(st.sampled_from([0.07, 0.5, 1.0])),
-                      denominator_mode=draw(st.sampled_from(["negatives", "all"])))
+    cfg = TrainConfig(temperature=draw(st.sampled_from([0.07, 0.5, 1.0])))
     return features, labels, queue, cfg, validity
 
 
@@ -313,9 +307,8 @@ def test_contrastive_losses_match_the_oracle_bitwise(case):
     # the core itself, on the MAL's masks and on SupCon's
     sims = features @ queue.filled_features.T / cfg.temperature
     pos_mask = queue.filled_labels[None, :] == labels[:, None]
-    den_mask = ~pos_mask if cfg.denominator_mode == "negatives" else np.ones_like(pos_mask)
-    out = losses._anchor_loss_and_coeff(sims, pos_mask, den_mask)
-    out_o = oracle_anchor_loss_and_coeff(sims, pos_mask, den_mask)
+    out = losses._anchor_loss_and_coeff(sims, pos_mask, ~pos_mask)
+    out_o = oracle_anchor_loss_and_coeff(sims, pos_mask, ~pos_mask)
     for a, a_o, what in zip(out, out_o, ("loss rows", "coeff")):
         assert_same_bits(a, a_o, what)
     if validity == "none" and len(labels):

@@ -17,6 +17,7 @@ from gesturemem import encoder as enc
 from gesturemem import losses
 from gesturemem import memory as mem
 from gesturemem import training
+from gesturemem.config import dataclass_from_mapping
 from gesturemem.dataset import (Recording, SplitSpec, SynthesisConfig,
                                 synthesize_recordings)
 from gesturemem.errors import (CheckpointError, ConfigError, DataIntegrityError,
@@ -40,8 +41,7 @@ SRC_DIR = pathlib.Path(training.__file__).resolve().parents[1]
 def tiny_config(**overrides):
     base = dict(short_len=6, window_scale=2, stride=3, queue_capacity=32,
                 feature_dim=8, width=4, batch_size=4, epochs=2, seed=0,
-                learning_rate=0.01, weight_decay=1e-3, temperature=0.07,
-                eval_every=1)
+                learning_rate=0.01, weight_decay=1e-3, temperature=0.07)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -281,15 +281,13 @@ def test_a_long_encoder_unlike_the_short_one_is_refused():
         train_step(state, *batch)
 
 
-@pytest.mark.parametrize("jitter_sigma", [0.0, 0.01])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_augment_views_matches_the_per_sample_crops(dtype, jitter_sigma):
+def test_augment_views_matches_the_per_sample_crops(dtype):
     x = np.random.default_rng(9).normal(size=(7, 3, 10, 3)).astype(dtype)
     for min_len in (3, 8, 10):
         rng, rng_o = np.random.default_rng(min_len), np.random.default_rng(min_len)
-        views = _augment_views(x, rng, jitter_sigma, min_len)
-        assert_same_bits(views, oracle_augment_views(x, rng_o, jitter_sigma, min_len),
-                         min_len)
+        views = _augment_views(x, rng, min_len)
+        assert_same_bits(views, oracle_augment_views(x, rng_o, min_len), min_len)
         assert rng.bit_generator.state == rng_o.bit_generator.state
 
 
@@ -369,11 +367,11 @@ def test_in_training_accuracy_equals_evaluate(dtype):
 
 @pytest.mark.parametrize("field,value", [
     ("short_len", 6.0), ("width", 16.0), ("queue_capacity", 512.0),
-    ("eval_stride", 2.0), ("epochs", True), ("input_scale", True),
+    ("epochs", True), ("input_scale", True),
     ("learning_rate", "0.1"), ("use_recall", 1), ("center", "no"),
     ("dtype", None), ("contrast_loss", 0), ("window_scale", 0),
     # values of the right type that training cannot run
-    ("eval_every", -3), ("short_len", 2),
+    ("epochs", -3), ("short_len", 2),
     # a long window past training.MAX_WINDOW_FRAMES
     ("short_len", 2**70), ("window_scale", 2**16)])
 def test_config_fields_are_type_checked(field, value):
@@ -383,15 +381,10 @@ def test_config_fields_are_type_checked(field, value):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["learning_rate", "temperature", "weight_decay",
-                                   "mal_weight", "input_scale", "jitter_sigma"])
+                                   "mal_weight", "input_scale"])
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
-
-
-def test_config_rejects_negative_jitter_sigma():
-    with pytest.raises(ConfigError, match="jitter_sigma"):
-        TrainConfig(jitter_sigma=-0.01)
 
 
 @pytest.mark.parametrize("field", ["short_len", "window_scale", "stride", "batch_size",
@@ -402,10 +395,22 @@ def test_config_refuses_zero_sizes(field):
         TrainConfig(**{field: 0})
 
 
-def test_config_accepts_ints_for_floats_and_none_eval_stride():
-    config = TrainConfig(input_scale=1000, temperature=1, eval_stride=None)
-    assert config.input_scale == 1000 and config.eval_stride is None
-    assert TrainConfig(eval_stride=3).eval_stride == 3
+@pytest.mark.parametrize("field,value,message", [
+    ("momentum_coef", 1.0, "momentum_coef must be in"),
+    ("momentum_coef", -0.1, "momentum_coef must be in"),
+    ("learning_rate", 0.0, "learning_rate must be > 0"),
+    ("weight_decay", -1e-4, "weight_decay >= 0"),
+    ("input_scale", 0.0, "input_scale must be positive"),
+    ("contrast_loss", "triplet", "contrast_loss must be one of")])
+def test_config_refuses_out_of_range_values(field, value, message):
+    # values of the right type that no training step can use
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_ints_for_floats():
+    config = TrainConfig(input_scale=1000, temperature=1)
+    assert config.input_scale == 1000 and config.temperature == 1
     assert TrainConfig(short_len=training.MAX_WINDOW_FRAMES, window_scale=1).window_scale == 1
 
 
@@ -478,6 +483,30 @@ def test_checkpoint_rejects_unknown_version(tmp_path, version):
         load_checkpoint(path)
 
 
+# the fields version 3 deleted, with the defaults every version-2 file held
+DELETED_FIELDS = {"denominator_mode": "negatives", "eval_stride": None, "eval_every": 1,
+                  "jitter_sigma": 0.01}
+
+
+@pytest.mark.parametrize("key", sorted(DELETED_FIELDS))
+def test_deleted_config_keys_are_unknown_and_version_2_is_refused(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}' for TrainConfig"):
+        dataclass_from_mapping(TrainConfig, {key: str(DELETED_FIELDS[key])})
+    path = tmp_path / "v.ckpt"
+    save_checkpoint(init_state(tiny_config(), ("a", "b", "c")), path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    assert key not in header["config"]
+    # the key in a version-3 header, then a whole version-2 header
+    _write_mutant(path, header, payload, _set(["config", key], DELETED_FIELDS[key]))
+    with pytest.raises(CheckpointError, match="invalid checkpoint config"):
+        load_checkpoint(path)
+    header["config"].update(DELETED_FIELDS)
+    _write_mutant(path, header, payload, _set(["version"], 2))
+    with pytest.raises(CheckpointError, match="version 2 is not supported.*no migration path"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_detects_truncation(tmp_path):
     state = trained_state()
     path = tmp_path / "t.ckpt"
@@ -541,11 +570,10 @@ HEADER_FAULTS = {
     # json writes these as NaN and Infinity, and reads them back as floats
     **{f"{value}_{field}": _set(["config", field], float(value))
        for field in ("learning_rate", "temperature", "weight_decay", "mal_weight",
-                     "input_scale", "jitter_sigma")
+                     "input_scale")
        for value in ("nan", "inf")},
-    "negative_jitter_sigma": _set(["config", "jitter_sigma"], -0.01),
-    "negative_eval_every": _set(["config", "eval_every"], -3),
     "negative_seed": _set(["config", "seed"], -1),
+    "negative_weight_decay": _set(["config", "weight_decay"], -1e-4),
     "short_len_below_temporal_kernel": _set(["config", "short_len"], 2),
     "short_len_past_the_window_bound": _set(["config", "short_len"], 2**70),
     **{f"zero_{field}": _set(["config", field], 0)
@@ -665,11 +693,11 @@ def _filled_checkpoint(path, fill=10, **overrides):
     save_checkpoint(state, path)
 
 
-# SHA-256 of _filled_checkpoint files, by dtype, in the version-2 format. A
+# SHA-256 of _filled_checkpoint files, by dtype, in the version-3 format. A
 # change that moves one changes the format, and so bumps CHECKPOINT_VERSION.
 GOLDEN_CHECKPOINTS = {
-    "float32": "bf4417d53b0aac466d67bc88cfa878bd8bce9dc18ebb98dd91941d3e869a6573",
-    "float64": "4f7b4aabc500629f9c33e372f13316d6d2a17cfa02613916eec50c225562c281",
+    "float32": "658a31a89c8f2b711caebca654812a3fd43c21d4433a866607aec3c4c452cc59",
+    "float64": "2c0d09f90d24cc85bdbef5a5c6ee62d83d7d7e80083b9dba31b7e4f95f83f2c5",
 }
 
 
@@ -920,17 +948,15 @@ def subject_recordings(draw):
 
 
 @given(subject_recordings(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 10),
-       st.sampled_from([None, 1, 3]), st.booleans(),
-       st.sampled_from([1.0, 1000.0]), st.sampled_from(["float32", "float64"]),
-       st.booleans())
+       st.booleans(), st.sampled_from([1.0, 1000.0]),
+       st.sampled_from(["float32", "float64"]), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_prepare_data_equals_sample_reference(recordings, short_len, stride, scale,
-                                              eval_stride, center, input_scale, dtype,
-                                              split_s1):
+                                              center, input_scale, dtype, split_s1):
     # windowing reads no temporal_kernel; 1 admits every short_len drawn
     config = TrainConfig(short_len=short_len, window_scale=scale, stride=stride,
-                         eval_stride=eval_stride, center=center, input_scale=input_scale,
-                         dtype=dtype, temporal_kernel=1)
+                         center=center, input_scale=input_scale, dtype=dtype,
+                         temporal_kernel=1)
     split = SplitSpec.from_lists(["s0", "s1"] if split_s1 else ["s0"],
                                  ["s2"] if split_s1 else ["s1", "s2"])
     label_map = ("a", "b", "c")
@@ -956,8 +982,9 @@ def test_prepare_data_errors_match_reference():
 
 
 def test_stray_window_found_only_at_the_eval_stride_fails_the_split():
-    # s2 holds no pure 3-frame window at stride 2 (starts 0, 2, 4) but one at
-    # the eval stride 3 (start 3), after the training arrays are built
+    # s2 holds no pure 3-frame window at the training stride 2 (starts 0, 2,
+    # 4) but one at the eval stride, short_len 3 (start 3), after the training
+    # arrays are built
     rng = np.random.default_rng(0)
     recordings = [Recording(f"r{k}", subject, rng.normal(size=(len(labels), 3, 3)),
                             np.asarray(labels, dtype=np.int64))
